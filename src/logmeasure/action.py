@@ -154,28 +154,22 @@ class DiscreteAction:
 
     def first_variation(self, path: Path, direction: Path) -> float:
         """d/ds A(psi + s k)|_0 for a lattice direction k, eta and kinetic parts."""
-        Q, V = self._positions_velocities(path)
-        kQ, kV = self._positions_velocities(direction)
-        kQ = kQ - self.q_offset
-        d1 = np.asarray(self.lagrangian.eta_d1(Q, V), dtype=float)
-        d2 = self.lagrangian.eta_velocity_gradient(Q, V)
-        b = self.lagrangian.kinetic_matrix
-        rows = (
-            np.einsum("ij,ij->i", d1, kQ)
-            + np.einsum("ij,ij->i", d2 + V @ b, kV)
-        )
-        return float(np.sum(rows) * self.lattice.dt)
+        return self._variation(path, direction, kinetic=True)
 
     def eta_variation(self, path: Path, direction: Path) -> float:
         """The eta-only part of the first variation (kinetic part excluded)."""
+        return self._variation(path, direction, kinetic=False)
+
+    def _variation(self, path: Path, direction: Path, kinetic: bool) -> float:
         Q, V = self._positions_velocities(path)
         kQ, kV = self._positions_velocities(direction)
-        kQ = kQ - self.q_offset
-        d1 = np.asarray(self.lagrangian.eta_d1(Q, V), dtype=float)
-        rows = np.einsum("ij,ij->i", d1, kQ)
-        if self.lagrangian.eta_d2 is not None:
-            d2 = np.asarray(self.lagrangian.eta_d2(Q, V), dtype=float)
-            rows = rows + np.einsum("ij,ij->i", d2, kV)
+        lag = self.lagrangian
+        rows = np.einsum("ij,ij->i", np.asarray(lag.eta_d1(Q, V), dtype=float), kQ - self.q_offset)
+        if kinetic or lag.eta_d2 is not None:
+            v_grad = lag.eta_velocity_gradient(Q, V)
+            if kinetic:
+                v_grad = v_grad + V @ lag.kinetic_matrix
+            rows = rows + np.einsum("ij,ij->i", v_grad, kV)
         return float(np.sum(rows) * self.lattice.dt)
 
     def w_log_derivative_vector(

@@ -56,9 +56,8 @@ from .measures import (
     GaussianMeasure,
     QuadratureKind,
     QuadratureSpec,
-    _vector_log_derivative_batch,
-    expectation,
     ibp_residual,
+    ibp_terms,
     standard_normal,
     wiener_measure,
 )
@@ -476,23 +475,7 @@ def _run_theorem1_check(params: dict, seed: int, workers: int):
 
     rows: list[Row] = []
     for idx, (phi, h) in enumerate(pairs):
-
-        def grad_rows(x):
-            return np.einsum(
-                "ij,ij->i", np.asarray(phi.gradient(x)), np.asarray(h.eval(x))
-            )
-
-        def vector_rows(x):
-            return np.asarray(phi.evaluator(x)) * _vector_log_derivative_batch(
-                m, np.asarray(h.eval(x), dtype=float), x
-            )
-
-        def trace_rows(x):
-            return np.asarray(phi.evaluator(x)) * h.divergence_batch(x)
-
-        grad_term = expectation(m, grad_rows, quad).value
-        vector_term = expectation(m, vector_rows, quad).value
-        trace_term = expectation(m, trace_rows, quad).value
+        grad_term, vector_term, trace_term = (e.value for e in ibp_terms(m, phi, h, quad))
         residual = grad_term + vector_term + trace_term
         residual_no_trace = grad_term + vector_term
         rows.append(

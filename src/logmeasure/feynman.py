@@ -37,6 +37,7 @@ from scipy.sparse.linalg import splu
 from .action import DiscreteAction, Lagrangian, WLogDerivativeMode
 from .fields import TransformationFamily
 from .flows import (
+    _rk4_growth,
     family_generator,
     family_velocity,
     jacobian_log_det,
@@ -48,7 +49,7 @@ from .measures import (
     GaussianMeasure,
     QuadratureKind,
     QuadratureSpec,
-    _mc_columns,
+    _integrate_columns,
     log_derivative_along_field,
     sample,
     wiener_measure,
@@ -367,8 +368,7 @@ def feynman_mc(
             raise ValueError("feynman_mc evaluates the damped regime; f0 must be real-valued")
         return (weight * f0_vals).reshape(-1, 1)
 
-    means, ses = _mc_columns(m, mc, rows, 1)
-    return Estimate(float(means[0]), float(ses[0]))
+    return _integrate_columns(m, mc, rows, 1)[0]
 
 
 def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> complex:
@@ -573,22 +573,8 @@ def _weighted_density_curve(
         direction = path_from_flat(lattice, h.eval_at(y))
         return gauss + mode.factor * action.eta_variation(path, direction)
 
-    step = alpha_max / n_grid
     dtype = complex if mode is WLogDerivativeMode.REAL_TIME else float
-    values = np.empty(n_grid + 1, dtype=dtype)
-    values[0] = 1.0
-    rate_lo = rate(0.0)
-    for i in range(n_grid):
-        g = values[i]
-        rate_mid = rate((i + 0.5) * step)
-        rate_hi = rate((i + 1.0) * step)
-        k1 = rate_lo * g
-        k2 = rate_mid * (g + 0.5 * step * k1)
-        k3 = rate_mid * (g + 0.5 * step * k2)
-        k4 = rate_hi * (g + step * k3)
-        values[i + 1] = g + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rate_lo = rate_hi
-    return values
+    return _rk4_growth(rate, alpha_max / n_grid, n_grid, dtype)
 
 
 def anomaly_experiment(

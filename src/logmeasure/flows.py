@@ -16,7 +16,7 @@ Sign conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,10 +25,8 @@ from .fields import DensityCurve, TestFunction, TransformationFamily, VectorFiel
 from .measures import (
     Estimate,
     GaussianMeasure,
-    QuadratureKind,
     QuadratureSpec,
-    _gh_nodes,
-    _mc_columns,
+    _integrate_columns,
     log_derivative_along_field,
 )
 
@@ -119,11 +117,7 @@ def pushforward_derivative(
         lo = np.asarray(phi.evaluator(family.eval(-fd_alpha, x)), dtype=float)
         return ((hi - lo) / (2.0 * fd_alpha)).reshape(-1, 1)
 
-    if q.kind is QuadratureKind.GAUSS_HERMITE:
-        nodes, weights = _gh_nodes(m, q.n_samples)
-        return Estimate(float(weights @ rows(nodes)[:, 0]), None)
-    means, ses = _mc_columns(m, q, rows, 1)
-    return Estimate(float(means[0]), float(ses[0]))
+    return _integrate_columns(m, q, rows, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -163,12 +157,30 @@ def proposition1_check(
         )
         return np.stack([lhs_rows, rhs_rows, lhs_rows + rhs_rows], axis=1)
 
-    if q.kind is QuadratureKind.GAUSS_HERMITE:
-        nodes, weights = _gh_nodes(m, q.n_samples)
-        cols = weights @ rows(nodes)
-        return Proposition1Result(float(cols[0]), float(cols[1]), float(cols[2]), None)
-    means, ses = _mc_columns(m, q, rows, 3)
-    return Proposition1Result(float(means[0]), float(means[1]), float(means[2]), float(ses[2]))
+    lhs, rhs, residual = _integrate_columns(m, q, rows, 3)
+    return Proposition1Result(lhs.value, rhs.value, residual.value, residual.std_error)
+
+
+def _rk4_growth(rate: Callable[[float], complex], step: float, n_grid: int, dtype: type) -> np.ndarray:
+    """Classical RK4 for g'(alpha) = rate(alpha) g(alpha), g(0) = 1, at alpha = i * step.
+
+    The stages evaluate rate at (i + 0.5) * step and (i + 1) * step; dtype is
+    float, or complex when the rate is complex.
+    """
+    values = np.empty(n_grid + 1, dtype=dtype)
+    values[0] = 1.0
+    rate_lo = rate(0.0)
+    for i in range(n_grid):
+        g = values[i]
+        rate_mid = rate((i + 0.5) * step)
+        rate_hi = rate((i + 1.0) * step)
+        k1 = rate_lo * g
+        k2 = rate_mid * (g + 0.5 * step * k1)
+        k3 = rate_mid * (g + 0.5 * step * k2)
+        k4 = rate_hi * (g + step * k3)
+        values[i + 1] = g + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rate_lo = rate_hi
+    return values
 
 
 def solve_density_ode(
@@ -196,22 +208,8 @@ def solve_density_ode(
         y = family.apply(alpha, x_probe)
         return log_derivative_along_field(m, h, y).total
 
+    values = _rk4_growth(beta_at, alpha_max / n_grid, n_grid, float)
     alphas = np.linspace(0.0, alpha_max, n_grid + 1)
-    step = alpha_max / n_grid
-    values = np.empty(n_grid + 1)
-    values[0] = 1.0
-    b_lo = beta_at(0.0)
-    for i in range(n_grid):
-        a = alphas[i]
-        g = values[i]
-        b_mid = beta_at(a + 0.5 * step)
-        b_hi = beta_at(a + step)
-        k1 = b_lo * g
-        k2 = b_mid * (g + 0.5 * step * k1)
-        k3 = b_mid * (g + 0.5 * step * k2)
-        k4 = b_hi * (g + step * k3)
-        values[i + 1] = g + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        b_lo = b_hi
     return DensityCurve(alphas, values, x_probe.copy())
 
 

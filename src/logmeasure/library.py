@@ -71,11 +71,12 @@ def quartic_lagrangian(dim_q: int, coupling: float = 1.0, kinetic_scale: float =
 
     def eta(q: np.ndarray, v: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(q)
-        return coupling * np.sum(q**4, axis=1)
+        q2 = q * q
+        return coupling * np.sum(q2 * q2, axis=1)
 
     def eta_d1(q: np.ndarray, v: np.ndarray) -> np.ndarray:
         q = np.atleast_2d(q)
-        return 4.0 * coupling * q**3
+        return 4.0 * coupling * (q * q * q)
 
     return Lagrangian(
         dim_q=dim_q,

@@ -14,9 +14,14 @@ and the integration-by-parts identity E[phi' . h] + E[phi * beta_h] = 0 is the
 primary consistency check (ibp_residual).
 
 Precision is the primary parameterization; covariance is derived on demand.
-Monte Carlo work is split across `workers` deterministic RNG streams derived
-from SeedSequence(seed).spawn(workers), so results are bitwise reproducible
-for a fixed (seed, workers) pair.
+
+Every integral in the package runs on one engine: _chunks yields batches of
+at most _CHUNK_ROWS points (Monte Carlo draws or Gauss-Hermite tensor-rule
+nodes with their weights) and _integrate_columns reduces the columns a row
+function returns for each batch; sample() fills its output from the same
+batches.  Monte Carlo work is split across `workers` deterministic RNG
+streams derived from SeedSequence(seed).spawn(workers), so results are
+bitwise reproducible for a fixed (seed, workers) pair.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -181,84 +186,87 @@ def _transform(m: GaussianMeasure, z: np.ndarray) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=32)
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.hermite.hermgauss(order)
+
+
+def _chunks(
+    m: GaussianMeasure, q: QuadratureSpec
+) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Yield (points, weights) batches of at most _CHUNK_ROWS rows mapped onto m.
+
+    Monte Carlo batches are the worker streams' draws in stream order, with
+    weights None (each row counts 1/n).  Gauss-Hermite batches are
+    consecutive index ranges of the tensor rule in C order, with weights that
+    sum to 1 over the whole rule; only one batch of the order**dim nodes is
+    ever held.
+    """
+    if q.kind is QuadratureKind.MONTE_CARLO:
+        for rng, share in zip(_worker_rngs(q.seed, q.workers), _worker_shares(q.n_samples, q.workers)):
+            for done in range(0, share, _CHUNK_ROWS):
+                take = min(_CHUNK_ROWS, share - done)
+                yield _transform(m, rng.standard_normal((take, m.dim))), None
+        return
+    if m.dim > _MAX_GH_DIM:
+        raise ValueError(
+            f"gauss_hermite quadrature is guarded to dim <= {_MAX_GH_DIM}, got dim {m.dim}"
+        )
+    xi, w = _hermite_rule(q.n_samples)
+    shape = (len(xi),) * m.dim
+    n_nodes = len(xi) ** m.dim
+    for start in range(0, n_nodes, _CHUNK_ROWS):
+        idx = np.unravel_index(np.arange(start, min(start + _CHUNK_ROWS, n_nodes)), shape)
+        nodes_std = np.stack([xi[i] for i in idx], axis=1)
+        weights = np.ones(nodes_std.shape[0])
+        for i in idx:
+            weights = weights * w[i]
+        yield _transform(m, np.sqrt(2.0) * nodes_std), weights / np.pi ** (m.dim / 2.0)
+
+
 def sample(m: GaussianMeasure, n: int, seed: int, workers: int = 1) -> np.ndarray:
     """Draw n iid samples; deterministic for fixed (seed, workers)."""
     if n <= 0:
         raise ValueError("n must be positive")
     out = np.empty((n, m.dim))
     pos = 0
-    for rng, share in zip(_worker_rngs(seed, workers), _worker_shares(n, workers)):
-        done = 0
-        while done < share:
-            take = min(_CHUNK_ROWS, share - done)
-            out[pos : pos + take] = _transform(m, rng.standard_normal((take, m.dim)))
-            pos += take
-            done += take
+    for x, _ in _chunks(m, QuadratureSpec(QuadratureKind.MONTE_CARLO, n, seed, workers)):
+        out[pos : pos + len(x)] = x
+        pos += len(x)
     return out
 
 
-def _mc_columns(
+def _integrate_columns(
     m: GaussianMeasure, q: QuadratureSpec, row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stream MC chunks through row_fn; return per-column means and standard errors.
+) -> list[Estimate]:
+    """Integrate each column of row_fn against m, one batch of _chunks at a time.
 
-    row_fn maps a sample batch (c, dim) to (c, n_cols).
+    row_fn maps a batch (c, dim) to (c, n_cols).  A Monte Carlo value is the
+    plain column sum over n; its standard error comes from per-batch
+    (count, mean, M2) merged by the Chan-Golub-LeVeque update, which keeps
+    its digits when the column's mean dwarfs its spread.  Gauss-Hermite
+    values are weighted sums and carry std_error None.
     """
-    total = 0
-    acc = np.zeros(n_cols)
-    acc_sq = np.zeros(n_cols)
-    for rng, share in zip(_worker_rngs(q.seed, q.workers), _worker_shares(q.n_samples, q.workers)):
-        done = 0
-        while done < share:
-            take = min(_CHUNK_ROWS, share - done)
-            x = _transform(m, rng.standard_normal((take, m.dim)))
-            cols = np.asarray(row_fn(x), dtype=float).reshape(take, n_cols)
-            acc += cols.sum(axis=0)
-            acc_sq += (cols * cols).sum(axis=0)
-            total += take
-            done += take
-    means = acc / total
-    var = np.maximum(acc_sq / total - means**2, 0.0)
-    ses = np.sqrt(var / max(total - 1, 1))
-    return means, ses
-
-
-@lru_cache(maxsize=32)
-def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.hermite.hermgauss(order)
-
-
-def _gh_nodes(m: GaussianMeasure, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Hermite nodes mapped onto the measure; weights sum to 1."""
-    if m.dim > _MAX_GH_DIM:
-        raise ValueError(
-            f"gauss_hermite quadrature is guarded to dim <= {_MAX_GH_DIM}, got dim {m.dim}"
-        )
-    xi, w = _hermite_rule(order)
-    grids = np.meshgrid(*([xi] * m.dim), indexing="ij")
-    nodes_std = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([w] * m.dim), indexing="ij")
-    weights = np.ones(nodes_std.shape[0])
-    for g in wgrids:
-        weights = weights * g.reshape(-1)
-    weights = weights / np.pi ** (m.dim / 2.0)
-    nodes = _transform(m, np.sqrt(2.0) * nodes_std)
-    return nodes, weights
-
-
-def _gh_columns(
-    m: GaussianMeasure, q: QuadratureSpec, row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int
-) -> np.ndarray:
-    nodes, weights = _gh_nodes(m, q.n_samples)
-    cols = np.asarray(row_fn(nodes), dtype=float).reshape(len(weights), n_cols)
-    return weights @ cols
-
-
-def _integrate_columns(m, q, row_fn, n_cols):
+    sums = np.zeros(n_cols)
+    total, mean, m2 = 0, np.zeros(n_cols), np.zeros(n_cols)
+    for x, weights in _chunks(m, q):
+        cols = np.asarray(row_fn(x), dtype=float).reshape(len(x), n_cols)
+        if weights is not None:
+            sums += weights @ cols
+            continue
+        c = len(x)
+        col_sums = cols.sum(axis=0)
+        sums += col_sums
+        c_mean = col_sums / c
+        delta = c_mean - mean
+        merged = total + c
+        mean += delta * (c / merged)
+        m2 += ((cols - c_mean) ** 2).sum(axis=0) + delta * delta * (total * c / merged)
+        total = merged
     if q.kind is QuadratureKind.GAUSS_HERMITE:
-        return _gh_columns(m, q, row_fn, n_cols), None
-    means, ses = _mc_columns(m, q, row_fn, n_cols)
-    return means, ses
+        return [Estimate(float(v)) for v in sums]
+    ses = np.sqrt(m2 / total / max(total - 1, 1))
+    return [Estimate(float(v), float(se)) for v, se in zip(sums / total, ses)]
 
 
 def expectation(
@@ -272,8 +280,7 @@ def expectation(
     Carlo attaches a standard error.
     """
     fn = f.evaluator if isinstance(f, TestFunction) else f
-    means, ses = _integrate_columns(m, q, lambda x: np.asarray(fn(x)).reshape(-1, 1), 1)
-    return Estimate(float(means[0]), None if ses is None else float(ses[0]))
+    return _integrate_columns(m, q, lambda x: np.asarray(fn(x)).reshape(-1, 1), 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +302,11 @@ def _vector_log_derivative_batch(m: GaussianMeasure, kk: np.ndarray, xx: np.ndar
     return -np.einsum("ij,ij->i", delta @ m.precision, kk)
 
 
+def _check_field_dim(m: GaussianMeasure, h: VectorField) -> None:
+    if h.dim != m.dim:
+        raise ValueError(f"field dimension {h.dim} does not match measure dimension {m.dim}")
+
+
 def log_derivative_along_field(
     m: GaussianMeasure, h: VectorField, x: np.ndarray
 ) -> FieldLogDerivative:
@@ -303,12 +315,21 @@ def log_derivative_along_field(
     The difference between the field derivative and the derivative along the
     frozen vector k = h(x) is exactly the trace term.
     """
-    if h.dim != m.dim:
-        raise ValueError(f"field dimension {h.dim} does not match measure dimension {m.dim}")
+    _check_field_dim(m, h)
     x = np.asarray(x, dtype=float).reshape(m.dim)
     vector_term = log_derivative_along_vector(m, h.eval_at(x), x)
     trace_term = h.divergence_at(x)
     return FieldLogDerivative(vector_term, trace_term, vector_term + trace_term)
+
+
+def _ibp_integrand(
+    m: GaussianMeasure, phi: TestFunction, h: VectorField, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise phi' . h, phi, beta(h(x), x) and div h on a batch; h is evaluated once."""
+    hx = np.asarray(h.eval(x), dtype=float)
+    grad_dot_h = np.einsum("ij,ij->i", np.asarray(phi.gradient(x), dtype=float), hx)
+    beta = _vector_log_derivative_batch(m, hx, x)
+    return grad_dot_h, np.asarray(phi.evaluator(x), dtype=float), beta, h.divergence_batch(x)
 
 
 def ibp_residual(
@@ -319,14 +340,27 @@ def ibp_residual(
     Monte Carlo evaluates the residual as a single per-sample column so the
     returned standard error is the standard error of the residual itself.
     """
-    if h.dim != m.dim:
-        raise ValueError(f"field dimension {h.dim} does not match measure dimension {m.dim}")
+    _check_field_dim(m, h)
 
     def rows(x: np.ndarray) -> np.ndarray:
-        hx = np.asarray(h.eval(x), dtype=float)
-        grad_dot_h = np.einsum("ij,ij->i", np.asarray(phi.gradient(x), dtype=float), hx)
-        beta_h = _vector_log_derivative_batch(m, hx, x) + h.divergence_batch(x)
-        return (grad_dot_h + np.asarray(phi.evaluator(x), dtype=float) * beta_h).reshape(-1, 1)
+        grad_dot_h, phi_x, beta, div = _ibp_integrand(m, phi, h, x)
+        return (grad_dot_h + phi_x * (beta + div)).reshape(-1, 1)
 
-    means, ses = _integrate_columns(m, q, rows, 1)
-    return Estimate(float(means[0]), None if ses is None else float(ses[0]))
+    return _integrate_columns(m, q, rows, 1)[0]
+
+
+def ibp_terms(
+    m: GaussianMeasure, phi: TestFunction, h: VectorField, q: QuadratureSpec
+) -> tuple[Estimate, Estimate, Estimate]:
+    """The three summands E[phi' . h], E[phi beta(h(x), x)] and E[phi div h] in one pass.
+
+    They sum to ibp_residual up to rounding; the last is the trace term that
+    the frozen-vector derivative misses.
+    """
+    _check_field_dim(m, h)
+
+    def rows(x: np.ndarray) -> np.ndarray:
+        grad_dot_h, phi_x, beta, div = _ibp_integrand(m, phi, h, x)
+        return np.stack([grad_dot_h, phi_x * beta, phi_x * div], axis=1)
+
+    return tuple(_integrate_columns(m, q, rows, 3))

@@ -21,7 +21,7 @@ from logmeasure import (
 )
 from logmeasure.lattice import cm_gram
 from logmeasure.library import polynomial_pairs
-from logmeasure.measures import _CHUNK_ROWS, _transform
+from logmeasure.measures import _CHUNK_ROWS, _transform, ibp_terms
 
 from _oracles import shift_log_derivative_fd
 
@@ -181,6 +181,44 @@ def test_monte_carlo_error_shrinks_like_root_n():
     assert se_large == pytest.approx(se_small / 2.0, rel=0.2)
 
 
+def test_monte_carlo_standard_error_survives_a_large_offset():
+    # E[f^2] - E[f]^2 cancels every digit of a 1e-3 spread riding on 1e6
+    f = lambda x: 1e6 + 1e-3 * x[:, 0]
+    est = expectation(standard_normal(1), f, QuadratureSpec("monte_carlo", 1_000_000, seed=0))
+    assert est.std_error == pytest.approx(1e-6, rel=0.01)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_monte_carlo_standard_error_is_the_sample_standard_error(workers):
+    n = 2 * _CHUNK_ROWS + 11
+    m = wiener_measure(make_lattice(3, 1.0, 1))
+    f = lambda x: np.exp(0.3 * x[:, 0]) + x[:, 1] * x[:, 2]
+    est = expectation(m, f, QuadratureSpec("monte_carlo", n, seed=4, workers=workers))
+    vals = f(sample(m, n, seed=4, workers=workers))
+    assert est.value == pytest.approx(vals.mean(), rel=1e-12)
+    assert est.std_error == pytest.approx(vals.std(ddof=1) / np.sqrt(n), rel=1e-10)
+
+
+def test_gauss_hermite_rule_streams_in_chunks():
+    dim, order = 6, 8  # 8**6 = 262144 nodes, more than one chunk
+    m = GaussianMeasure(dim, np.linspace(-0.5, 0.5, dim), wiener_measure(make_lattice(dim, 1.0, 1)).precision)
+    f = lambda x: np.sum(x * x, axis=1) + np.exp(0.2 * x[:, 0])
+    batches = []
+
+    def counted(x):
+        batches.append(len(x))
+        return f(x)
+
+    est = expectation(m, counted, QuadratureSpec("gauss_hermite", order))
+    xi, w = np.polynomial.hermite.hermgauss(order)
+    z = np.stack([g.reshape(-1) for g in np.meshgrid(*([np.sqrt(2.0) * xi] * dim), indexing="ij")], axis=1)
+    weights = np.prod([g.reshape(-1) for g in np.meshgrid(*([w] * dim), indexing="ij")], axis=0)
+    x = m.mean + solve_triangular(m.chol_lower, z.T, lower=True, trans="T").T
+    ref = weights @ f(x) / np.pi ** (dim / 2.0)
+    assert max(batches) <= _CHUNK_ROWS and sum(batches) == order**dim
+    assert est.value == pytest.approx(ref, rel=1e-13)
+
+
 def test_gauss_hermite_dimension_guard():
     m = standard_normal(7)
     with pytest.raises(ValueError):
@@ -326,6 +364,24 @@ def test_ibp_monte_carlo_evaluates_the_field_once_per_chunk():
     n = 2 * _CHUNK_ROWS + 5
     ibp_residual(standard_normal(dim), phi, counted, QuadratureSpec("monte_carlo", n, seed=1))
     assert batches == [_CHUNK_ROWS, _CHUNK_ROWS, 5]
+
+
+def test_ibp_terms_evaluate_the_field_once_per_chunk_and_sum_to_the_residual():
+    dim = 3
+    m = wiener_measure(make_lattice(dim, 1.0, 1))
+    phi, h = polynomial_pairs(dim, count=1, seed=0)[0]
+    batches = []
+
+    def counted_eval(x):
+        batches.append(np.shape(x)[0])
+        return h.eval(x)
+
+    counted = VectorField(dim=dim, eval=counted_eval, jacobian=h.jacobian, divergence=h.divergence)
+    mc = QuadratureSpec("monte_carlo", 2 * _CHUNK_ROWS + 5, seed=1)
+    terms = ibp_terms(m, phi, counted, mc)
+    assert batches == [_CHUNK_ROWS, _CHUNK_ROWS, 5]
+    scale = max(abs(t.value) for t in terms)
+    assert sum(t.value for t in terms) == pytest.approx(ibp_residual(m, phi, h, mc).value, abs=1e-12 * scale)
 
 
 def test_ibp_monte_carlo_is_deterministic():
