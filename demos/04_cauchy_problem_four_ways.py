@@ -5,8 +5,8 @@ computed on a grid (Crank-Nicolson style PDE stepping), by an exact
 Gaussian reduction of the time-sliced path integral, and by Monte Carlo
 over discretized paths.  All three land on the same numbers.  The
 oscillatory real-time variant is then checked against the free-particle
-closed form on a short lattice, where direct oscillatory quadrature is
-still affordable.
+closed form: after a 45-degree contour rotation the sliced real-time
+integral is a Gaussian expectation, which a Gauss-Hermite rule evaluates.
 """
 
 import numpy as np

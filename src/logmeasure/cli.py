@@ -307,7 +307,7 @@ _PARAMETER_SCHEMAS: dict[str, dict] = {
         "required": ["problem", "n_steps", "q_points", "reference"],
         "properties": {
             "problem": _PROBLEM_SCHEMA,
-            "n_steps": {"type": "integer", "minimum": 1, "maximum": 3},
+            "n_steps": {"type": "integer", "minimum": 1},
             "q_points": {"type": "array", "minItems": 1, "items": {"type": "number"}},
             "reference": {"enum": ["closed_form_free", "pde", "none"]},
             "grid": _GRID_SCHEMA,

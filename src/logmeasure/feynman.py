@@ -10,9 +10,9 @@ Four evaluation routes for u(t, q):
   (damped weight exp(-sum eta dt) only).
 * exact_gaussian_propagator: closed-form Gaussian integral for quadratic eta
   and Gaussian-times-polynomial initial data; no sampling error.
-* oscillatory_check: direct quadrature of the oscillatory time-sliced kernel
-  at n_steps <= 3 via a 45-degree contour rotation that makes the integrand
-  absolutely convergent.
+* oscillatory_check: Gauss-Hermite quadrature of the oscillatory time-sliced
+  kernel for quadratic eta and Gaussian f0, after a 45-degree contour
+  rotation turns the Fresnel phase into the Wiener measure's density.
 
 anomaly_experiment samples paths, evaluates the two summands of the weighted
 measure's logarithmic derivative (action variation and Jacobian trace) for
@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import nquad
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
@@ -376,7 +375,8 @@ def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLatti
 
     The weight exp(-A(psi)) times the Gaussian path density is itself an
     unnormalized Gaussian in the stacked path vector, so the integral reduces
-    to triangular-factorization log-determinants and one linear solve; a
+    to one Cholesky factorization (its diagonal gives the log-determinant;
+    the path measure's is closed form) and one linear solve; a
     quadratic polynomial factor on f0 is folded in through the first two
     moments of the completed-square Gaussian.  No sampling error.
     """
@@ -412,12 +412,10 @@ def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLatti
         + data.const
     )
 
-    chol_gram = np.linalg.cholesky(gram)
-    chol_big = np.linalg.cholesky(big)
-    log_det_ratio = 2.0 * (
-        np.sum(np.log(np.diag(chol_gram))) - np.sum(np.log(np.diag(chol_big)))
-    )
+    # det Dtilde = 1, so log det gram = n log det B - n d log dt (see cm_gram)
+    log_det_gram = n * (np.linalg.slogdet(p.kinetic_matrix)[1] - d * np.log(dt))
     factor = cho_factor(big, lower=True)
+    log_det_ratio = log_det_gram - 2.0 * np.sum(np.log(np.diag(factor[0])))
     mu = cho_solve(factor, rhs)
     value = np.exp(0.5 * log_det_ratio + const + 0.5 * rhs @ mu)
 
@@ -454,51 +452,49 @@ def free_evolution_closed_form(
     )
 
 
-_MAX_OSCILLATORY_STEPS = 3
+_OSCILLATORY_GH_ORDER = 24
 
 
 def oscillatory_check(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> complex:
-    """Direct quadrature of the oscillatory time-sliced kernel, n_steps <= 3.
+    """Gauss-Hermite quadrature of the oscillatory time-sliced kernel.
 
     Integrates over the contour x_j = e^{i pi/4} u_j, u real: the Fresnel
-    prefactor becomes real, the kinetic phase becomes a genuine Gaussian
-    damping exp(-sum b (du)^2 / (2 dt)), and eta plus f0 are continued
-    analytically to the rotated points.  Jordan-arc contributions vanish for
-    the Gaussian data required here, so the rotated integral equals the
-    original one.  Adaptive quadrature on real and imaginary parts.
+    prefactor becomes real and the kinetic phase becomes the Gaussian damping
+    exp(-sum b (du)^2 / (2 dt)), which together are the density of
+    wiener_measure(lattice, B).  The value is the expectation under that
+    measure of exp(i dt sum eta) * f0, with eta and f0 continued analytically
+    to the rotated points.  Jordan-arc contributions vanish for the Gaussian
+    data required here (quadratic eta, Gaussian f0), so the rotated integral
+    equals the original one.  A fixed tensor Gauss-Hermite rule of order
+    _OSCILLATORY_GH_ORDER evaluates it; the rule's dim <= 6 guard bounds
+    n_steps.
     """
-    if lattice.n_steps > _MAX_OSCILLATORY_STEPS:
-        raise ValueError(f"oscillatory lattice too large; n_steps <= {_MAX_OSCILLATORY_STEPS}")
     if p.dim_q != 1 or lattice.dim_q != 1:
         raise ValueError("oscillatory_check supports dim_q = 1 only")
     if p.f0.gaussian_data is None:
         raise ValueError("oscillatory_check requires Gaussian initial data for damping")
+    if p.lagrangian.quadratic_eta is None:
+        raise ValueError("oscillatory_check requires a certified quadratic eta")
     if p.lagrangian.velocity_coupled:
         raise ValueError("velocity-coupled eta is not supported in the sliced kernel")
     if not np.isclose(lattice.t_final, p.t_final):
         raise ValueError("lattice horizon does not match the problem's t_final")
 
     n, dt = lattice.n_steps, lattice.dt
-    b = float(p.kinetic_matrix[0, 0])
     q0 = float(np.asarray(q_point, dtype=float).reshape(()))
     rot = np.exp(1j * np.pi / 4.0)
-    prefactor = (b / (2.0 * np.pi * dt)) ** (n / 2.0)
 
-    def integrand(*u: float) -> complex:
-        pts = np.concatenate([[0.0], np.asarray(u)])
-        kinetic = b * np.sum(np.diff(pts) ** 2) / (2.0 * dt)
-        eta_args = (rot * pts[:-1] + q0).reshape(-1, 1)
-        eta_vals = np.asarray(p.lagrangian.eta(eta_args, np.zeros_like(eta_args)))
-        phase = np.exp(1j * dt * np.sum(eta_vals))
-        f0_val = np.asarray(p.f0.evaluator(np.array([[rot * pts[-1] + q0]])))[0]
-        return prefactor * np.exp(-kinetic) * phase * f0_val
+    def rows(u: Array) -> Array:
+        z = rot * u + q0
+        left = np.concatenate([np.full((len(u), 1), q0), z[:, :-1]], axis=1).reshape(-1, 1)
+        eta_vals = np.asarray(p.lagrangian.eta(left, np.zeros_like(left))).reshape(len(u), n)
+        vals = np.exp(1j * dt * eta_vals.sum(axis=1)) * np.asarray(p.f0.evaluator(z[:, -1:]))
+        return np.stack([vals.real, vals.imag], axis=1)
 
-    half_width = 12.0 * np.sqrt(lattice.t_final / b) + 8.0 + abs(q0)
-    ranges = [(-half_width, half_width)] * n
-    opts = {"epsabs": 1e-12, "epsrel": 1e-10}
-    real_part, _ = nquad(lambda *u: integrand(*u).real, ranges, opts=[opts] * n)
-    imag_part, _ = nquad(lambda *u: integrand(*u).imag, ranges, opts=[opts] * n)
-    return complex(real_part, imag_part)
+    m = wiener_measure(lattice, p.kinetic_matrix)
+    gh = QuadratureSpec(QuadratureKind.GAUSS_HERMITE, _OSCILLATORY_GH_ORDER)
+    real_part, imag_part = _integrate_columns(m, gh, rows, 2)
+    return complex(real_part.value, imag_part.value)
 
 
 @dataclass(frozen=True)

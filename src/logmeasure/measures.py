@@ -255,13 +255,15 @@ def _integrate_columns(
             sums += weights @ cols
             continue
         c = len(x)
-        col_sums = cols.sum(axis=0)
+        # one contiguous row per column, so numpy sums each one pairwise
+        cols = np.ascontiguousarray(cols.T)
+        col_sums = cols.sum(axis=1)
         sums += col_sums
         c_mean = col_sums / c
         delta = c_mean - mean
         merged = total + c
         mean += delta * (c / merged)
-        m2 += ((cols - c_mean) ** 2).sum(axis=0) + delta * delta * (total * c / merged)
+        m2 += ((cols - c_mean[:, None]) ** 2).sum(axis=1) + delta * delta * (total * c / merged)
         total = merged
     if q.kind is QuadratureKind.GAUSS_HERMITE:
         return [Estimate(float(v)) for v in sums]

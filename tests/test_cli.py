@@ -225,6 +225,14 @@ def test_shipped_configs_run_green(tmp_path, config_name, capsys):
     assert header.split(",") == documented
 
 
+def test_oscillatory_check_beyond_the_quadrature_guard_exits_2_without_outputs(tmp_path, capsys):
+    config_path = os.path.join(CONFIG_DIR, "oscillatory_check.json")
+    args = ["run", config_path, "--out", str(tmp_path), "--set", "parameters.n_steps=7"]
+    assert main(args) == 2
+    assert "dim <= 6" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_shipped_anomaly_scan_reports_the_split(tmp_path, capsys):
     config_path = os.path.join(CONFIG_DIR, "anomaly_scan.json")
     assert main(["run", config_path, "--out", str(tmp_path)]) == 0

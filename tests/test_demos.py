@@ -1,4 +1,4 @@
-"""Smoke test: the first three demo scripts run to completion and print."""
+"""Smoke test: every demo script runs to completion and prints."""
 
 import os
 import runpy
@@ -14,6 +14,8 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         "01_log_derivative_basics.py",
         "02_flow_pairing_and_density.py",
         "03_action_weight_assembly.py",
+        "04_cauchy_problem_four_ways.py",
+        "05_trace_anomaly_scan.py",
     ],
 )
 def test_demo_runs(script, capsys):

@@ -1,6 +1,11 @@
 """Cauchy-problem solvers: grid PDE, path Monte Carlo, closed forms, and the
 oscillatory quadrature check, plus the anomaly experiment built on top."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -209,6 +214,18 @@ def test_exact_gaussian_free_matches_heat_convolution():
     assert abs(np.imag(value)) <= 1e-14
 
 
+def test_exact_gaussian_free_matches_heat_convolution_with_a_kinetic_matrix():
+    # dim_q = 2 and B != I exercise the closed-form log det of the path precision
+    b = np.array([[2.0, 0.3], [0.3, 1.0]])
+    lag = replace(free_lagrangian(2), kinetic_matrix=b)
+    p = SchrodingerProblem(2, lag, gaussian_bump(2, sigma=0.7), 0.4)
+    q = np.array([0.3, -0.2])
+    value = exact_gaussian_propagator(p, q, make_lattice(16, 0.4, 2))
+    cov = 0.49 * np.eye(2) + 0.4 * np.linalg.inv(b)
+    ref = 0.49 * np.exp(-0.5 * q @ np.linalg.solve(cov, q)) / np.sqrt(np.linalg.det(cov))
+    assert abs(value - ref) <= 1e-12
+
+
 def test_exact_gaussian_polynomial_factor_against_quadrature():
     data = GaussianInitialData(
         quad=np.array([[1.0]]),
@@ -282,12 +299,13 @@ def test_free_evolution_closed_form_both_modes():
 # oscillatory quadrature
 
 
-def test_oscillatory_single_step_free_matches_closed_form():
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
+def test_oscillatory_free_matches_closed_form(n_steps):
     p = SchrodingerProblem(1, free_lagrangian(1), gaussian_bump(1, sigma=1.0), 0.5)
     for q_point in (0.0, 0.4):
-        value = oscillatory_check(p, [q_point], make_lattice(1, 0.5, 1))
+        value = oscillatory_check(p, [q_point], make_lattice(n_steps, 0.5, 1))
         ref = fresnel_evolved_gaussian(1.0, 0.0, 1.0, 1.0, 0.5, q_point)
-        assert abs(value - ref) <= 1e-6
+        assert abs(value - ref) <= 1e-10
 
 
 def test_oscillatory_even_symmetry():
@@ -310,7 +328,24 @@ def test_oscillatory_two_steps_compose_the_free_semigroup():
 def test_oscillatory_guards():
     p = SchrodingerProblem(1, free_lagrangian(1), gaussian_bump(1), 0.5)
     with pytest.raises(ValueError):
-        oscillatory_check(p, [0.0], make_lattice(4, 0.5, 1))
+        oscillatory_check(p, [0.0], make_lattice(7, 0.5, 1))
+
+
+def test_oscillatory_rejects_non_quadratic_eta():
+    # the rotated quartic integral diverges, so no quadrature order converges
+    p = SchrodingerProblem(1, quartic_lagrangian(1), gaussian_bump(1), 0.5)
+    with pytest.raises(ValueError, match="quadratic eta"):
+        oscillatory_check(p, [0.5], make_lattice(2, 0.5, 1))
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, logmeasure; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

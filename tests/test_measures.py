@@ -1,5 +1,7 @@
 """Gaussian measures, sampling, quadrature, and logarithmic derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -21,7 +23,7 @@ from logmeasure import (
 )
 from logmeasure.lattice import cm_gram
 from logmeasure.library import polynomial_pairs
-from logmeasure.measures import _CHUNK_ROWS, _transform, ibp_terms
+from logmeasure.measures import _CHUNK_ROWS, _integrate_columns, _transform, ibp_terms
 
 from _oracles import shift_log_derivative_fd
 
@@ -197,6 +199,17 @@ def test_monte_carlo_standard_error_is_the_sample_standard_error(workers):
     vals = f(sample(m, n, seed=4, workers=workers))
     assert est.value == pytest.approx(vals.mean(), rel=1e-12)
     assert est.std_error == pytest.approx(vals.std(ddof=1) / np.sqrt(n), rel=1e-10)
+
+
+def test_monte_carlo_column_sums_are_pairwise():
+    # a strided axis-0 sum of a (c, 3) batch carries about 5e-15 relative rounding
+    data = np.random.default_rng(2).normal(1.0, 1.0, (_CHUNK_ROWS, 3))
+    ests = _integrate_columns(
+        standard_normal(1), QuadratureSpec("monte_carlo", _CHUNK_ROWS), lambda x: data, 3
+    )
+    for est, col in zip(ests, data.T):
+        exact = math.fsum(col)
+        assert abs(est.value * _CHUNK_ROWS - exact) <= 1e-15 * abs(exact)
 
 
 def test_gauss_hermite_rule_streams_in_chunks():
