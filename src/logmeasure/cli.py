@@ -22,7 +22,7 @@ import os
 import platform
 import sys
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import jsonschema
 import numpy as np
@@ -68,104 +68,77 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config schemas
+# config schema fragments shared by the experiments
 
-_LATTICE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["n_steps", "t_final", "dim_q"],
-    "properties": {
-        "n_steps": {"type": "integer", "minimum": 1},
-        "t_final": {"type": "number", "exclusiveMinimum": 0},
-        "dim_q": {"type": "integer", "minimum": 1},
-    },
-}
 
-_MEASURE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
+def _object(properties: dict, required: tuple[str, ...] = ()) -> dict:
+    """Schema of a JSON object with the given properties that rejects unknown keys.
+
+    The keyword order decides which error jsonschema reports first; keep it.
+    """
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": list(required),
+        "properties": properties,
+    }
+
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+
+_LATTICE_SCHEMA = _object(
+    {"n_steps": _COUNT, "t_final": _POSITIVE, "dim_q": _COUNT}, ("n_steps", "t_final", "dim_q")
+)
+
+_MEASURE_SCHEMA = _object(
+    {
         "kind": {"enum": ["standard", "wiener"]},
-        "dim": {"type": "integer", "minimum": 1},
+        "dim": _COUNT,
         "lattice": _LATTICE_SCHEMA,
-        "kinetic_scale": {"type": "number", "exclusiveMinimum": 0},
+        "kinetic_scale": _POSITIVE,
     },
-}
+    ("kind",),
+)
 
-_QUADRATURE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["monte_carlo", "gauss_hermite"]},
-        "n_samples": {"type": "integer", "minimum": 1},
-        "order": {"type": "integer", "minimum": 1},
-    },
-}
+_QUADRATURE_SCHEMA = _object(
+    {"kind": {"enum": ["monte_carlo", "gauss_hermite"]}, "n_samples": _COUNT, "order": _COUNT},
+    ("kind",),
+)
 
-_NAMED_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name"],
-    "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
-}
+_NAMED_SCHEMA = _object({"name": {"type": "string"}, "params": {"type": "object"}}, ("name",))
 
-_FAMILY_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name"],
-    "properties": {
-        "name": {"type": "string"},
-        "params": {"type": "object"},
-        "pointwise": {"type": "boolean"},
-    },
-}
+_FAMILY_SCHEMA = _object(
+    {"name": {"type": "string"}, "params": {"type": "object"}, "pointwise": {"type": "boolean"}},
+    ("name",),
+)
 
-_PAIRS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["count"],
-    "properties": {
-        "count": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-}
+_PAIRS_SCHEMA = _object({"count": _COUNT, "seed": {"type": "integer", "minimum": 0}}, ("count",))
 
-_F0_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["type"],
-    "properties": {
+_F0_SCHEMA = _object(
+    {
         "type": {"enum": ["gaussian_bump", "constant"]},
-        "amplitude": {"type": "number", "exclusiveMinimum": 0},
+        "amplitude": _POSITIVE,
         "center": {"type": "number"},
-        "sigma": {"type": "number", "exclusiveMinimum": 0},
+        "sigma": _POSITIVE,
         "value": {"type": "number"},
     },
-}
+    ("type",),
+)
 
-_PROBLEM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["dim_q", "t_final", "lagrangian", "f0"],
-    "properties": {
+_PROBLEM_SCHEMA = _object(
+    {
         "dim_q": {"enum": [1, 2]},
-        "t_final": {"type": "number", "exclusiveMinimum": 0},
+        "t_final": _POSITIVE,
         "lagrangian": _NAMED_SCHEMA,
         "f0": _F0_SCHEMA,
     },
-}
+    ("dim_q", "t_final", "lagrangian", "f0"),
+)
 
-_GRID_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["extent", "n_points"],
-    "properties": {
-        "extent": {"type": "number", "exclusiveMinimum": 0},
-        "n_points": {"type": "integer", "minimum": 3},
-    },
-}
+_GRID_SCHEMA = _object(
+    {"extent": _POSITIVE, "n_points": {"type": "integer", "minimum": 3}}, ("extent", "n_points")
+)
 
 _MODE_SCHEMA = {"enum": ["euclidean", "real_time"]}
 
@@ -173,162 +146,6 @@ _PROBES_SCHEMA = {
     "type": "array",
     "minItems": 1,
     "items": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-}
-
-_PARAMETER_SCHEMAS: dict[str, dict] = {
-    "ibp-check": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["measures", "pairs", "quadrature"],
-        "properties": {
-            "measures": {"type": "array", "minItems": 1, "items": _MEASURE_SCHEMA},
-            "pairs": _PAIRS_SCHEMA,
-            "quadrature": _QUADRATURE_SCHEMA,
-            "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            "se_multiplier": {"type": "number", "exclusiveMinimum": 0},
-            "min_pass_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-        },
-    },
-    "theorem1-check": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["measure", "pairs", "quadrature"],
-        "properties": {
-            "measure": _MEASURE_SCHEMA,
-            "pairs": _PAIRS_SCHEMA,
-            "quadrature": _QUADRATURE_SCHEMA,
-            "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            "trace_floor": {"type": "number", "minimum": 0},
-        },
-    },
-    "prop1-check": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["measure", "families", "pairs", "quadrature"],
-        "properties": {
-            "measure": _MEASURE_SCHEMA,
-            "families": {"type": "array", "minItems": 1, "items": _NAMED_SCHEMA},
-            "pairs": _PAIRS_SCHEMA,
-            "quadrature": _QUADRATURE_SCHEMA,
-            "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            "se_multiplier": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "flow-density": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["measure", "family", "alpha_max", "n_grid", "probe"],
-        "properties": {
-            "measure": _MEASURE_SCHEMA,
-            "family": _NAMED_SCHEMA,
-            "alpha_max": {"type": "number", "exclusiveMinimum": 0},
-            "n_grid": {"type": "integer", "minimum": 1},
-            "probe": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-            "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "solve": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["problem", "mode", "method", "n_steps"],
-        "properties": {
-            "problem": _PROBLEM_SCHEMA,
-            "mode": _MODE_SCHEMA,
-            "method": {"enum": ["pde", "mc", "exact_gaussian", "oscillatory"]},
-            "n_steps": {"type": "integer", "minimum": 1},
-            "grid": _GRID_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 1},
-            "probes": _PROBES_SCHEMA,
-            "boundary_tolerance": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "compare": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["problem", "reference", "probes"],
-        "properties": {
-            "problem": _PROBLEM_SCHEMA,
-            "reference": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["grid", "n_steps"],
-                "properties": {"grid": _GRID_SCHEMA, "n_steps": {"type": "integer", "minimum": 1}},
-            },
-            "candidates": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "mc": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["n_steps", "n_samples"],
-                        "properties": {
-                            "n_steps": {"type": "integer", "minimum": 1},
-                            "n_samples": {"type": "integer", "minimum": 1},
-                        },
-                    },
-                    "exact_gaussian": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["n_steps"],
-                        "properties": {"n_steps": {"type": "integer", "minimum": 1}},
-                    },
-                },
-            },
-            "probes": _PROBES_SCHEMA,
-            "tolerance_abs": {"type": "number", "exclusiveMinimum": 0},
-            "se_multiplier": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "anomaly-scan": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["lattice", "family", "lagrangians", "n_paths"],
-        "properties": {
-            "lattice": _LATTICE_SCHEMA,
-            "family": _FAMILY_SCHEMA,
-            "lagrangians": {"type": "array", "minItems": 2, "items": _NAMED_SCHEMA},
-            "invariant_flags": {"type": "array", "items": {"type": "boolean"}},
-            "expect_nonzero_trace": {"type": "boolean"},
-            "n_paths": {"type": "integer", "minimum": 1},
-            "alpha_max": {"type": "number", "exclusiveMinimum": 0},
-            "n_alpha": {"type": "integer", "minimum": 1},
-            "mode": _MODE_SCHEMA,
-            "eta_zero_tolerance": {"type": "number", "exclusiveMinimum": 0},
-            "duality_tolerance": {"type": "number", "exclusiveMinimum": 0},
-            "duality_grid": {"type": "integer", "minimum": 1},
-            "density_grid": {"type": "integer", "minimum": 1},
-            "density_floor": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "oscillatory-check": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["problem", "n_steps", "q_points", "reference"],
-        "properties": {
-            "problem": _PROBLEM_SCHEMA,
-            "n_steps": {"type": "integer", "minimum": 1},
-            "q_points": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-            "reference": {"enum": ["closed_form_free", "pde", "none"]},
-            "grid": _GRID_SCHEMA,
-            "pde_steps": {"type": "integer", "minimum": 1},
-            "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-}
-
-_TOP_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema", "experiment", "parameters"],
-    "properties": {
-        "schema": {"const": 1},
-        "experiment": {"enum": sorted(_PARAMETER_SCHEMAS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "workers": {"type": "integer", "minimum": 1},
-        "output_path": {"type": "string", "minLength": 1},
-        "parameters": {"type": "object"},
-    },
 }
 
 
@@ -387,33 +204,27 @@ def _mode(params: dict, default: str = "euclidean") -> WLogDerivativeMode:
     return WLogDerivativeMode(params.get("mode", default))
 
 
-def _grid_values_at(values: np.ndarray, grid: SpaceGrid, probes: list) -> list[complex]:
-    """Linear interpolation of a PDE grid solution at probe points."""
-    out = []
+def _grid_values_at(values: np.ndarray, grid: SpaceGrid, points: np.ndarray) -> list[complex]:
+    """Linear interpolation of a PDE grid solution at the rows of an (n, dim_q) points array."""
     if grid.dim_q == 1:
-        for probe in probes:
-            q = float(probe[0])
-            re = np.interp(q, grid.axis, values.real)
-            im = np.interp(q, grid.axis, values.imag) if np.iscomplexobj(values) else 0.0
-            out.append(complex(re, im))
-        return out
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp_re = RegularGridInterpolator((grid.axis, grid.axis), values.real)
-    if np.iscomplexobj(values):
-        interp_im = RegularGridInterpolator((grid.axis, grid.axis), values.imag)
+        interpolated = np.interp(points[:, 0], grid.axis, values)
     else:
-        interp_im = None
-    for probe in probes:
-        pt = np.asarray(probe, dtype=float).reshape(1, 2)
-        re = float(interp_re(pt)[0])
-        im = float(interp_im(pt)[0]) if interp_im is not None else 0.0
-        out.append(complex(re, im))
-    return out
+        from scipy.interpolate import RegularGridInterpolator
+
+        interpolated = RegularGridInterpolator((grid.axis, grid.axis), values)(points)
+    return [complex(v) for v in interpolated]
+
+
+def _probes(probes: list, dim_q: int) -> tuple[np.ndarray, list[dict]]:
+    """Probe points and their q0/q1 CSV cells; every probe must have dim_q coordinates."""
+    if any(len(probe) != dim_q for probe in probes):
+        raise ConfigError(f"every probe must have {dim_q} coordinate(s)")
+    cells = [{"q0": float(p[0]), "q1": float(p[1]) if dim_q > 1 else None} for p in probes]
+    return np.asarray(probes, dtype=float), cells
 
 
 # ---------------------------------------------------------------------------
-# experiments: each returns (columns, rows, assertions)
+# experiments: each returns (rows, assertions)
 
 Assertion = dict
 Row = dict
@@ -423,18 +234,25 @@ def _assert_entry(name: str, passed: bool, tolerance: Optional[float], detail: s
     return {"name": name, "passed": bool(passed), "tolerance": tolerance, "detail": detail}
 
 
+def _pass_count(
+    name: str, rows: list[Row], tolerance: Optional[float], what: str, min_fraction: float = 1.0
+) -> Assertion:
+    """Passes when at least min_fraction of the rows have a true "pass" cell."""
+    n_ok = sum(1 for r in rows if r["pass"])
+    passed = n_ok / len(rows) >= min_fraction
+    return _assert_entry(name, passed, tolerance, f"{n_ok}/{len(rows)} {what}")
+
+
 def _run_ibp_check(params: dict, seed: int, workers: int):
     quad = _build_quadrature(params["quadrature"], seed, workers)
     tolerance = params.get("tolerance", 1e-10)
     se_multiplier = params.get("se_multiplier", 3.0)
     min_fraction = params.get("min_pass_fraction", 1.0)
-    pair_count = params["pairs"]["count"]
-    pair_seed = params["pairs"].get("seed", 0)
 
     rows: list[Row] = []
     for measure_spec in params["measures"]:
         m, label = _build_measure(measure_spec)
-        pairs = polynomial_pairs(m.dim, pair_count, pair_seed)
+        pairs = polynomial_pairs(m.dim, params["pairs"]["count"], params["pairs"].get("seed", 0))
         for idx, (phi, h) in enumerate(pairs):
             est = ibp_residual(m, phi, h, quad)
             if est.std_error is None:
@@ -451,19 +269,9 @@ def _run_ibp_check(params: dict, seed: int, workers: int):
                     "pass": ok,
                 }
             )
-    n_ok = sum(1 for r in rows if r["pass"])
-    fraction = n_ok / len(rows)
     bound = tolerance if quad.kind is QuadratureKind.GAUSS_HERMITE else se_multiplier
-    assertions = [
-        _assert_entry(
-            "ibp_residuals_within_bounds",
-            fraction >= min_fraction,
-            bound,
-            f"{n_ok}/{len(rows)} rows within bounds (need fraction >= {min_fraction})",
-        )
-    ]
-    columns = ["measure", "dim", "pair", "residual", "std_error", "pass"]
-    return columns, rows, assertions
+    what = f"rows within bounds (need fraction >= {min_fraction})"
+    return rows, [_pass_count("ibp_residuals_within_bounds", rows, bound, what, min_fraction)]
 
 
 def _run_theorem1_check(params: dict, seed: int, workers: int):
@@ -477,7 +285,6 @@ def _run_theorem1_check(params: dict, seed: int, workers: int):
     for idx, (phi, h) in enumerate(pairs):
         grad_term, vector_term, trace_term = (e.value for e in ibp_terms(m, phi, h, quad))
         residual = grad_term + vector_term + trace_term
-        residual_no_trace = grad_term + vector_term
         rows.append(
             {
                 "measure": label,
@@ -486,7 +293,7 @@ def _run_theorem1_check(params: dict, seed: int, workers: int):
                 "vector_term": vector_term,
                 "trace_term": trace_term,
                 "residual": residual,
-                "residual_no_trace": residual_no_trace,
+                "residual_no_trace": grad_term + vector_term,
                 "pass": abs(residual) <= tolerance,
             }
         )
@@ -506,17 +313,7 @@ def _run_theorem1_check(params: dict, seed: int, workers: int):
             f"max |residual without trace| = {max_no_trace:.3e} (must exceed floor)",
         ),
     ]
-    columns = [
-        "measure",
-        "pair",
-        "grad_term",
-        "vector_term",
-        "trace_term",
-        "residual",
-        "residual_no_trace",
-        "pass",
-    ]
-    return columns, rows, assertions
+    return rows, assertions
 
 
 def _run_prop1_check(params: dict, seed: int, workers: int):
@@ -547,17 +344,8 @@ def _run_prop1_check(params: dict, seed: int, workers: int):
                     "pass": ok,
                 }
             )
-    n_ok = sum(1 for r in rows if r["pass"])
-    assertions = [
-        _assert_entry(
-            "pushforward_matches_generator_pairing",
-            n_ok == len(rows),
-            tolerance,
-            f"{n_ok}/{len(rows)} rows within tolerance",
-        )
-    ]
-    columns = ["measure", "family", "phi", "lhs", "rhs", "residual", "std_error", "pass"]
-    return columns, rows, assertions
+    what = "rows within tolerance"
+    return rows, [_pass_count("pushforward_matches_generator_pairing", rows, tolerance, what)]
 
 
 def _density_reference(
@@ -603,26 +391,21 @@ def _run_flow_density(params: dict, seed: int, workers: int):
             }
         )
     if reference is None:
-        assertions = [
-            _assert_entry(
-                "density_curve_finite",
-                bool(np.all(np.isfinite(curve.values))),
-                None,
-                "no closed form declared for this family; checked finiteness only",
-            )
-        ]
+        assertion = _assert_entry(
+            "density_curve_finite",
+            bool(np.all(np.isfinite(curve.values))),
+            None,
+            "no closed form declared for this family; checked finiteness only",
+        )
     else:
         max_err = max(r["abs_error"] for r in rows)
-        assertions = [
-            _assert_entry(
-                "density_matches_closed_form",
-                max_err <= tolerance,
-                tolerance,
-                f"max |density - closed form| = {max_err:.3e}",
-            )
-        ]
-    columns = ["measure", "family", "alpha", "density", "reference", "abs_error"]
-    return columns, rows, assertions
+        assertion = _assert_entry(
+            "density_matches_closed_form",
+            max_err <= tolerance,
+            tolerance,
+            f"max |density - closed form| = {max_err:.3e}",
+        )
+    return rows, [assertion]
 
 
 def _run_solve(params: dict, seed: int, workers: int):
@@ -630,130 +413,102 @@ def _run_solve(params: dict, seed: int, workers: int):
     mode = _mode(params)
     method = params["method"]
     lattice = make_lattice(params["n_steps"], problem.t_final, problem.dim_q)
-    probes = params.get("probes", [[0.0] * problem.dim_q])
-    boundary_tol = params.get("boundary_tolerance", 1e-6)
+    points, cells = _probes(params.get("probes", [[0.0] * problem.dim_q]), problem.dim_q)
 
-    rows: list[Row] = []
-    assertions: list[Assertion] = []
+    std_errors = [None] * len(points)
     if method == "pde":
         if "grid" not in params:
             raise ConfigError("pde method needs a grid")
         grid = SpaceGrid(problem.dim_q, params["grid"]["extent"], params["grid"]["n_points"])
         result = pde_solve(problem, grid, lattice, mode)
-        values = _grid_values_at(result.values, grid, probes)
-        for probe, value in zip(probes, values):
-            rows.append(_solve_row(method, probe, value, None))
-        assertions.append(
+        values = _grid_values_at(result.values, grid, points)
+        boundary_tol = params.get("boundary_tolerance", 1e-6)
+        assertions = [
             _assert_entry(
                 "boundary_mass_small",
                 result.error_estimate <= boundary_tol,
                 boundary_tol,
                 f"boundary mass fraction = {result.error_estimate:.3e}",
             )
-        )
+        ]
     elif method == "mc":
         if mode is not WLogDerivativeMode.EUCLIDEAN:
             raise ConfigError("mc method is defined in the euclidean mode only")
-        n_samples = params.get("n_samples")
-        if n_samples is None:
+        if "n_samples" not in params:
             raise ConfigError("mc method needs n_samples")
-        quad = QuadratureSpec(QuadratureKind.MONTE_CARLO, n_samples, seed, workers)
-        for probe in probes:
-            est = feynman_mc(problem, np.asarray(probe, dtype=float), lattice, quad)
-            rows.append(_solve_row(method, probe, complex(est.value), est.std_error))
+        quad = QuadratureSpec(QuadratureKind.MONTE_CARLO, params["n_samples"], seed, workers)
+        estimates = [feynman_mc(problem, point, lattice, quad) for point in points]
+        values = [complex(est.value) for est in estimates]
+        std_errors = [est.std_error for est in estimates]
     elif method == "exact_gaussian":
         if mode is not WLogDerivativeMode.EUCLIDEAN:
             raise ConfigError("exact_gaussian is defined in the euclidean mode only")
-        for probe in probes:
-            value = exact_gaussian_propagator(problem, np.asarray(probe, dtype=float), lattice)
-            rows.append(_solve_row(method, probe, value, None))
+        values = [exact_gaussian_propagator(problem, point, lattice) for point in points]
     else:
         if mode is not WLogDerivativeMode.REAL_TIME:
             raise ConfigError("oscillatory method runs in real_time mode")
-        for probe in probes:
-            value = oscillatory_check(problem, np.asarray(probe, dtype=float), lattice)
-            rows.append(_solve_row(method, probe, value, None))
+        values = [oscillatory_check(problem, point, lattice) for point in points]
 
-    if not assertions:
-        finite = all(np.isfinite([r["value_real"], r["value_imag"]]).all() for r in rows)
-        assertions.append(
-            _assert_entry("values_finite", finite, None, "all computed values finite")
-        )
-    columns = ["method", "q0", "q1", "value_real", "value_imag", "std_error"]
-    return columns, rows, assertions
-
-
-def _solve_row(method: str, probe, value: complex, std_error: Optional[float]) -> Row:
-    probe = list(np.asarray(probe, dtype=float).reshape(-1))
-    return {
-        "method": method,
-        "q0": probe[0],
-        "q1": probe[1] if len(probe) > 1 else None,
-        "value_real": float(np.real(value)),
-        "value_imag": float(np.imag(value)),
-        "std_error": std_error,
-    }
+    rows = [
+        {
+            "method": method,
+            **cell,
+            "value_real": float(np.real(value)),
+            "value_imag": float(np.imag(value)),
+            "std_error": std_error,
+        }
+        for cell, value, std_error in zip(cells, values, std_errors)
+    ]
+    if method != "pde":
+        finite = bool(np.all(np.isfinite(values)))
+        assertions = [_assert_entry("values_finite", finite, None, "all computed values finite")]
+    return rows, assertions
 
 
 def _run_compare(params: dict, seed: int, workers: int):
     problem = _build_problem(params["problem"])
-    probes = params["probes"]
+    points, cells = _probes(params["probes"], problem.dim_q)
     tolerance_abs = params.get("tolerance_abs", 1e-3)
     se_multiplier = params.get("se_multiplier", 3.0)
+    candidates = params.get("candidates", {})
+    if not candidates:
+        raise ConfigError("compare needs at least one candidate method")
 
     ref_spec = params["reference"]
     grid = SpaceGrid(problem.dim_q, ref_spec["grid"]["extent"], ref_spec["grid"]["n_points"])
     ref_lattice = make_lattice(ref_spec["n_steps"], problem.t_final, problem.dim_q)
     ref_result = pde_solve(problem, grid, ref_lattice, WLogDerivativeMode.EUCLIDEAN)
-    ref_values = _grid_values_at(ref_result.values, grid, probes)
+    references = [value.real for value in _grid_values_at(ref_result.values, grid, points)]
+
+    def row(method: str, i: int, value: float, std_error: Optional[float], allowed: float) -> Row:
+        diff = abs(value - references[i])
+        return {
+            "method": method,
+            **cells[i],
+            "value": float(value),
+            "reference": float(references[i]),
+            "abs_diff": float(diff),
+            "std_error": std_error,
+            "pass": diff <= allowed,
+        }
 
     rows: list[Row] = []
-    candidates = params.get("candidates", {})
     if "mc" in candidates:
         mc_spec = candidates["mc"]
         lattice = make_lattice(mc_spec["n_steps"], problem.t_final, problem.dim_q)
         quad = QuadratureSpec(QuadratureKind.MONTE_CARLO, mc_spec["n_samples"], seed, workers)
-        for probe, ref in zip(probes, ref_values):
-            est = feynman_mc(problem, np.asarray(probe, dtype=float), lattice, quad)
-            diff = abs(est.value - ref.real)
-            ok = diff <= se_multiplier * est.std_error + tolerance_abs
-            rows.append(_compare_row("mc", probe, est.value, ref.real, diff, est.std_error, ok))
+        for i, point in enumerate(points):
+            est = feynman_mc(problem, point, lattice, quad)
+            allowed = se_multiplier * est.std_error + tolerance_abs
+            rows.append(row("mc", i, est.value, est.std_error, allowed))
     if "exact_gaussian" in candidates:
         eg_spec = candidates["exact_gaussian"]
         lattice = make_lattice(eg_spec["n_steps"], problem.t_final, problem.dim_q)
-        for probe, ref in zip(probes, ref_values):
-            value = exact_gaussian_propagator(problem, np.asarray(probe, dtype=float), lattice)
-            diff = abs(value.real - ref.real)
-            ok = diff <= tolerance_abs
-            rows.append(_compare_row("exact_gaussian", probe, value.real, ref.real, diff, None, ok))
-    if not rows:
-        raise ConfigError("compare needs at least one candidate method")
-
-    n_ok = sum(1 for r in rows if r["pass"])
-    assertions = [
-        _assert_entry(
-            "methods_agree_with_pde",
-            n_ok == len(rows),
-            tolerance_abs,
-            f"{n_ok}/{len(rows)} rows within 3 SE + tolerance of the PDE oracle",
-        )
-    ]
-    columns = ["method", "q0", "q1", "value", "reference", "abs_diff", "std_error", "pass"]
-    return columns, rows, assertions
-
-
-def _compare_row(method, probe, value, reference, diff, std_error, ok) -> Row:
-    probe = list(np.asarray(probe, dtype=float).reshape(-1))
-    return {
-        "method": method,
-        "q0": probe[0],
-        "q1": probe[1] if len(probe) > 1 else None,
-        "value": float(value),
-        "reference": float(reference),
-        "abs_diff": float(diff),
-        "std_error": std_error,
-        "pass": ok,
-    }
+        for i, point in enumerate(points):
+            value = exact_gaussian_propagator(problem, point, lattice).real
+            rows.append(row("exact_gaussian", i, value, None, tolerance_abs))
+    what = "rows within 3 SE + tolerance of the PDE oracle"
+    return rows, [_pass_count("methods_agree_with_pde", rows, tolerance_abs, what)]
 
 
 def _run_anomaly_scan(params: dict, seed: int, workers: int):
@@ -770,9 +525,6 @@ def _run_anomaly_scan(params: dict, seed: int, workers: int):
         for spec in params["lagrangians"]
     ]
     labels = [lag.label for lag in lagrangians]
-    invariant_flags = params.get("invariant_flags", [False] * len(lagrangians))
-    if len(invariant_flags) != len(lagrangians):
-        raise ConfigError("invariant_flags must align with lagrangians")
 
     report = anomaly_experiment(
         family,
@@ -781,7 +533,7 @@ def _run_anomaly_scan(params: dict, seed: int, workers: int):
         n_paths=params["n_paths"],
         seed=seed,
         mode=_mode(params),
-        invariant_flags=invariant_flags,
+        invariant_flags=params.get("invariant_flags"),
         expect_nonzero_trace=params.get("expect_nonzero_trace", True),
         alpha_max=params.get("alpha_max", 0.25),
         n_alpha=params.get("n_alpha", 5),
@@ -816,31 +568,8 @@ def _run_anomaly_scan(params: dict, seed: int, workers: int):
                         "density_deviation": report.density_deviation[label],
                     }
                 )
-
-    tolerance_by_name = {
-        "trace_identical_across_lagrangians": 0.0,
-        "trace_term_nonzero": 1e-8,
-        "trace_term_zero_control": params.get("eta_zero_tolerance", 1e-10),
-        "determinant_trace_duality": params.get("duality_tolerance", 1e-6),
-        "weighted_density_noninvariant": params.get("density_floor", 1e-3),
-    }
-    assertions = []
-    for a in report.assertions:
-        tol = tolerance_by_name.get(a.name, params.get("eta_zero_tolerance", 1e-10))
-        assertions.append(_assert_entry(a.name, a.passed, tol, a.detail))
-    columns = [
-        "lagrangian",
-        "path",
-        "alpha",
-        "eta_term_real",
-        "eta_term_imag",
-        "trace_term",
-        "log_det",
-        "trace_integral",
-        "duality_gap",
-        "density_deviation",
-    ]
-    return columns, rows, assertions
+    assertions = [_assert_entry(a.name, a.passed, a.tolerance, a.detail) for a in report.assertions]
+    return rows, assertions
 
 
 def _run_oscillatory_check(params: dict, seed: int, workers: int):
@@ -880,7 +609,8 @@ def _run_oscillatory_check(params: dict, seed: int, workers: int):
         grid = SpaceGrid(1, params["grid"]["extent"], params["grid"]["n_points"])
         pde_lattice = make_lattice(params.get("pde_steps", 512), problem.t_final, 1)
         result = pde_solve(problem, grid, pde_lattice, WLogDerivativeMode.REAL_TIME)
-        ref_values = _grid_values_at(result.values, grid, [[q] for q in params["q_points"]])
+        points = np.asarray(params["q_points"], dtype=float)[:, None]
+        ref_values = _grid_values_at(result.values, grid, points)
     else:
         ref_values = [None] * len(params["q_points"])
 
@@ -899,29 +629,192 @@ def _run_oscillatory_check(params: dict, seed: int, workers: int):
                 "pass": True if err is None else err <= tolerance,
             }
         )
-    n_ok = sum(1 for r in rows if r["pass"])
-    assertions = [
-        _assert_entry(
-            "oscillatory_matches_reference",
-            n_ok == len(rows),
-            tolerance if reference_kind != "none" else None,
-            f"{n_ok}/{len(rows)} points within tolerance of {reference_kind}",
-        )
-    ]
-    columns = ["q", "value_real", "value_imag", "ref_real", "ref_imag", "abs_error", "pass"]
-    return columns, rows, assertions
+    bound = tolerance if reference_kind != "none" else None
+    what = f"points within tolerance of {reference_kind}"
+    return rows, [_pass_count("oscillatory_matches_reference", rows, bound, what)]
 
 
-_EXPERIMENTS: dict[str, Callable] = {
-    "ibp-check": _run_ibp_check,
-    "theorem1-check": _run_theorem1_check,
-    "prop1-check": _run_prop1_check,
-    "flow-density": _run_flow_density,
-    "solve": _run_solve,
-    "compare": _run_compare,
-    "anomaly-scan": _run_anomaly_scan,
-    "oscillatory-check": _run_oscillatory_check,
+class _Experiment(NamedTuple):
+    """One experiment: the schema of its parameters, its runner and its CSV columns."""
+
+    schema: dict
+    run: Callable[[dict, int, int], tuple[list[Row], list[Assertion]]]
+    columns: list[str]
+
+
+_EXPERIMENTS: dict[str, _Experiment] = {
+    "ibp-check": _Experiment(
+        _object(
+            {
+                "measures": {"type": "array", "minItems": 1, "items": _MEASURE_SCHEMA},
+                "pairs": _PAIRS_SCHEMA,
+                "quadrature": _QUADRATURE_SCHEMA,
+                "tolerance": _POSITIVE,
+                "se_multiplier": _POSITIVE,
+                "min_pass_fraction": {"type": "number", "minimum": 0, "maximum": 1},
+            },
+            ("measures", "pairs", "quadrature"),
+        ),
+        _run_ibp_check,
+        ["measure", "dim", "pair", "residual", "std_error", "pass"],
+    ),
+    "theorem1-check": _Experiment(
+        _object(
+            {
+                "measure": _MEASURE_SCHEMA,
+                "pairs": _PAIRS_SCHEMA,
+                "quadrature": _QUADRATURE_SCHEMA,
+                "tolerance": _POSITIVE,
+                "trace_floor": {"type": "number", "minimum": 0},
+            },
+            ("measure", "pairs", "quadrature"),
+        ),
+        _run_theorem1_check,
+        [
+            "measure",
+            "pair",
+            "grad_term",
+            "vector_term",
+            "trace_term",
+            "residual",
+            "residual_no_trace",
+            "pass",
+        ],
+    ),
+    "prop1-check": _Experiment(
+        _object(
+            {
+                "measure": _MEASURE_SCHEMA,
+                "families": {"type": "array", "minItems": 1, "items": _NAMED_SCHEMA},
+                "pairs": _PAIRS_SCHEMA,
+                "quadrature": _QUADRATURE_SCHEMA,
+                "tolerance": _POSITIVE,
+                "se_multiplier": _POSITIVE,
+            },
+            ("measure", "families", "pairs", "quadrature"),
+        ),
+        _run_prop1_check,
+        ["measure", "family", "phi", "lhs", "rhs", "residual", "std_error", "pass"],
+    ),
+    "flow-density": _Experiment(
+        _object(
+            {
+                "measure": _MEASURE_SCHEMA,
+                "family": _NAMED_SCHEMA,
+                "alpha_max": _POSITIVE,
+                "n_grid": _COUNT,
+                "probe": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+                "tolerance": _POSITIVE,
+            },
+            ("measure", "family", "alpha_max", "n_grid", "probe"),
+        ),
+        _run_flow_density,
+        ["measure", "family", "alpha", "density", "reference", "abs_error"],
+    ),
+    "solve": _Experiment(
+        _object(
+            {
+                "problem": _PROBLEM_SCHEMA,
+                "mode": _MODE_SCHEMA,
+                "method": {"enum": ["pde", "mc", "exact_gaussian", "oscillatory"]},
+                "n_steps": _COUNT,
+                "grid": _GRID_SCHEMA,
+                "n_samples": _COUNT,
+                "probes": _PROBES_SCHEMA,
+                "boundary_tolerance": _POSITIVE,
+            },
+            ("problem", "mode", "method", "n_steps"),
+        ),
+        _run_solve,
+        ["method", "q0", "q1", "value_real", "value_imag", "std_error"],
+    ),
+    "compare": _Experiment(
+        _object(
+            {
+                "problem": _PROBLEM_SCHEMA,
+                "reference": _object(
+                    {"grid": _GRID_SCHEMA, "n_steps": _COUNT}, ("grid", "n_steps")
+                ),
+                "candidates": _object(
+                    {
+                        "mc": _object(
+                            {"n_steps": _COUNT, "n_samples": _COUNT}, ("n_steps", "n_samples")
+                        ),
+                        "exact_gaussian": _object({"n_steps": _COUNT}, ("n_steps",)),
+                    }
+                ),
+                "probes": _PROBES_SCHEMA,
+                "tolerance_abs": _POSITIVE,
+                "se_multiplier": _POSITIVE,
+            },
+            ("problem", "reference", "probes"),
+        ),
+        _run_compare,
+        ["method", "q0", "q1", "value", "reference", "abs_diff", "std_error", "pass"],
+    ),
+    "anomaly-scan": _Experiment(
+        _object(
+            {
+                "lattice": _LATTICE_SCHEMA,
+                "family": _FAMILY_SCHEMA,
+                "lagrangians": {"type": "array", "minItems": 2, "items": _NAMED_SCHEMA},
+                "invariant_flags": {"type": "array", "items": {"type": "boolean"}},
+                "expect_nonzero_trace": {"type": "boolean"},
+                "n_paths": _COUNT,
+                "alpha_max": _POSITIVE,
+                "n_alpha": _COUNT,
+                "mode": _MODE_SCHEMA,
+                "eta_zero_tolerance": _POSITIVE,
+                "duality_tolerance": _POSITIVE,
+                "duality_grid": _COUNT,
+                "density_grid": _COUNT,
+                "density_floor": _POSITIVE,
+            },
+            ("lattice", "family", "lagrangians", "n_paths"),
+        ),
+        _run_anomaly_scan,
+        [
+            "lagrangian",
+            "path",
+            "alpha",
+            "eta_term_real",
+            "eta_term_imag",
+            "trace_term",
+            "log_det",
+            "trace_integral",
+            "duality_gap",
+            "density_deviation",
+        ],
+    ),
+    "oscillatory-check": _Experiment(
+        _object(
+            {
+                "problem": _PROBLEM_SCHEMA,
+                "n_steps": _COUNT,
+                "q_points": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+                "reference": {"enum": ["closed_form_free", "pde", "none"]},
+                "grid": _GRID_SCHEMA,
+                "pde_steps": _COUNT,
+                "tolerance": _POSITIVE,
+            },
+            ("problem", "n_steps", "q_points", "reference"),
+        ),
+        _run_oscillatory_check,
+        ["q", "value_real", "value_imag", "ref_real", "ref_imag", "abs_error", "pass"],
+    ),
 }
+
+_TOP_SCHEMA = _object(
+    {
+        "schema": {"const": 1},
+        "experiment": {"enum": sorted(_EXPERIMENTS)},
+        "seed": {"type": "integer", "minimum": 0},
+        "workers": _COUNT,
+        "output_path": {"type": "string", "minLength": 1},
+        "parameters": {"type": "object"},
+    },
+    ("schema", "experiment", "parameters"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -966,23 +859,11 @@ def _load_config(path: str, overrides: list[str], seed_arg, workers_arg) -> dict
 
     try:
         jsonschema.validate(config, _TOP_SCHEMA)
-        jsonschema.validate(config["parameters"], _PARAMETER_SCHEMAS[config["experiment"]])
+        jsonschema.validate(config["parameters"], _EXPERIMENTS[config["experiment"]].schema)
     except jsonschema.ValidationError as exc:
         location = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"config invalid at {location}: {exc.message}") from None
     return config
-
-
-def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
 
 
 def _json_ready(value: Any) -> Any:
@@ -993,6 +874,15 @@ def _json_ready(value: Any) -> Any:
     if isinstance(value, (int, np.integer)):
         return int(value)
     return value
+
+
+def _csv_cell(value: Any) -> str:
+    value = _json_ready(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_outputs(
@@ -1015,16 +905,12 @@ def _write_outputs(
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = _load_config(args.config, args.set or [], args.seed, args.workers)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    experiment = config["experiment"]
-    seed = config["seed"]
-    workers = config["workers"]
-    start = time.perf_counter()
-    try:
-        columns, rows, assertions = _EXPERIMENTS[experiment](config["parameters"], seed, workers)
+        experiment = config["experiment"]
+        seed = config["seed"]
+        workers = config["workers"]
+        entry = _EXPERIMENTS[experiment]
+        start = time.perf_counter()
+        rows, assertions = entry.run(config["parameters"], seed, workers)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -1034,7 +920,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     record = {
         "experiment": experiment,
         "config": config,
-        "columns": columns,
+        "columns": entry.columns,
         "rows": [{k: _json_ready(v) for k, v in row.items()} for row in rows],
         "assertions": assertions,
         "passed": passed,
@@ -1050,7 +936,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "wall_time_s": wall_time,
     }
     prefix = config.get("output_path", experiment.replace("-", "_") + "_result")
-    json_path, csv_path = _write_outputs(args.out, prefix, record, columns, rows)
+    json_path, csv_path = _write_outputs(args.out, prefix, record, entry.columns, rows)
 
     for a in assertions:
         status = "PASS" if a["passed"] else "FAIL"

@@ -520,8 +520,11 @@ class AnomalyDualityRow:
 
 @dataclass(frozen=True)
 class AnomalyAssertion:
+    """One machine-checked claim; tolerance is the bound its check compares against."""
+
     name: str
     passed: bool
+    tolerance: float
     detail: str
 
 
@@ -571,6 +574,9 @@ def _weighted_density_curve(
 
     dtype = complex if mode is WLogDerivativeMode.REAL_TIME else float
     return _rk4_growth(rate, alpha_max / n_grid, n_grid, dtype)
+
+
+_NONZERO_TRACE_FLOOR = 1e-8
 
 
 def anomaly_experiment(
@@ -681,6 +687,7 @@ def anomaly_experiment(
         AnomalyAssertion(
             name="trace_identical_across_lagrangians",
             passed=trace_identical,
+            tolerance=0.0,
             detail="trace column bitwise equal for every Lagrangian"
             if trace_identical
             else "trace columns differ between Lagrangians",
@@ -698,6 +705,7 @@ def anomaly_experiment(
             AnomalyAssertion(
                 name=f"eta_term_vanishes[{label}]",
                 passed=max_eta <= eta_zero_tol,
+                tolerance=eta_zero_tol,
                 detail=f"max |eta term| = {max_eta:.3e} (tol {eta_zero_tol:.1e})",
             )
         )
@@ -705,7 +713,8 @@ def anomaly_experiment(
         assertions.append(
             AnomalyAssertion(
                 name="trace_term_nonzero",
-                passed=max_trace > 1e-8,
+                passed=max_trace > _NONZERO_TRACE_FLOOR,
+                tolerance=_NONZERO_TRACE_FLOOR,
                 detail=f"max |trace term| = {max_trace:.3e}",
             )
         )
@@ -714,6 +723,7 @@ def anomaly_experiment(
             AnomalyAssertion(
                 name="trace_term_zero_control",
                 passed=max_trace <= eta_zero_tol,
+                tolerance=eta_zero_tol,
                 detail=f"max |trace term| = {max_trace:.3e} (control family)",
             )
         )
@@ -723,6 +733,7 @@ def anomaly_experiment(
         AnomalyAssertion(
             name="determinant_trace_duality",
             passed=max_gap <= duality_tol,
+            tolerance=duality_tol,
             detail=f"max |log_det - trace integral| = {max_gap:.3e} (tol {duality_tol:.1e})",
         )
     )
@@ -733,6 +744,7 @@ def anomaly_experiment(
             AnomalyAssertion(
                 name="weighted_density_noninvariant",
                 passed=min_dev > density_floor,
+                tolerance=density_floor,
                 detail=f"min |g(alpha_max) - 1| = {min_dev:.3e} (floor {density_floor:.1e})",
             )
         )

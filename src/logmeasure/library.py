@@ -8,6 +8,7 @@ quadrature relies on.
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Optional, Sequence
 
@@ -441,21 +442,20 @@ _FAMILY_FACTORIES = {
 
 
 def list_builtins_data() -> dict:
-    """Stable description of the named builtins, for the CLI."""
+    """Stable description of the named builtins, for the CLI.
+
+    A builtin's parameters are its factory's keyword parameters: every one after
+    the leading dimension.
+    """
+
+    def describe(factories: dict) -> list[dict]:
+        return [
+            {"name": name, "parameters": list(inspect.signature(factory).parameters)[1:]}
+            for name, factory in factories.items()
+        ]
+
     return {
-        "lagrangians": [
-            {"name": "free", "parameters": ["kinetic_scale"]},
-            {"name": "harmonic", "parameters": ["omega", "kinetic_scale"]},
-            {"name": "quartic", "parameters": ["coupling", "kinetic_scale"]},
-        ],
-        "families": [
-            {"name": "translation", "parameters": ["direction"]},
-            {"name": "scaling", "parameters": []},
-            {"name": "rotation", "parameters": ["plane"]},
-            {"name": "shear", "parameters": ["strength"]},
-            {"name": "sine_flow", "parameters": ["amplitude", "wavenumber", "steps_per_unit"]},
-        ],
-        "test_function_libraries": [
-            {"name": "polynomial", "parameters": ["count", "seed"]},
-        ],
+        "lagrangians": describe(_LAGRANGIAN_FACTORIES),
+        "families": describe(_FAMILY_FACTORIES),
+        "test_function_libraries": describe({"polynomial": polynomial_pairs}),
     }

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from logmeasure.cli import main
+from logmeasure.cli import _EXPERIMENTS, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
@@ -223,6 +223,26 @@ def test_shipped_configs_run_green(tmp_path, config_name, capsys):
     header = (tmp_path / f"{prefix}.csv").read_bytes().decode("utf-8").split("\r\n")[0]
     documented = _csv_schema()["experiments"][config["experiment"]]["columns"]
     assert header.split(",") == documented
+
+
+def test_every_experiment_declares_the_documented_columns():
+    documented = _csv_schema()["experiments"]
+    assert set(_EXPERIMENTS) == set(documented)
+    for name, entry in _EXPERIMENTS.items():
+        assert entry.columns == documented[name]["columns"], name
+        assert entry.columns == list(documented[name]["description"]), name
+
+
+@pytest.mark.parametrize(
+    "config_name, probes",
+    [("solve_pde.json", [[1.0, 2.0], [1.0]]), ("compare_methods.json", [[0.0], [0.5, 0.5]])],
+)
+def test_probe_of_the_wrong_dimension_exits_2_without_outputs(tmp_path, capsys, config_name, probes):
+    config_path = os.path.join(CONFIG_DIR, config_name)
+    args = ["run", config_path, "--out", str(tmp_path), "--set", f"parameters.probes={probes}"]
+    assert main(args) == 2
+    assert "every probe must have 1 coordinate(s)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_oscillatory_check_beyond_the_quadrature_guard_exits_2_without_outputs(tmp_path, capsys):

@@ -374,11 +374,13 @@ def test_anomaly_scaling_free_versus_harmonic():
     assert max(r.gap for r in report.duality_rows) <= 1e-6
     assert report.density_deviation["free"] > 1e-3
     assert report.density_deviation[harmonic.label] > 1e-3
-    names = [a.name for a in report.assertions]
-    assert "trace_identical_across_lagrangians" in names
-    assert "eta_term_vanishes[free]" in names
-    assert "determinant_trace_duality" in names
-    assert "weighted_density_noninvariant" in names
+    assert {a.name: a.tolerance for a in report.assertions} == {
+        "trace_identical_across_lagrangians": 0.0,
+        "eta_term_vanishes[free]": 1e-10,
+        "trace_term_nonzero": 1e-8,
+        "determinant_trace_duality": 1e-6,
+        "weighted_density_noninvariant": 1e-3,
+    }
 
 
 def test_anomaly_trace_column_is_lagrangian_independent():
