@@ -654,12 +654,16 @@ def anomaly_experiment(
             )
 
     alphas = np.linspace(0.0, alpha_max, n_alpha + 1)[1:]
+    trace_ints = [
+        trace_integral_along_flow(family, float(alpha), paths_flat, n_grid=duality_grid)
+        for alpha in alphas
+    ]
     duality_rows: list[AnomalyDualityRow] = []
     for idx in range(n_paths):
         x = paths_flat[idx]
-        for alpha in alphas:
+        for alpha, traces in zip(alphas, trace_ints):
             log_det = jacobian_log_det(family, float(alpha), x)
-            trace_int = trace_integral_along_flow(family, float(alpha), x, n_grid=duality_grid)
+            trace_int = float(traces[idx])
             duality_rows.append(
                 AnomalyDualityRow(
                     path_index=idx,

@@ -90,11 +90,11 @@ class VectorField:
         return jac
 
     def divergence_batch(self, x: np.ndarray, fd_step: float = 1e-6) -> np.ndarray:
-        """Divergence over a batch; analytic when supplied, else vectorized FD."""
-        xb, single = _as_batch(x, self.dim)
+        """Divergence over a batch: analytic, else the Jacobian's trace, else vectorized FD."""
+        xb, _ = _as_batch(x, self.dim)
         if self.divergence is not None:
             out = np.asarray(self.divergence(xb), dtype=float)
-        elif self.jacobian is not None and (single or xb.shape[0] <= 64):
+        elif self.jacobian is not None:
             out = np.array([np.trace(self.jacobian_at(row)) for row in xb])
         else:
             h = fd_step * (1.0 + np.linalg.norm(xb, axis=1))

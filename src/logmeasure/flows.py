@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SingularJacobianError
-from .fields import DensityCurve, TestFunction, TransformationFamily, VectorField, negated
+from .fields import DensityCurve, TestFunction, TransformationFamily, VectorField, _as_batch, negated
 from .measures import (
     Estimate,
     GaussianMeasure,
@@ -47,18 +47,12 @@ def generator(family: TransformationFamily, fd_step: float = 1e-5) -> VectorFiel
 
     def h_jac(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if family.alpha_jacobian is None:
+            return VectorField(family.dim, h_eval).jacobian_at(x, np.sqrt(fd_step))
         step = fd_step * (1.0 + float(np.linalg.norm(x)))
-        if family.alpha_jacobian is not None:
-            jp = np.asarray(family.alpha_jacobian(step, x), dtype=float)
-            jm = np.asarray(family.alpha_jacobian(-step, x), dtype=float)
-            return -(jp - jm) / (2.0 * step)
-        dx = np.sqrt(fd_step) * (1.0 + float(np.linalg.norm(x)))
-        jac = np.empty((family.dim, family.dim))
-        for j in range(family.dim):
-            e = np.zeros(family.dim)
-            e[j] = dx
-            jac[:, j] = (h_eval(x + e)[0] - h_eval(x - e)[0]) / (2.0 * dx)
-        return jac
+        jp = np.asarray(family.alpha_jacobian(step, x), dtype=float)
+        jm = np.asarray(family.alpha_jacobian(-step, x), dtype=float)
+        return -(jp - jm) / (2.0 * step)
 
     return VectorField(
         dim=family.dim, eval=h_eval, jacobian=h_jac, label=f"generator({family.label})"
@@ -85,12 +79,7 @@ def jacobian_log_det(
     if family.alpha_jacobian is not None:
         jac = np.asarray(family.alpha_jacobian(float(alpha), x), dtype=float)
     else:
-        step = fd_step * (1.0 + float(np.linalg.norm(x)))
-        jac = np.empty((family.dim, family.dim))
-        for j in range(family.dim):
-            e = np.zeros(family.dim)
-            e[j] = step
-            jac[:, j] = (family.apply(alpha, x + e) - family.apply(alpha, x - e)) / (2.0 * step)
+        jac = VectorField(family.dim, lambda y: family.eval(float(alpha), y)).jacobian_at(x, fd_step)
     sign, logdet = np.linalg.slogdet(jac)
     if sign <= 0.0 or not np.isfinite(logdet):
         raise SingularJacobianError(
@@ -213,30 +202,41 @@ def solve_density_ode(
     return DensityCurve(alphas, values, x_probe.copy())
 
 
+def _pushforward_density(
+    m: GaussianMeasure, family: TransformationFamily, alphas: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Radon-Nikodym density rho(x) / rho(S(alpha, x)) * |det dS(alpha)(x)|^{-1} at each alpha.
+
+    For a flow this is solve_density_ode's g(alpha) in closed form, rho the density of m.
+    """
+    x = np.asarray(x, dtype=float).reshape(m.dim)
+    alphas = np.asarray(alphas, dtype=float)
+    moved = np.array([family.apply(a, x) for a in alphas])
+    log_det = np.array([jacobian_log_det(family, a, x) for a in alphas])
+    return np.exp(m.logpdf(x) - m.logpdf(moved) - log_det)
+
+
 def trace_integral_along_flow(
     family: TransformationFamily, alpha: float, x: np.ndarray, n_grid: int = 128
-) -> float:
+) -> float | np.ndarray:
     """integral_0^alpha trace V'(y(s)) ds along y(s) = S(s, x), V the flow velocity.
 
-    Composite Simpson on n_grid intervals (order 4).  For a flow this equals
-    log det dS(alpha)(x)/dx, which is the determinant-trace duality asserted
-    by the anomaly experiment.
+    The integrand is the velocity divergence -div h_S, taken in one call over
+    every Simpson node; composite Simpson on n_grid intervals (order 4).  x is
+    one point (returns a float) or a batch of points (returns one value per
+    row).  For a flow this equals log det dS(alpha)(x)/dx, which is the
+    determinant-trace duality asserted by the anomaly experiment.
     """
     if n_grid <= 0:
         raise ValueError("n_grid must be positive")
-    x = np.asarray(x, dtype=float)
-    vel = family_velocity(family)
-
-    def trace_at(s: float) -> float:
-        return float(np.trace(vel.jacobian_at(family.apply(s, x))))
-
+    xb, single = _as_batch(x, family.dim)
     step = alpha / n_grid
-    total = 0.0
-    f_lo = trace_at(0.0)
+    nodes = [0.0]
     for i in range(n_grid):
-        s = i * step
-        f_mid = trace_at(s + 0.5 * step)
-        f_hi = trace_at(s + step)
-        total += step / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-        f_lo = f_hi
-    return total
+        nodes += [i * step + 0.5 * step, i * step + step]
+    points = np.stack([family.apply(s, xb) for s in nodes]).reshape(-1, family.dim)
+    trace = -family_generator(family).divergence_batch(points).reshape(len(nodes), -1)
+    total = np.zeros(xb.shape[0])
+    for i in range(n_grid):
+        total += step / 6.0 * (trace[2 * i] + 4.0 * trace[2 * i + 1] + trace[2 * i + 2])
+    return float(total[0]) if single else total

@@ -165,14 +165,22 @@ def rotation_family(dim: int, plane: tuple[int, int] = (0, 1)) -> Transformation
 
 
 def shear_family(dim: int, strength: float = 1.0) -> TransformationFamily:
-    """S(alpha) x = (I + alpha N) x, N the superdiagonal nilpotent; det = 1."""
+    """S(alpha) x = exp(alpha N) x, a finite sum as the superdiagonal N is nilpotent; det = 1."""
     if dim < 2:
         raise ValueError("shear needs dim >= 2")
     nil = strength * np.eye(dim, k=1)
+
+    def shear_matrix(alpha: float) -> np.ndarray:
+        term = out = np.eye(dim)
+        for k in range(1, dim):
+            term = term @ (alpha * nil) / k
+            out = out + term
+        return out
+
     return TransformationFamily(
         dim=dim,
-        eval=lambda alpha, x: np.atleast_2d(x) @ (np.eye(dim) + alpha * nil).T,
-        alpha_jacobian=lambda alpha, x: np.eye(dim) + alpha * nil,
+        eval=lambda alpha, x: np.atleast_2d(x) @ shear_matrix(alpha).T,
+        alpha_jacobian=lambda alpha, x: shear_matrix(alpha),
         generator_field=_linear_field(dim, -nil, "shear generator"),
         label="shear",
     )
@@ -203,38 +211,32 @@ def sine_flow_family(
     def n_sub(alpha: float) -> int:
         return max(4, int(math.ceil(abs(alpha) * steps_per_unit)))
 
-    def flow(alpha: float, x: np.ndarray) -> np.ndarray:
-        y = np.array(np.atleast_2d(x), dtype=float)
+    def integrate(alpha: float, y: np.ndarray, jac: Optional[np.ndarray] = None) -> tuple:
+        """RK4 for y, and for the diagonal jac of dS/dx from dJ/ds = v'(y) J when given."""
         steps = n_sub(alpha)
         h = alpha / steps
         for _ in range(steps):
             k1 = vel(y)
-            k2 = vel(y + 0.5 * h * k1)
-            k3 = vel(y + 0.5 * h * k2)
-            k4 = vel(y + h * k3)
-            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return y
-
-    def alpha_jacobian(alpha: float, x: np.ndarray) -> np.ndarray:
-        y = np.asarray(x, dtype=float).copy()
-        jac = np.eye(dim)
-        steps = n_sub(alpha)
-        h = alpha / steps
-        for _ in range(steps):
-            k1 = vel(y)
-            j1 = vel_diag(y)[:, None] * jac
             y2 = y + 0.5 * h * k1
             k2 = vel(y2)
-            j2 = vel_diag(y2)[:, None] * (jac + 0.5 * h * j1)
             y3 = y + 0.5 * h * k2
             k3 = vel(y3)
-            j3 = vel_diag(y3)[:, None] * (jac + 0.5 * h * j2)
             y4 = y + h * k3
             k4 = vel(y4)
-            j4 = vel_diag(y4)[:, None] * (jac + h * j3)
+            if jac is not None:
+                j1 = vel_diag(y) * jac
+                j2 = vel_diag(y2) * (jac + 0.5 * h * j1)
+                j3 = vel_diag(y3) * (jac + 0.5 * h * j2)
+                j4 = vel_diag(y4) * (jac + h * j3)
+                jac = jac + h / 6.0 * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
             y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            jac = jac + h / 6.0 * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-        return jac
+        return y, jac
+
+    def flow(alpha: float, x: np.ndarray) -> np.ndarray:
+        return integrate(alpha, np.array(np.atleast_2d(x), dtype=float))[0]
+
+    def alpha_jacobian(alpha: float, x: np.ndarray) -> np.ndarray:
+        return np.diag(integrate(alpha, np.asarray(x, dtype=float), np.ones(dim))[1])
 
     generator = VectorField(
         dim=dim,

@@ -5,8 +5,9 @@ import json
 import os
 
 import pytest
+from jsonschema import Draft202012Validator
 
-from logmeasure.cli import _EXPERIMENTS, main
+from logmeasure.cli import _EXPERIMENTS, _TOP_SCHEMA, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
@@ -223,6 +224,34 @@ def test_shipped_configs_run_green(tmp_path, config_name, capsys):
     header = (tmp_path / f"{prefix}.csv").read_bytes().decode("utf-8").split("\r\n")[0]
     documented = _csv_schema()["experiments"][config["experiment"]]["columns"]
     assert header.split(",") == documented
+
+
+def test_config_schemas_are_valid_against_the_metaschema():
+    Draft202012Validator.check_schema(_TOP_SCHEMA)
+    for entry in _EXPERIMENTS.values():
+        Draft202012Validator.check_schema(entry.schema)
+
+
+@pytest.mark.parametrize("family", ["translation", "scaling", "rotation", "shear", "sine_flow"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flow_density_checks_every_builtin_against_the_oracle(tmp_path, capsys, family, dim):
+    payload = {
+        "schema": 1,
+        "experiment": "flow-density",
+        "output_path": "density",
+        "parameters": {
+            "measure": {"kind": "standard", "dim": dim},
+            "family": {"name": family},
+            "alpha_max": 0.5,
+            "n_grid": 64,
+            "probe": [0.5, -0.4, 0.3][:dim],
+        },
+    }
+    assert main(["run", _write_config(tmp_path, payload), "--out", str(tmp_path)]) == 0
+    assert "[PASS] density_matches_closed_form" in capsys.readouterr().out
+    rows = _read_rows(tmp_path / "density.csv")
+    assert len(rows) == 65
+    assert all(r["reference"] != "" and r["abs_error"] != "" for r in rows)
 
 
 def test_every_experiment_declares_the_documented_columns():

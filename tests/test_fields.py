@@ -55,6 +55,20 @@ def test_vector_field_batch_divergence_matches_pointwise():
     np.testing.assert_allclose(batch, expected, atol=1e-6)
 
 
+def test_batch_divergence_of_a_jacobian_field_does_not_depend_on_batch_size():
+    # a Jacobian but no divergence: every row takes the Jacobian's trace
+    h = VectorField(
+        dim=2,
+        eval=lambda x: np.stack([np.atleast_2d(x)[:, 0] ** 2,
+                                 np.exp(np.atleast_2d(x)[:, 1])], axis=1),
+        jacobian=lambda x: np.diag([2.0 * x[0], np.exp(x[1])]),
+    )
+    pts = np.random.default_rng(5).normal(size=(100, 2))
+    batch = h.divergence_batch(pts)
+    for i, row in enumerate(pts):
+        assert batch[i] == h.divergence_at(row)
+
+
 def test_negated_field_flips_everything():
     h = VectorField(
         dim=2,

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from logmeasure import (
+    GaussianMeasure,
     QuadratureSpec,
     SingularJacobianError,
     TestFunction,
@@ -21,10 +25,13 @@ from logmeasure import (
     trace_integral_along_flow,
     wiener_measure,
 )
+from logmeasure.flows import _pushforward_density
 from logmeasure.library import (
+    pointwise_family,
     polynomial_pairs,
     rotation_family,
     scaling_family,
+    shear_family,
     sine_flow_family,
     translation_family,
 )
@@ -290,6 +297,44 @@ def test_density_ode_convergence_order():
     assert order >= 3.5
 
 
+@st.composite
+def _affine_flow_cases(draw):
+    """A with ||A||_2 <= 1, SPD precision with eigenvalues in [0.5, 2], mean and probe in [-1, 1]."""
+    dim = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0)
+    raw = draw(arrays(float, (dim, dim), elements=unit))
+    a_mat = raw / max(1.0, float(np.linalg.norm(raw, 2)))
+    basis, _ = np.linalg.qr(draw(arrays(float, (dim, dim), elements=unit)) + 2.0 * np.eye(dim))
+    eigenvalues = draw(arrays(float, dim, elements=st.floats(0.5, 2.0)))
+    precision = basis @ np.diag(eigenvalues) @ basis.T
+    mean = draw(arrays(float, dim, elements=unit))
+    probe = draw(arrays(float, dim, elements=unit))
+    return a_mat, GaussianMeasure(dim, mean, 0.5 * (precision + precision.T)), probe
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(_affine_flow_cases())
+def test_density_ode_matches_the_pushforward_oracle_for_affine_flows(case):
+    a_mat, m, probe = case
+    fam = _linear_flow(a_mat)
+    curve = solve_density_ode(m, fam, 0.25, 64, probe)
+    oracle = _pushforward_density(m, fam, curve.alphas, probe)
+    np.testing.assert_allclose(curve.values, oracle, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "builder", [lambda: scaling_family(3), lambda: shear_family(3)], ids=["scaling", "shear"]
+)
+def test_pushforward_oracle_matches_the_density_ode_for_builtins(builder):
+    fam = builder()
+    m = GaussianMeasure(3, [0.2, -0.1, 0.3], [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
+    probe = np.array([0.4, -0.6, 0.5])
+    curve = solve_density_ode(m, fam, 0.5, 64, probe)
+    oracle = _pushforward_density(m, fam, curve.alphas, probe)
+    assert oracle[0] == 1.0
+    np.testing.assert_allclose(curve.values, oracle, rtol=1e-6, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # determinant-trace duality
 
@@ -310,3 +355,25 @@ def test_trace_integral_matches_log_det_for_sine_flow():
     alpha = 0.25
     gap = abs(jacobian_log_det(fam, alpha, x) - trace_integral_along_flow(fam, alpha, x))
     assert gap <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda lat: scaling_family(lat.dim),
+        lambda lat: shear_family(lat.dim),
+        lambda lat: pointwise_family(sine_flow_family(1, amplitude=0.3), lat),
+        lambda lat: _linear_flow(np.diag(np.linspace(-1.0, 1.0, lat.dim))),
+    ],
+    ids=["scaling", "shear", "pointwise_sine_flow", "fd_generator"],
+)
+def test_trace_integral_of_a_batch_is_bitwise_the_per_point_values(builder):
+    lat = make_lattice(6, 1.0, 1)
+    fam = builder(lat)
+    paths = np.random.default_rng(4).normal(size=(5, lat.dim))
+    batch = trace_integral_along_flow(fam, 0.25, paths, n_grid=32)
+    assert batch.shape == (5,)
+    for i, x in enumerate(paths):
+        single = trace_integral_along_flow(fam, 0.25, x, n_grid=32)
+        assert isinstance(single, float)
+        assert batch[i] == single

@@ -75,8 +75,10 @@ def test_shear_family_is_affine_with_zero_divergence():
     fam = shear_family(3, strength=0.5)
     x = np.array([1.0, 2.0, 3.0])
     y = fam.apply(0.4, x)
-    # the shear adds alpha * strength times the next coordinate
-    np.testing.assert_allclose(y, x + 0.4 * 0.5 * np.array([2.0, 3.0, 0.0]))
+    # S(alpha) = exp(alpha N) = I + alpha N + alpha^2 N^2 / 2 with N = strength * superdiagonal
+    nx = 0.5 * np.array([2.0, 3.0, 0.0])
+    n2x = 0.25 * np.array([3.0, 0.0, 0.0])
+    np.testing.assert_allclose(y, x + 0.4 * nx + 0.4**2 * n2x / 2.0)
     vel = family_velocity(fam)
     assert vel.divergence_at(x) == 0.0
 
@@ -84,6 +86,15 @@ def test_shear_family_is_affine_with_zero_divergence():
 def test_sine_flow_satisfies_the_group_property():
     fam = sine_flow_family(2, amplitude=0.2, wavenumber=1.5)
     x = np.array([0.4, -0.8])
+    composed = fam.apply(0.1, fam.apply(0.15, x))
+    direct = fam.apply(0.25, x)
+    np.testing.assert_allclose(composed, direct, atol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_shear_satisfies_the_group_property(dim):
+    fam = shear_family(dim, strength=0.8)
+    x = np.linspace(-1.0, 1.5, dim)
     composed = fam.apply(0.1, fam.apply(0.15, x))
     direct = fam.apply(0.25, x)
     np.testing.assert_allclose(composed, direct, atol=1e-10)
