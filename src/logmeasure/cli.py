@@ -31,6 +31,7 @@ import scipy
 
 from . import __version__
 from .action import WLogDerivativeMode
+from .errors import SingularJacobianError
 from .feynman import (
     SchrodingerProblem,
     SpaceGrid,
@@ -892,7 +893,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         entry = _EXPERIMENTS[experiment]
         start = time.perf_counter()
         rows, assertions = entry.run(config["parameters"], seed, workers)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, SingularJacobianError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     wall_time = time.perf_counter() - start

@@ -36,11 +36,12 @@ from scipy.sparse.linalg import splu
 from .action import DiscreteAction, Lagrangian, WLogDerivativeMode
 from .fields import TransformationFamily
 from .flows import (
+    _cumulative_trace_integral,
+    _flow_nodes,
     _rk4_growth,
     family_generator,
     family_velocity,
     jacobian_log_det,
-    trace_integral_along_flow,
 )
 from .lattice import TimeLattice, cm_gram, path_from_flat
 from .measures import (
@@ -48,8 +49,8 @@ from .measures import (
     GaussianMeasure,
     QuadratureKind,
     QuadratureSpec,
+    _field_log_derivative_rows,
     _integrate_columns,
-    log_derivative_along_field,
     sample,
     wiener_measure,
 )
@@ -546,36 +547,6 @@ class AnomalyReport:
         return all(a.passed for a in self.assertions)
 
 
-def _weighted_density_curve(
-    m: GaussianMeasure,
-    family: TransformationFamily,
-    action: DiscreteAction,
-    mode: WLogDerivativeMode,
-    alpha_max: float,
-    n_grid: int,
-    probe: Array,
-) -> Array:
-    """RK4 for the weighted measure's density ODE along the probe trajectory.
-
-    The growth rate adds the mode-scaled action variation to the Gaussian
-    logarithmic derivative (vector plus trace).  In the damped mode the
-    result is the Radon-Nikodym density of the transformed weighted measure;
-    values are complex in the oscillatory mode.
-    """
-    h = family_generator(family)
-    lattice = action.lattice
-
-    def rate(alpha: float) -> complex:
-        y = family.apply(alpha, probe)
-        gauss = log_derivative_along_field(m, h, y).total
-        path = path_from_flat(lattice, y)
-        direction = path_from_flat(lattice, h.eval_at(y))
-        return gauss + mode.factor * action.eta_variation(path, direction)
-
-    dtype = complex if mode is WLogDerivativeMode.REAL_TIME else float
-    return _rk4_growth(rate, alpha_max / n_grid, n_grid, dtype)
-
-
 _NONZERO_TRACE_FLOOR = 1e-8
 
 
@@ -614,6 +585,13 @@ def anomaly_experiment(
     * the weighted measure's density along the flow deviates from 1 by more
       than density_floor at alpha_max when expect_nonzero_trace (pushforward
       non-invariance).
+
+    The alpha grid is k * alpha_max / n_alpha, k = 1..n_alpha.  duality_grid
+    is the number of Simpson intervals on [0, alpha_max], rounded up to a
+    multiple of n_alpha: one trajectory per path on that grid gives the
+    trace integral up to every alpha in one cumulative pass.  density_grid
+    is the number of RK4 steps of the weighted density ODE on [0, alpha_max]
+    along the first path, one shared trajectory for every Lagrangian.
 
     strict raises AssertionError on the first failed claim; strict=False
     returns the report with failures recorded for the caller to surface.
@@ -654,16 +632,15 @@ def anomaly_experiment(
             )
 
     alphas = np.linspace(0.0, alpha_max, n_alpha + 1)[1:]
-    trace_ints = [
-        trace_integral_along_flow(family, float(alpha), paths_flat, n_grid=duality_grid)
-        for alpha in alphas
-    ]
+    per_alpha = -(-duality_grid // n_alpha)
+    n_fine = per_alpha * n_alpha
+    trace_ints = _cumulative_trace_integral(family, alpha_max / n_fine, n_fine, paths_flat)
     duality_rows: list[AnomalyDualityRow] = []
     for idx in range(n_paths):
         x = paths_flat[idx]
-        for alpha, traces in zip(alphas, trace_ints):
+        for k, alpha in enumerate(alphas, start=1):
             log_det = jacobian_log_det(family, float(alpha), x)
-            trace_int = float(traces[idx])
+            trace_int = float(trace_ints[k * per_alpha, idx])
             duality_rows.append(
                 AnomalyDualityRow(
                     path_index=idx,
@@ -674,11 +651,15 @@ def anomaly_experiment(
                 )
             )
 
-    density_deviation: dict[str, float] = {}
-    probe = paths_flat[0]
-    for label, action in zip(labels, actions):
-        curve = _weighted_density_curve(m, family, action, mode, alpha_max, density_grid, probe)
-        density_deviation[label] = float(abs(curve[-1] - 1.0))
+    # the weighted density ODE along the first path: the Gaussian rate is
+    # shared, each Lagrangian adds its mode-scaled eta variation as a column
+    step = alpha_max / density_grid
+    ys = _flow_nodes(family, step, density_grid, paths_flat[0])
+    hy, beta, div = _field_log_derivative_rows(m, family_generator(family), ys)
+    pairs = [(path_from_flat(lattice, y), path_from_flat(lattice, v)) for y, v in zip(ys, hy)]
+    eta = np.array([[action.eta_variation(*pair) for action in actions] for pair in pairs])
+    curves = _rk4_growth((beta + div)[:, None] + mode.factor * eta, step)
+    density_deviation = {label: float(abs(g - 1.0)) for label, g in zip(labels, curves[-1])}
 
     assertions: list[AnomalyAssertion] = []
 

@@ -16,7 +16,7 @@ Sign conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .measures import (
     Estimate,
     GaussianMeasure,
     QuadratureSpec,
+    _field_log_derivative_rows,
     _integrate_columns,
-    log_derivative_along_field,
 )
 
 
@@ -88,6 +88,15 @@ def jacobian_log_det(
     return float(logdet)
 
 
+def _alpha_difference_rows(
+    family: TransformationFamily, phi: TestFunction, fd_alpha: float, x: np.ndarray
+) -> np.ndarray:
+    """Row-wise central difference of phi(S(alpha, x)) in alpha at 0 with step fd_alpha."""
+    hi = np.asarray(phi.evaluator(family.eval(fd_alpha, x)), dtype=float)
+    lo = np.asarray(phi.evaluator(family.eval(-fd_alpha, x)), dtype=float)
+    return (hi - lo) / (2.0 * fd_alpha)
+
+
 def pushforward_derivative(
     m: GaussianMeasure,
     family: TransformationFamily,
@@ -101,12 +110,9 @@ def pushforward_derivative(
     so the Monte Carlo standard error reflects the difference estimator.
     """
 
-    def rows(x: np.ndarray) -> np.ndarray:
-        hi = np.asarray(phi.evaluator(family.eval(fd_alpha, x)), dtype=float)
-        lo = np.asarray(phi.evaluator(family.eval(-fd_alpha, x)), dtype=float)
-        return ((hi - lo) / (2.0 * fd_alpha)).reshape(-1, 1)
-
-    return _integrate_columns(m, q, rows, 1)[0]
+    return _integrate_columns(
+        m, q, lambda x: _alpha_difference_rows(family, phi, fd_alpha, x).reshape(-1, 1), 1
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -138,9 +144,7 @@ def proposition1_check(
     h = family_generator(family)
 
     def rows(x: np.ndarray) -> np.ndarray:
-        hi = np.asarray(phi.evaluator(family.eval(fd_alpha, x)), dtype=float)
-        lo = np.asarray(phi.evaluator(family.eval(-fd_alpha, x)), dtype=float)
-        lhs_rows = (hi - lo) / (2.0 * fd_alpha)
+        lhs_rows = _alpha_difference_rows(family, phi, fd_alpha, x)
         rhs_rows = np.einsum(
             "ij,ij->i", np.asarray(phi.gradient(x), dtype=float), np.asarray(h.eval(x), dtype=float)
         )
@@ -150,25 +154,35 @@ def proposition1_check(
     return Proposition1Result(lhs.value, rhs.value, residual.value, residual.std_error)
 
 
-def _rk4_growth(rate: Callable[[float], complex], step: float, n_grid: int, dtype: type) -> np.ndarray:
+def _flow_nodes(family: TransformationFamily, step: float, n: int, x: np.ndarray) -> np.ndarray:
+    """S(s, x), node index first, at s = 0 and s = i * step + 0.5 * step, i * step + step, i < n.
+
+    x is a point or a batch.  Nodes 2i, 2i + 1 and 2i + 2 serve as the RK4
+    stages and as the Simpson nodes of step i.
+    """
+    nodes = [0.0]
+    for i in range(n):
+        nodes += [i * step + 0.5 * step, i * step + step]
+    return np.stack([family.apply(s, x) for s in nodes])
+
+
+def _rk4_growth(rates: np.ndarray, step: float) -> np.ndarray:
     """Classical RK4 for g'(alpha) = rate(alpha) g(alpha), g(0) = 1, at alpha = i * step.
 
-    The stages evaluate rate at (i + 0.5) * step and (i + 1) * step; dtype is
-    float, or complex when the rate is complex.
+    rates holds the rate at the nodes of _flow_nodes, node index first, with
+    any trailing shape (one curve per entry); the curves take its dtype.
     """
-    values = np.empty(n_grid + 1, dtype=dtype)
+    n_grid = (len(rates) - 1) // 2
+    values = np.empty((n_grid + 1,) + rates.shape[1:], dtype=rates.dtype)
     values[0] = 1.0
-    rate_lo = rate(0.0)
     for i in range(n_grid):
         g = values[i]
-        rate_mid = rate((i + 0.5) * step)
-        rate_hi = rate((i + 1.0) * step)
+        rate_lo, rate_mid, rate_hi = rates[2 * i], rates[2 * i + 1], rates[2 * i + 2]
         k1 = rate_lo * g
         k2 = rate_mid * (g + 0.5 * step * k1)
         k3 = rate_mid * (g + 0.5 * step * k2)
         k4 = rate_hi * (g + step * k3)
         values[i + 1] = g + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rate_lo = rate_hi
     return values
 
 
@@ -191,15 +205,11 @@ def solve_density_ode(
     if n_grid <= 0:
         raise ValueError("n_grid must be positive")
     x_probe = np.asarray(x_probe, dtype=float).reshape(m.dim)
-    h = family_generator(family)
-
-    def beta_at(alpha: float) -> float:
-        y = family.apply(alpha, x_probe)
-        return log_derivative_along_field(m, h, y).total
-
-    values = _rk4_growth(beta_at, alpha_max / n_grid, n_grid, float)
+    step = alpha_max / n_grid
+    ys = _flow_nodes(family, step, n_grid, x_probe)
+    _, beta, div = _field_log_derivative_rows(m, family_generator(family), ys)
     alphas = np.linspace(0.0, alpha_max, n_grid + 1)
-    return DensityCurve(alphas, values, x_probe.copy())
+    return DensityCurve(alphas, _rk4_growth(beta + div, step), x_probe.copy())
 
 
 def _pushforward_density(
@@ -216,27 +226,33 @@ def _pushforward_density(
     return np.exp(m.logpdf(x) - m.logpdf(moved) - log_det)
 
 
+def _cumulative_trace_integral(
+    family: TransformationFamily, step: float, n_grid: int, xb: np.ndarray
+) -> np.ndarray:
+    """Simpson integral of trace V' = -div h_S along S(s, x) from 0 to each s = i * step.
+
+    One row per grid point (row 0 is +0.0), one column per row of xb: a
+    cumsum of the per-interval terms over the nodes of _flow_nodes.
+    """
+    points = _flow_nodes(family, step, n_grid, xb).reshape(-1, family.dim)
+    trace = -family_generator(family).divergence_batch(points).reshape(2 * n_grid + 1, -1)
+    terms = step / 6.0 * (trace[:-1:2] + 4.0 * trace[1::2] + trace[2::2])
+    return np.cumsum(np.concatenate([np.zeros((1, xb.shape[0])), terms]), axis=0)
+
+
 def trace_integral_along_flow(
     family: TransformationFamily, alpha: float, x: np.ndarray, n_grid: int = 128
 ) -> float | np.ndarray:
     """integral_0^alpha trace V'(y(s)) ds along y(s) = S(s, x), V the flow velocity.
 
-    The integrand is the velocity divergence -div h_S, taken in one call over
-    every Simpson node; composite Simpson on n_grid intervals (order 4).  x is
-    one point (returns a float) or a batch of points (returns one value per
-    row).  For a flow this equals log det dS(alpha)(x)/dx, which is the
-    determinant-trace duality asserted by the anomaly experiment.
+    Composite Simpson on n_grid intervals (order 4): the last entry of
+    _cumulative_trace_integral.  x is one point (returns a float) or a batch
+    of points (returns one value per row).  For a flow this equals
+    log det dS(alpha)(x)/dx, which is the determinant-trace duality asserted
+    by the anomaly experiment.
     """
     if n_grid <= 0:
         raise ValueError("n_grid must be positive")
     xb, single = _as_batch(x, family.dim)
-    step = alpha / n_grid
-    nodes = [0.0]
-    for i in range(n_grid):
-        nodes += [i * step + 0.5 * step, i * step + step]
-    points = np.stack([family.apply(s, xb) for s in nodes]).reshape(-1, family.dim)
-    trace = -family_generator(family).divergence_batch(points).reshape(len(nodes), -1)
-    total = np.zeros(xb.shape[0])
-    for i in range(n_grid):
-        total += step / 6.0 * (trace[2 * i] + 4.0 * trace[2 * i + 1] + trace[2 * i + 2])
+    total = _cumulative_trace_integral(family, alpha / n_grid, n_grid, xb)[-1]
     return float(total[0]) if single else total

@@ -13,6 +13,7 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .action import Lagrangian, QuadraticEta
 from .fields import TestFunction, TransformationFamily, VectorField
@@ -266,16 +267,16 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
         nodes = xb.reshape(-1, d)
         return np.asarray(base.eval(alpha, nodes)).reshape(xb.shape)
 
+    def per_node_blocks(block, x: np.ndarray) -> np.ndarray:
+        """Block-diagonal matrix of block(x_j) over the time nodes x_j of x."""
+        x = np.asarray(x, dtype=float)
+        return block_diag(*(block(x[j * d : (j + 1) * d]) for j in range(n)))
+
     alpha_jacobian = None
     if base.alpha_jacobian is not None:
 
         def alpha_jacobian(alpha: float, x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            out = np.zeros((dim, dim))
-            for j in range(n):
-                sl = slice(j * d, (j + 1) * d)
-                out[sl, sl] = base.alpha_jacobian(alpha, x[sl])
-            return out
+            return per_node_blocks(lambda y: base.alpha_jacobian(alpha, y), x)
 
     generator = None
     if base.generator_field is not None:
@@ -285,14 +286,6 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
             xb = np.atleast_2d(x)
             return np.asarray(base_gen.eval(xb.reshape(-1, d))).reshape(xb.shape)
 
-        def gen_jacobian(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            out = np.zeros((dim, dim))
-            for j in range(n):
-                sl = slice(j * d, (j + 1) * d)
-                out[sl, sl] = base_gen.jacobian_at(x[sl])
-            return out
-
         def gen_divergence(x: np.ndarray) -> np.ndarray:
             xb = np.atleast_2d(x)
             per_node = base_gen.divergence_batch(xb.reshape(-1, d))
@@ -301,7 +294,7 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
         generator = VectorField(
             dim=dim,
             eval=gen_eval,
-            jacobian=gen_jacobian,
+            jacobian=lambda x: per_node_blocks(base_gen.jacobian_at, x),
             divergence=gen_divergence,
             label=f"pointwise {base_gen.label}",
         )

@@ -131,9 +131,7 @@ class GaussianMeasure:
         return 0.5 * self.dim * _LOG_2PI - half_logdet
 
     def covariance(self) -> np.ndarray:
-        ident = np.eye(self.dim)
-        y = solve_triangular(self._chol_lower, ident, lower=True)
-        return y.T @ y
+        return self._chol_inv.T @ self._chol_inv
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         """Log density, vectorized over rows of x."""
@@ -324,14 +322,23 @@ def log_derivative_along_field(
     return FieldLogDerivative(vector_term, trace_term, vector_term + trace_term)
 
 
+def _field_log_derivative_rows(
+    m: GaussianMeasure, h: VectorField, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise h(x), beta(h(x), x) and div h(x) on a batch; h is evaluated once."""
+    hx = np.asarray(h.eval(x), dtype=float)
+    return hx, _vector_log_derivative_batch(m, hx, x), h.divergence_batch(x)
+
+
 def _ibp_integrand(
     m: GaussianMeasure, phi: TestFunction, h: VectorField, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise phi' . h, phi, beta(h(x), x) and div h on a batch; h is evaluated once."""
-    hx = np.asarray(h.eval(x), dtype=float)
-    grad_dot_h = np.einsum("ij,ij->i", np.asarray(phi.gradient(x), dtype=float), hx)
-    beta = _vector_log_derivative_batch(m, hx, x)
-    return grad_dot_h, np.asarray(phi.evaluator(x), dtype=float), beta, h.divergence_batch(x)
+    """Row-wise phi' . h, phi, beta(h(x), x) and div h on a batch."""
+    # phi.gradient runs before h: holding hx, beta and div through it raised the MC peak RSS
+    grad = np.asarray(phi.gradient(x), dtype=float)
+    hx, beta, div = _field_log_derivative_rows(m, h, x)
+    grad_dot_h = np.einsum("ij,ij->i", grad, hx)
+    return grad_dot_h, np.asarray(phi.evaluator(x), dtype=float), beta, div
 
 
 def ibp_residual(

@@ -282,6 +282,18 @@ def test_oscillatory_check_beyond_the_quadrature_guard_exits_2_without_outputs(t
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_singular_jacobian_exits_2_without_outputs(tmp_path, capsys):
+    config_path = os.path.join(CONFIG_DIR, "flow_density.json")
+    args = ["run", config_path, "--out", str(tmp_path),
+            "--set", "parameters.alpha_max=800", "--set", "parameters.n_grid=8"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "singular or orientation-reversing" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_shipped_anomaly_scan_reports_the_split(tmp_path, capsys):
     config_path = os.path.join(CONFIG_DIR, "anomaly_scan.json")
     assert main(["run", config_path, "--out", str(tmp_path)]) == 0

@@ -26,6 +26,9 @@ from logmeasure import (
     make_lattice,
     oscillatory_check,
     pde_solve,
+    sample,
+    solve_density_ode,
+    wiener_measure,
 )
 from logmeasure.library import (
     free_lagrangian,
@@ -34,6 +37,7 @@ from logmeasure.library import (
     quartic_lagrangian,
     rotation_family,
     scaling_family,
+    sine_flow_family,
 )
 
 from _oracles import (
@@ -489,3 +493,61 @@ def test_anomaly_is_deterministic():
     assert a.summand_rows == b.summand_rows
     assert a.duality_rows == b.duality_rows
     assert a.density_deviation == b.density_deviation
+
+
+def test_anomaly_scan_walks_each_trajectory_once():
+    lat = _scan_lattice()
+    base = scaling_family(16)
+    calls = []
+
+    def counted_eval(alpha, x):
+        calls.append(alpha)
+        return base.eval(alpha, x)
+
+    n_alpha, duality_grid, density_grid = 3, 8, 5
+    anomaly_experiment(
+        family=replace(base, eval=counted_eval),
+        lagrangians=[free_lagrangian(1), harmonic_lagrangian(1), quartic_lagrangian(1)],
+        lattice=lat,
+        n_paths=4,
+        seed=3,
+        invariant_flags=[True, False, False],
+        n_alpha=n_alpha,
+        duality_grid=duality_grid,
+        density_grid=density_grid,
+    )
+    n_fine = n_alpha * -(-duality_grid // n_alpha)
+    assert len(calls) == (2 * n_fine + 1) + (2 * density_grid + 1)
+
+
+@pytest.mark.parametrize("mode", [EUCLID, REAL], ids=["euclidean", "real_time"])
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda lat: scaling_family(lat.dim),
+        lambda lat: pointwise_family(sine_flow_family(1, amplitude=0.3), lat),
+    ],
+    ids=["scaling", "pointwise_sine_flow"],
+)
+def test_free_lagrangian_density_is_the_gaussian_density_ode(builder, mode):
+    lat = make_lattice(8, 1.0, 1)
+    family = builder(lat)
+    alpha_max, density_grid, n_paths, seed = 0.25, 16, 2, 4
+    free = free_lagrangian(1)
+    report = anomaly_experiment(
+        family=family,
+        lagrangians=[free, harmonic_lagrangian(1)],
+        lattice=lat,
+        n_paths=n_paths,
+        seed=seed,
+        mode=mode,
+        alpha_max=alpha_max,
+        n_alpha=2,
+        duality_grid=16,
+        density_grid=density_grid,
+        strict=False,
+    )
+    m = wiener_measure(lat, free.kinetic_matrix)
+    probe = sample(m, n_paths, seed)[0]
+    curve = solve_density_ode(m, family, alpha_max, density_grid, probe)
+    assert report.density_deviation[free.label] == abs(curve.values[-1] - 1.0)

@@ -25,7 +25,7 @@ from logmeasure import (
     trace_integral_along_flow,
     wiener_measure,
 )
-from logmeasure.flows import _pushforward_density
+from logmeasure.flows import _cumulative_trace_integral, _pushforward_density
 from logmeasure.library import (
     pointwise_family,
     polynomial_pairs,
@@ -377,3 +377,47 @@ def test_trace_integral_of_a_batch_is_bitwise_the_per_point_values(builder):
         single = trace_integral_along_flow(fam, 0.25, x, n_grid=32)
         assert isinstance(single, float)
         assert batch[i] == single
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda lat: scaling_family(lat.dim),
+        lambda lat: pointwise_family(sine_flow_family(1, amplitude=0.3), lat),
+    ],
+    ids=["scaling", "pointwise_sine_flow"],
+)
+def test_cumulative_trace_integral_matches_a_per_alpha_call_at_every_grid_point(builder):
+    lat = make_lattice(6, 1.0, 1)
+    fam = builder(lat)
+    paths = np.random.default_rng(7).normal(size=(3, lat.dim))
+    step, n_grid = 0.3 / 12, 12
+    cumulative = _cumulative_trace_integral(fam, step, n_grid, paths)
+    assert cumulative.shape == (n_grid + 1, 3)
+    for j in range(1, n_grid + 1):
+        per_alpha = trace_integral_along_flow(fam, j * step, paths, n_grid=j)
+        np.testing.assert_allclose(cumulative[j], per_alpha, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda lat: scaling_family(lat.dim),
+        lambda lat: pointwise_family(sine_flow_family(1, amplitude=0.3), lat),
+        lambda lat: translation_family(lat.dim),
+    ],
+    ids=["scaling", "pointwise_sine_flow", "translation"],
+)
+def test_trace_integral_is_bitwise_the_interval_by_interval_simpson_loop(builder):
+    lat = make_lattice(6, 1.0, 1)
+    fam = builder(lat)
+    paths = np.random.default_rng(8).normal(size=(3, lat.dim))
+    alpha, n_grid = 0.25, 16
+    step = alpha / n_grid
+    nodes = [0.0] + [s for i in range(n_grid) for s in (i * step + 0.5 * step, i * step + step)]
+    trace = [-family_generator(fam).divergence_batch(fam.apply(s, paths)) for s in nodes]
+    total = np.zeros(len(paths))
+    for i in range(n_grid):
+        total += step / 6.0 * (trace[2 * i] + 4.0 * trace[2 * i + 1] + trace[2 * i + 2])
+    # the sign bit too: a zero integral is +0.0
+    assert trace_integral_along_flow(fam, alpha, paths, n_grid).tobytes() == total.tobytes()
