@@ -2,13 +2,14 @@
 
 A Lagrangian here is split as L(q, v) = eta(q, v) + (1/2) v^T B v with B the
 same symmetric positive definite kinetic matrix that builds the path measure.
-The discretized action over a path psi on a time lattice uses left-endpoint
-position sampling and forward-difference velocities:
+DiscreteAction is the one place the time slicing is written: left-endpoint
+positions and forward-difference velocities,
 
     A(psi) = sum_j [ eta(psi_{j-1} + q0, dpsi_j / dt) + (1/2) |dpsi_j / dt|_B^2 ] dt
 
-with psi_{-1} = 0 (paths are pinned at the origin) and q0 a fixed spatial
-offset for propagator work.
+with psi_{-1} = 0 and q0 a spatial offset (the probe point in propagator
+work).  Its row methods take a batch of flat paths, real or complex; the
+Path methods are their one-row case.
 
 The action-weighted pseudo-measure W has logarithmic derivatives composed of
 three pieces: the Gaussian part (carried by the path measure itself), the
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import VectorField
-from .lattice import Path, TimeLattice, discrete_derivative
+from .lattice import Path, TimeLattice
 
 Array = np.ndarray
 
@@ -104,8 +105,8 @@ class Lagrangian:
 
     def eta_velocity_gradient(self, Q: Array, V: Array) -> Array:
         if self.eta_d2 is None:
-            return np.zeros_like(np.asarray(Q, dtype=float))
-        return np.asarray(self.eta_d2(Q, V), dtype=float)
+            return np.zeros_like(Q)
+        return np.asarray(self.eta_d2(Q, V))
 
 
 @dataclass(frozen=True)
@@ -138,39 +139,53 @@ class DiscreteAction:
         q0 = np.asarray(q0, dtype=float).reshape(self.lattice.dim_q)
         object.__setattr__(self, "q_offset", q0)
 
-    def _positions_velocities(self, path: Path) -> tuple[Array, Array]:
-        if path.lattice != self.lattice:
-            raise ValueError("path lattice does not match the action's lattice")
-        left = np.vstack([np.zeros((1, self.lattice.dim_q)), path.values[:-1]])
-        return left + self.q_offset, discrete_derivative(path)
+    def _slices(self, x: Array) -> tuple[Array, Array]:
+        """Positions psi_{j-1} (psi_{-1} = 0, no q_offset) and velocities (psi_j - psi_{j-1}) / dt
+        of flat paths (rows, dim), real or complex, each as (rows * n_steps, dim_q)."""
+        lat = self.lattice
+        paths = x.reshape(len(x), lat.n_steps, lat.dim_q)
+        start = np.zeros((len(x), 1, lat.dim_q), dtype=x.dtype)
+        left = np.concatenate([start, paths[:, :-1]], axis=1)
+        vel = (paths - left) / lat.dt
+        return left.reshape(-1, lat.dim_q), vel.reshape(-1, lat.dim_q)
 
-    def action_value(self, path: Path) -> float:
-        """A(psi): eta plus kinetic quadratic, summed with weight dt."""
-        Q, V = self._positions_velocities(path)
-        b = self.lagrangian.kinetic_matrix
-        eta_rows = np.asarray(self.lagrangian.eta(Q, V), dtype=float)
-        kinetic_rows = 0.5 * np.einsum("ij,ij->i", V, V @ b)
-        return float(np.sum(eta_rows + kinetic_rows) * self.lattice.dt)
+    def _action_rows(self, x: Array, kinetic: bool) -> Array:
+        """A(psi) per row of a batch of flat paths; the eta part alone unless kinetic."""
+        left, V = self._slices(x)
+        rows = np.asarray(self.lagrangian.eta(left + self.q_offset, V))
+        if kinetic:
+            rows = rows + 0.5 * np.einsum("ij,ij->i", V, V @ self.lagrangian.kinetic_matrix)
+        return rows.reshape(len(x), -1).sum(axis=1) * self.lattice.dt
 
-    def first_variation(self, path: Path, direction: Path) -> float:
-        """d/ds A(psi + s k)|_0 for a lattice direction k, eta and kinetic parts."""
-        return self._variation(path, direction, kinetic=True)
-
-    def eta_variation(self, path: Path, direction: Path) -> float:
-        """The eta-only part of the first variation (kinetic part excluded)."""
-        return self._variation(path, direction, kinetic=False)
-
-    def _variation(self, path: Path, direction: Path, kinetic: bool) -> float:
-        Q, V = self._positions_velocities(path)
-        kQ, kV = self._positions_velocities(direction)
-        lag = self.lagrangian
-        rows = np.einsum("ij,ij->i", np.asarray(lag.eta_d1(Q, V), dtype=float), kQ - self.q_offset)
+    def _variation_rows(self, x: Array, k: Array, kinetic: bool) -> Array:
+        """d/ds A(psi + s k)|_0 per row pair of two path batches; eta part alone unless kinetic."""
+        left, V = self._slices(x)
+        kQ, kV = self._slices(k)
+        lag, Q = self.lagrangian, left + self.q_offset
+        rows = np.einsum("ij,ij->i", np.asarray(lag.eta_d1(Q, V)), kQ)
         if kinetic or lag.eta_d2 is not None:
             v_grad = lag.eta_velocity_gradient(Q, V)
             if kinetic:
                 v_grad = v_grad + V @ lag.kinetic_matrix
             rows = rows + np.einsum("ij,ij->i", v_grad, kV)
-        return float(np.sum(rows) * self.lattice.dt)
+        return rows.reshape(len(x), -1).sum(axis=1) * self.lattice.dt
+
+    def _row(self, path: Path) -> Array:
+        if path.lattice != self.lattice:
+            raise ValueError("path lattice does not match the action's lattice")
+        return path.values.reshape(1, -1)
+
+    def action_value(self, path: Path) -> float:
+        """A(psi): eta plus kinetic quadratic, summed with weight dt."""
+        return float(self._action_rows(self._row(path), kinetic=True)[0])
+
+    def first_variation(self, path: Path, direction: Path) -> float:
+        """d/ds A(psi + s k)|_0 for a lattice direction k, eta and kinetic parts."""
+        return float(self._variation_rows(self._row(path), self._row(direction), kinetic=True)[0])
+
+    def eta_variation(self, path: Path, direction: Path) -> float:
+        """The eta-only part of the first variation (kinetic part excluded)."""
+        return float(self._variation_rows(self._row(path), self._row(direction), kinetic=False)[0])
 
     def w_log_derivative_vector(
         self, mode: WLogDerivativeMode, direction: Path, path: Path
@@ -195,9 +210,7 @@ class DiscreteAction:
         """
         if h.dim != self.lattice.dim:
             raise ValueError("vector field dimension does not match the lattice")
-        from .lattice import path_from_flat
-
-        direction = path_from_flat(self.lattice, h.eval_at(path.flat))
-        eta_term = mode.factor * self.eta_variation(path, direction)
-        trace_term = float(h.divergence_at(path.flat))
+        x = self._row(path)
+        eta_term = mode.factor * float(self._variation_rows(x, h.eval(x), kinetic=False)[0])
+        trace_term = float(h.divergence_batch(x)[0])
         return WFieldLogDerivative(eta_term, trace_term, eta_term + trace_term)

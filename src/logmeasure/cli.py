@@ -35,10 +35,10 @@ from .errors import SingularJacobianError
 from .feynman import (
     SchrodingerProblem,
     SpaceGrid,
+    _sliced_kernel,
     anomaly_experiment,
     constant_initial_condition,
     exact_gaussian_propagator,
-    feynman_mc,
     free_evolution_closed_form,
     gaussian_bump,
     oscillatory_check,
@@ -412,7 +412,7 @@ def _run_solve(params: dict, seed: int, workers: int):
         if "n_samples" not in params:
             raise ConfigError("mc method needs n_samples")
         quad = QuadratureSpec(QuadratureKind.MONTE_CARLO, params["n_samples"], seed, workers)
-        estimates = [feynman_mc(problem, point, lattice, quad) for point in points]
+        estimates = _sliced_kernel(problem, lattice, points, WLogDerivativeMode.EUCLIDEAN, quad)
         values = [complex(est.value) for est in estimates]
         std_errors = [est.std_error for est in estimates]
     elif method == "exact_gaussian":
@@ -472,8 +472,8 @@ def _run_compare(params: dict, seed: int, workers: int):
         mc_spec = candidates["mc"]
         lattice = make_lattice(mc_spec["n_steps"], problem.t_final, problem.dim_q)
         quad = QuadratureSpec(QuadratureKind.MONTE_CARLO, mc_spec["n_samples"], seed, workers)
-        for i, point in enumerate(points):
-            est = feynman_mc(problem, point, lattice, quad)
+        estimates = _sliced_kernel(problem, lattice, points, WLogDerivativeMode.EUCLIDEAN, quad)
+        for i, est in enumerate(estimates):
             allowed = se_multiplier * est.std_error + tolerance_abs
             rows.append(row("mc", i, est.value, est.std_error, allowed))
     if "exact_gaussian" in candidates:

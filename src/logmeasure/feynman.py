@@ -6,13 +6,12 @@ Four evaluation routes for u(t, q):
 * pde_solve: implicit-midpoint (Crank-Nicolson) finite differences, the
   reference oracle.  Damped mode solves du/dt = (1/2) Delta_C u - eta u,
   oscillatory mode solves du/dt = i ((1/2) Delta_C u + eta u), C = B^{-1}.
-* feynman_mc: Feynman-Kac Monte Carlo over discretized Wiener paths
-  (damped weight exp(-sum eta dt) only).
+* feynman_mc: Feynman-Kac Monte Carlo of E_W[exp(-A_eta) f0] over discretized
+  Wiener paths psi, A_eta the eta part of DiscreteAction's action.
 * exact_gaussian_propagator: closed-form Gaussian integral for quadratic eta
   and Gaussian-times-polynomial initial data; no sampling error.
-* oscillatory_check: Gauss-Hermite quadrature of the oscillatory time-sliced
-  kernel for quadratic eta and Gaussian f0, after a 45-degree contour
-  rotation turns the Fresnel phase into the Wiener measure's density.
+* oscillatory_check: the same kernel with weight exp(i A_eta) on the contour
+  e^{i pi/4} psi, by Gauss-Hermite quadrature (quadratic eta, Gaussian f0).
 
 anomaly_experiment samples paths, evaluates the two summands of the weighted
 measure's logarithmic derivative (action variation and Jacobian trace) for
@@ -43,7 +42,7 @@ from .flows import (
     family_velocity,
     jacobian_log_det,
 )
-from .lattice import TimeLattice, cm_gram, path_from_flat
+from .lattice import TimeLattice, cm_gram
 from .measures import (
     Estimate,
     GaussianMeasure,
@@ -335,6 +334,38 @@ def pde_solve(
     )
 
 
+def _sliced_kernel(
+    p: SchrodingerProblem, lattice: TimeLattice, points: Sequence, mode: WLogDerivativeMode,
+    quad: QuadratureSpec,
+) -> list[Estimate]:
+    """E_W[exp(mode.factor * A_eta(z; q)) * f0(z_n + q)] at every probe q.
+
+    W = wiener_measure(lattice, B), A_eta the eta part of DiscreteAction(q_offset=q),
+    z = psi (Euclidean) or e^{i pi/4} psi (real time).  Each batch is drawn once for
+    all probes; a probe gets one reducer column, or two (real, imag) in real time.
+    """
+    if lattice.dim_q != p.dim_q:
+        raise ValueError("lattice and problem disagree on spatial dimension")
+    if not np.isclose(lattice.t_final, p.t_final):
+        raise ValueError("lattice horizon does not match the problem's t_final")
+    euclidean = mode is WLogDerivativeMode.EUCLIDEAN
+    actions = [DiscreteAction(p.lagrangian, lattice, q) for q in points]
+
+    def rows(x: Array) -> Array:
+        z = x if euclidean else np.exp(1j * np.pi / 4.0) * x
+        cols = []
+        for action in actions:
+            f0_vals = np.asarray(p.f0.evaluator(z[:, -lattice.dim_q :] + action.q_offset))
+            if euclidean and np.iscomplexobj(f0_vals):
+                raise ValueError("feynman_mc evaluates the damped regime; f0 must be real-valued")
+            vals = np.exp(mode.factor * action._action_rows(z, kinetic=False)) * f0_vals
+            cols += [vals] if euclidean else [vals.real, vals.imag]
+        return np.stack(cols, axis=1)
+
+    m = wiener_measure(lattice, p.kinetic_matrix)
+    return _integrate_columns(m, quad, rows, len(actions) * (1 if euclidean else 2))
+
+
 def feynman_mc(
     p: SchrodingerProblem, q_point, lattice: TimeLattice, mc: QuadratureSpec
 ) -> Estimate:
@@ -344,31 +375,9 @@ def feynman_mc(
     measure and averages exp(-sum_j eta(psi_{j-1}+q, dpsi_j/dt) dt) *
     f0(psi_n + q).  Deterministic for fixed (seed, workers).
     """
-    if lattice.dim_q != p.dim_q:
-        raise ValueError("lattice and problem disagree on spatial dimension")
-    if not np.isclose(lattice.t_final, p.t_final):
-        raise ValueError("lattice horizon does not match the problem's t_final")
     if mc.kind is not QuadratureKind.MONTE_CARLO:
         raise ValueError("feynman_mc requires a Monte Carlo quadrature spec")
-    q_point = np.asarray(q_point, dtype=float).reshape(p.dim_q)
-    m = wiener_measure(lattice, p.kinetic_matrix)
-    n, d, dt = lattice.n_steps, lattice.dim_q, lattice.dt
-
-    def rows(x: Array) -> Array:
-        paths = x.reshape(-1, n, d)
-        rows_count = paths.shape[0]
-        left = np.concatenate([np.zeros((rows_count, 1, d)), paths[:, :-1, :]], axis=1)
-        vel = np.diff(paths, axis=1, prepend=np.zeros((rows_count, 1, d))) / dt
-        eta_rows = np.asarray(
-            p.lagrangian.eta(left.reshape(-1, d) + q_point, vel.reshape(-1, d)), dtype=float
-        ).reshape(rows_count, n)
-        weight = np.exp(-dt * eta_rows.sum(axis=1))
-        f0_vals = np.asarray(p.f0.evaluator(paths[:, -1, :] + q_point))
-        if np.iscomplexobj(f0_vals):
-            raise ValueError("feynman_mc evaluates the damped regime; f0 must be real-valued")
-        return (weight * f0_vals).reshape(-1, 1)
-
-    return _integrate_columns(m, mc, rows, 1)[0]
+    return _sliced_kernel(p, lattice, [q_point], WLogDerivativeMode.EUCLIDEAN, mc)[0]
 
 
 def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> complex:
@@ -478,23 +487,8 @@ def oscillatory_check(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> c
         raise ValueError("oscillatory_check requires a certified quadratic eta")
     if p.lagrangian.velocity_coupled:
         raise ValueError("velocity-coupled eta is not supported in the sliced kernel")
-    if not np.isclose(lattice.t_final, p.t_final):
-        raise ValueError("lattice horizon does not match the problem's t_final")
-
-    n, dt = lattice.n_steps, lattice.dt
-    q0 = float(np.asarray(q_point, dtype=float).reshape(()))
-    rot = np.exp(1j * np.pi / 4.0)
-
-    def rows(u: Array) -> Array:
-        z = rot * u + q0
-        left = np.concatenate([np.full((len(u), 1), q0), z[:, :-1]], axis=1).reshape(-1, 1)
-        eta_vals = np.asarray(p.lagrangian.eta(left, np.zeros_like(left))).reshape(len(u), n)
-        vals = np.exp(1j * dt * eta_vals.sum(axis=1)) * np.asarray(p.f0.evaluator(z[:, -1:]))
-        return np.stack([vals.real, vals.imag], axis=1)
-
-    m = wiener_measure(lattice, p.kinetic_matrix)
     gh = QuadratureSpec(QuadratureKind.GAUSS_HERMITE, _OSCILLATORY_GH_ORDER)
-    real_part, imag_part = _integrate_columns(m, gh, rows, 2)
+    real_part, imag_part = _sliced_kernel(p, lattice, [q_point], WLogDerivativeMode.REAL_TIME, gh)
     return complex(real_part.value, imag_part.value)
 
 
@@ -609,27 +603,23 @@ def anomaly_experiment(
         if not np.array_equal(lag.kinetic_matrix, kinetic):
             raise ValueError("all Lagrangians in one scan must share the kinetic matrix")
 
+    labels = [lag.label or f"lagrangian{i}" for i, lag in enumerate(lagrangians)]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"Lagrangian labels must be distinct, got {labels}")
+
     m = wiener_measure(lattice, kinetic)
     paths_flat = sample(m, n_paths, seed)
     velocity = family_velocity(family)
     actions = [DiscreteAction(lag, lattice) for lag in lagrangians]
 
-    summand_rows: list[AnomalySummandRow] = []
-    labels = []
-    for lag, action in zip(lagrangians, actions):
-        label = lag.label or f"lagrangian{len(labels)}"
-        labels.append(label)
-        for idx in range(n_paths):
-            path = path_from_flat(lattice, paths_flat[idx])
-            piece = action.w_log_derivative_field(mode, velocity, path)
-            summand_rows.append(
-                AnomalySummandRow(
-                    lagrangian_label=label,
-                    path_index=idx,
-                    eta_term=piece.eta_term,
-                    trace_term=piece.trace_term,
-                )
-            )
+    directions = velocity.eval(paths_flat)
+    traces = velocity.divergence_batch(paths_flat)
+    variations = [action._variation_rows(paths_flat, directions, kinetic=False) for action in actions]
+    summand_rows = [
+        AnomalySummandRow(label, idx, mode.factor * float(eta), float(trace))
+        for label, etas in zip(labels, variations)
+        for idx, (eta, trace) in enumerate(zip(etas, traces))
+    ]
 
     alphas = np.linspace(0.0, alpha_max, n_alpha + 1)[1:]
     per_alpha = -(-duality_grid // n_alpha)
@@ -656,8 +646,7 @@ def anomaly_experiment(
     step = alpha_max / density_grid
     ys = _flow_nodes(family, step, density_grid, paths_flat[0])
     hy, beta, div = _field_log_derivative_rows(m, family_generator(family), ys)
-    pairs = [(path_from_flat(lattice, y), path_from_flat(lattice, v)) for y, v in zip(ys, hy)]
-    eta = np.array([[action.eta_variation(*pair) for action in actions] for pair in pairs])
+    eta = np.stack([action._variation_rows(ys, hy, kinetic=False) for action in actions], axis=1)
     curves = _rk4_growth((beta + div)[:, None] + mode.factor * eta, step)
     density_deviation = {label: float(abs(g - 1.0)) for label, g in zip(labels, curves[-1])}
 

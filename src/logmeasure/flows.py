@@ -34,16 +34,16 @@ from .measures import (
 def generator(family: TransformationFamily, fd_step: float = 1e-5) -> VectorField:
     """Finite-difference generator h_S(x) = -d/dalpha S(alpha)(x)|_0.
 
-    Central differences with step fd_step * (1 + |x|); batched calls share the
-    largest step in the batch.  The Jacobian differentiates alpha_jacobian in
-    alpha when the family supplies it, else falls back to nested differencing
-    of the generator itself with an outer step of sqrt(fd_step) scale.
+    h is a central difference in alpha with step fd_step at every point, so a
+    row's h(x) does not depend on the other rows of its batch.  The Jacobian
+    differentiates alpha_jacobian in alpha with step fd_step * (1 + |x|) when
+    the family supplies it, else falls back to nested differencing of the
+    generator itself with an outer step of sqrt(fd_step) scale.
     """
 
     def h_eval(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        step = fd_step * (1.0 + float(np.max(np.linalg.norm(x, axis=1))))
-        return -(family.eval(step, x) - family.eval(-step, x)) / (2.0 * step)
+        return -(family.eval(fd_step, x) - family.eval(-fd_step, x)) / (2.0 * fd_step)
 
     def h_jac(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -243,12 +243,16 @@ def _integrate_columns(
     plain column sum over n; its standard error comes from per-batch
     (count, mean, M2) merged by the Chan-Golub-LeVeque update, which keeps
     its digits when the column's mean dwarfs its spread.  Gauss-Hermite
-    values are weighted sums and carry std_error None.
+    values are weighted sums and carry std_error None.  A batch with a
+    non-finite row raises ValueError rather than returning a NaN estimate.
     """
     sums = np.zeros(n_cols)
     total, mean, m2 = 0, np.zeros(n_cols), np.zeros(n_cols)
     for x, weights in _chunks(m, q):
         cols = np.asarray(row_fn(x), dtype=float).reshape(len(x), n_cols)
+        bad = np.count_nonzero(~np.isfinite(cols).all(axis=1))
+        if bad:
+            raise ValueError(f"{bad} of {len(x)} rows in a batch have a non-finite value")
         if weights is not None:
             sums += weights @ cols
             continue

@@ -13,6 +13,7 @@ from logmeasure import (
     cm_inner,
     log_derivative_along_vector,
     make_lattice,
+    path_from_flat,
     wiener_measure,
 )
 from logmeasure.library import free_lagrangian, harmonic_lagrangian, quartic_lagrangian
@@ -335,3 +336,64 @@ def test_w_field_rejects_wrong_dimension():
     bad = VectorField(dim=3, eval=lambda x: np.atleast_2d(x).copy())
     with pytest.raises(ValueError):
         action.w_log_derivative_field(EUCLID, bad, path)
+
+
+# ---------------------------------------------------------------------------
+# batched rows: the Path methods are their one-row case
+
+
+def _coupled_lagrangian():
+    def eta(q, v):
+        return 0.5 * np.einsum("ij,ij->i", q, v) ** 2 + np.einsum("ij,ij->i", q, q)
+
+    return Lagrangian(
+        dim_q=2,
+        eta=eta,
+        eta_d1=lambda q, v: np.einsum("ij,ij->i", q, v)[:, None] * v + 2.0 * q,
+        eta_d2=lambda q, v: np.einsum("ij,ij->i", q, v)[:, None] * q,
+        kinetic_matrix=np.array([[1.5, 0.3], [0.3, 1.0]]),
+        velocity_coupled=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "lag",
+    [harmonic_lagrangian(2), quartic_lagrangian(2), _coupled_lagrangian()],
+    ids=["harmonic", "quartic", "velocity_coupled"],
+)
+@pytest.mark.parametrize("q_offset", [None, [0.3, -0.4]], ids=["no_offset", "offset"])
+def test_batched_rows_are_bitwise_the_path_methods(lag, q_offset):
+    lat = make_lattice(7, 0.9, 2)
+    action = DiscreteAction(lag, lat, q_offset)
+    rng = np.random.default_rng(12)
+    x, k = rng.normal(size=(2, 5, lat.dim))
+    rows = {
+        "action": action._action_rows(x, kinetic=True),
+        "first": action._variation_rows(x, k, kinetic=True),
+        "eta": action._variation_rows(x, k, kinetic=False),
+    }
+    for i in range(len(x)):
+        path, direction = path_from_flat(lat, x[i]), path_from_flat(lat, k[i])
+        assert rows["action"][i] == action.action_value(path)
+        assert rows["first"][i] == action.first_variation(path, direction)
+        assert rows["eta"][i] == action.eta_variation(path, direction)
+
+    # e^{i pi/4}-rotated complex rows: each row of a batch equals its one-row call
+    rot = np.exp(1j * np.pi / 4.0)
+    z, kz = rot * x, rot * k
+    batched = [
+        action._action_rows(z, kinetic=False),
+        action._action_rows(z, kinetic=True),
+        action._variation_rows(z, kz, kinetic=False),
+        action._variation_rows(z, kz, kinetic=True),
+    ]
+    assert all(np.iscomplexobj(b) and np.any(b.imag != 0.0) for b in batched)
+    for i in range(len(x)):
+        one = [
+            action._action_rows(z[i : i + 1], kinetic=False),
+            action._action_rows(z[i : i + 1], kinetic=True),
+            action._variation_rows(z[i : i + 1], kz[i : i + 1], kinetic=False),
+            action._variation_rows(z[i : i + 1], kz[i : i + 1], kinetic=True),
+        ]
+        for b, o in zip(batched, one):
+            assert b[i].tobytes() == o[0].tobytes()

@@ -7,6 +7,7 @@ import os
 import pytest
 from jsonschema import Draft202012Validator
 
+from logmeasure import measures
 from logmeasure.cli import _EXPERIMENTS, _TOP_SCHEMA, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -318,3 +319,33 @@ def test_solve_and_compare_configs_run_green(tmp_path, capsys):
     compare_rows = _read_rows(tmp_path / "compare_methods.csv")
     assert {r["method"] for r in compare_rows} == {"exact_gaussian", "mc"}
     assert all(r["pass"] == "true" for r in compare_rows)
+
+
+def test_duplicate_lagrangian_labels_exit_2_without_outputs(tmp_path, capsys):
+    config_path = os.path.join(CONFIG_DIR, "anomaly_scan.json")
+    lagrangians = '[{"name": "harmonic"}, {"name": "harmonic"}]'
+    args = ["run", config_path, "--out", str(tmp_path),
+            "--set", f"parameters.lagrangians={lagrangians}",
+            "--set", "parameters.invariant_flags=[false, false]"]
+    assert main(args) == 2
+    assert "labels must be distinct" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_compare_draws_the_paths_once_for_all_probes(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = measures._transform
+
+    def counted(m, z):
+        calls.append(len(z))
+        return original(m, z)
+
+    monkeypatch.setattr(measures, "_transform", counted)
+    config_path = os.path.join(CONFIG_DIR, "compare_methods.json")
+    args = ["run", config_path, "--out", str(tmp_path), "--workers", "2",
+            "--set", "parameters.candidates.mc.n_samples=4000",
+            "--set", "parameters.candidates.mc.n_steps=8"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert len(_read_rows(tmp_path / "compare_methods.csv")) == 2 * 5
+    assert calls == [2000, 2000]  # one chunk per worker stream, not one per probe

@@ -30,6 +30,7 @@ from logmeasure import (
     solve_density_ode,
     wiener_measure,
 )
+from logmeasure.feynman import _OSCILLATORY_GH_ORDER, _sliced_kernel
 from logmeasure.library import (
     free_lagrangian,
     harmonic_lagrangian,
@@ -196,6 +197,26 @@ def test_mc_is_deterministic_per_seed_and_workers():
     a = feynman_mc(p, [0.2], lat, mc)
     b = feynman_mc(p, [0.2], lat, mc)
     assert a.value == b.value and a.std_error == b.std_error
+
+
+@pytest.mark.parametrize("dim_q", [1, 2])
+def test_each_probe_column_of_the_kernel_is_a_one_probe_call(dim_q):
+    p = SchrodingerProblem(dim_q, quartic_lagrangian(dim_q), gaussian_bump(dim_q, sigma=0.8), 0.5)
+    lat = make_lattice(8, 0.5, dim_q)
+    points = [np.full(dim_q, q) for q in (-1.0, 0.0, 0.4)]
+    mc = QuadratureSpec("monte_carlo", 3000, seed=4, workers=2)
+    columns = _sliced_kernel(p, lat, points, EUCLID, mc)
+    assert columns == [feynman_mc(p, q, lat, mc) for q in points]
+    if dim_q == 1:
+        p = replace(p, lagrangian=harmonic_lagrangian(1))
+        lat = make_lattice(2, 0.5, 1)
+        gh = QuadratureSpec("gauss_hermite", _OSCILLATORY_GH_ORDER)
+        pairs = _sliced_kernel(p, lat, points, REAL, gh)
+        values = [complex(re.value, im.value) for re, im in zip(pairs[::2], pairs[1::2])]
+        # the Gauss-Hermite sum is one weights @ columns product, so its
+        # rounding may depend on the column count
+        expected = [oscillatory_check(p, q, lat) for q in points]
+        np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0.0)
 
 
 def test_mc_guards():
@@ -473,6 +494,17 @@ def test_anomaly_requires_shared_kinetic_matrix_and_two_lagrangians():
         anomaly_experiment(
             family=scaling_family(16),
             lagrangians=[free_lagrangian(1), free_lagrangian(1, kinetic_scale=2.0)],
+            lattice=_scan_lattice(),
+            n_paths=2,
+            seed=0,
+        )
+
+
+def test_anomaly_rejects_duplicate_lagrangian_labels():
+    with pytest.raises(ValueError, match="distinct"):
+        anomaly_experiment(
+            family=scaling_family(16),
+            lagrangians=[harmonic_lagrangian(1), harmonic_lagrangian(1)],
             lattice=_scan_lattice(),
             n_paths=2,
             seed=0,

@@ -91,6 +91,14 @@ def test_generator_of_scaling_is_minus_x():
     np.testing.assert_array_equal(h.jacobian_at(x), -np.eye(2))
 
 
+@pytest.mark.parametrize("fam", [scaling_family(2), rotation_family(2)], ids=["scaling", "rotation"])
+def test_fd_generator_row_does_not_depend_on_its_batch(fam):
+    h = generator(fam)
+    row = np.array([[0.3, -0.2]])
+    batch = np.array([[0.3, -0.2], [50.0, 40.0]])
+    assert h.eval(row)[0].tobytes() == h.eval(batch)[0].tobytes()
+
+
 def test_generator_of_identity_family_is_zero():
     h = generator(_identity_family(3))
     np.testing.assert_allclose(h.eval_at(np.array([1.0, 2.0, 3.0])), np.zeros(3), atol=1e-10)

@@ -232,6 +232,21 @@ def test_gauss_hermite_rule_streams_in_chunks():
     assert est.value == pytest.approx(ref, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "quad", [QuadratureSpec("monte_carlo", 1000, seed=1), GH6], ids=["monte_carlo", "gauss_hermite"]
+)
+def test_non_finite_rows_raise_with_their_count(quad):
+    # three NaN rows in one column and one infinite row in the other
+    def rows(x):
+        cols = np.ones((len(x), 2))
+        cols[:3, 1] = np.nan
+        cols[-1, 0] = np.inf
+        return cols
+
+    with pytest.raises(ValueError, match=r"^4 of \d+ rows in a batch have a non-finite value"):
+        _integrate_columns(standard_normal(2), quad, rows, 2)
+
+
 def test_gauss_hermite_dimension_guard():
     m = standard_normal(7)
     with pytest.raises(ValueError):
