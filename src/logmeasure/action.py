@@ -149,13 +149,22 @@ class DiscreteAction:
         vel = (paths - left) / lat.dt
         return left.reshape(-1, lat.dim_q), vel.reshape(-1, lat.dim_q)
 
-    def _action_rows(self, x: Array, kinetic: bool) -> Array:
-        """A(psi) per row of a batch of flat paths; the eta part alone unless kinetic."""
+    def _action_rows(self, x: Array, kinetic: bool, offsets: Optional[Array] = None) -> Array:
+        """A(psi) per row of a batch of flat paths; the eta part alone unless kinetic.
+
+        offsets, a (k, dim_q) array, stands in for q_offset: the batch is laid
+        out once and the result has one column per offset, shape (rows, k).
+        """
         left, V = self._slices(x)
-        rows = np.asarray(self.lagrangian.eta(left + self.q_offset, V))
-        if kinetic:
-            rows = rows + 0.5 * np.einsum("ij,ij->i", V, V @ self.lagrangian.kinetic_matrix)
-        return rows.reshape(len(x), -1).sum(axis=1) * self.lattice.dt
+        lag = self.lagrangian
+        kin = 0.5 * np.einsum("ij,ij->i", V, V @ lag.kinetic_matrix) if kinetic else None
+        cols = []
+        for q in self.q_offset[None] if offsets is None else offsets:
+            rows = np.asarray(lag.eta(left + q, V))
+            if kinetic:
+                rows = rows + kin
+            cols.append(rows.reshape(len(x), -1).sum(axis=1) * self.lattice.dt)
+        return cols[0] if offsets is None else np.stack(cols, axis=1)
 
     def _variation_rows(self, x: Array, k: Array, kinetic: bool) -> Array:
         """d/ds A(psi + s k)|_0 per row pair of two path batches; eta part alone unless kinetic."""

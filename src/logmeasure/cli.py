@@ -35,10 +35,10 @@ from .errors import SingularJacobianError
 from .feynman import (
     SchrodingerProblem,
     SpaceGrid,
-    _sliced_kernel,
     anomaly_experiment,
     constant_initial_condition,
     exact_gaussian_propagator,
+    feynman_mc,
     free_evolution_closed_form,
     gaussian_bump,
     oscillatory_check,
@@ -205,23 +205,56 @@ def _mode(params: dict, default: str = "euclidean") -> WLogDerivativeMode:
     return WLogDerivativeMode(params.get("mode", default))
 
 
-def _grid_values_at(values: np.ndarray, grid: SpaceGrid, points: np.ndarray) -> list[complex]:
-    """Linear interpolation of a PDE grid solution at the rows of an (n, dim_q) points array."""
-    if grid.dim_q == 1:
-        interpolated = np.interp(points[:, 0], grid.axis, values)
-    else:
-        from scipy.interpolate import RegularGridInterpolator
-
-        interpolated = RegularGridInterpolator((grid.axis, grid.axis), values)(points)
-    return [complex(v) for v in interpolated]
-
-
 def _probes(probes: list, dim_q: int) -> tuple[np.ndarray, list[dict]]:
     """Probe points and their q0/q1 CSV cells; every probe must have dim_q coordinates."""
     if any(len(probe) != dim_q for probe in probes):
         raise ConfigError(f"every probe must have {dim_q} coordinate(s)")
     cells = [{"q0": float(p[0]), "q1": float(p[1]) if dim_q > 1 else None} for p in probes]
     return np.asarray(probes, dtype=float), cells
+
+
+# the one mode each method is defined in; pde runs in both
+_METHOD_MODES = {"mc": "euclidean", "exact_gaussian": "euclidean", "oscillatory": "real_time"}
+
+
+def _method_at_probes(
+    method: str, spec: dict, problem: SchrodingerProblem, mode: WLogDerivativeMode,
+    points: np.ndarray, seed: int, workers: int,
+) -> tuple[np.ndarray, list[Optional[float]], Optional[float]]:
+    """One method's values, standard errors and PDE boundary mass at all probe rows of points.
+
+    spec holds the method's n_steps and, for pde, its grid or, for mc, its
+    n_samples.  A PDE solution is interpolated linearly at the probes, which
+    must lie in its grid box.
+    """
+    if mode.value != _METHOD_MODES.get(method, mode.value):
+        raise ConfigError(f"{method} method is defined in the {_METHOD_MODES[method]} mode only")
+    lattice = make_lattice(spec["n_steps"], problem.t_final, problem.dim_q)
+    no_errors = [None] * len(points)
+    if method == "pde":
+        if "grid" not in spec:
+            raise ConfigError("pde method needs a grid")
+        grid = SpaceGrid(problem.dim_q, spec["grid"]["extent"], spec["grid"]["n_points"])
+        if np.any(np.abs(points) > grid.extent):
+            box = f"[-{grid.extent:g}, {grid.extent:g}]^{grid.dim_q}"
+            raise ConfigError(f"every probe must lie in the PDE grid box {box}")
+        result = pde_solve(problem, grid, lattice, mode)
+        if grid.dim_q == 1:
+            values = np.interp(points[:, 0], grid.axis, result.values)
+        else:
+            from scipy.interpolate import RegularGridInterpolator
+
+            values = RegularGridInterpolator((grid.axis, grid.axis), result.values)(points)
+        return values, no_errors, result.error_estimate
+    if method == "mc":
+        if "n_samples" not in spec:
+            raise ConfigError("mc method needs n_samples")
+        quad = QuadratureSpec(QuadratureKind.MONTE_CARLO, spec["n_samples"], seed, workers)
+        estimates = feynman_mc(problem, points, lattice, quad)
+        return np.array([e.value for e in estimates]), [e.std_error for e in estimates], None
+    if method == "exact_gaussian":
+        return exact_gaussian_propagator(problem, points, lattice), no_errors, None
+    return oscillatory_check(problem, points, lattice), no_errors, None
 
 
 # ---------------------------------------------------------------------------
@@ -385,44 +418,11 @@ def _run_flow_density(params: dict, seed: int, workers: int):
 
 def _run_solve(params: dict, seed: int, workers: int):
     problem = _build_problem(params["problem"])
-    mode = _mode(params)
     method = params["method"]
-    lattice = make_lattice(params["n_steps"], problem.t_final, problem.dim_q)
     points, cells = _probes(params.get("probes", [[0.0] * problem.dim_q]), problem.dim_q)
-
-    std_errors = [None] * len(points)
-    if method == "pde":
-        if "grid" not in params:
-            raise ConfigError("pde method needs a grid")
-        grid = SpaceGrid(problem.dim_q, params["grid"]["extent"], params["grid"]["n_points"])
-        result = pde_solve(problem, grid, lattice, mode)
-        values = _grid_values_at(result.values, grid, points)
-        boundary_tol = params.get("boundary_tolerance", 1e-6)
-        assertions = [
-            _assert_entry(
-                "boundary_mass_small",
-                result.error_estimate <= boundary_tol,
-                boundary_tol,
-                f"boundary mass fraction = {result.error_estimate:.3e}",
-            )
-        ]
-    elif method == "mc":
-        if mode is not WLogDerivativeMode.EUCLIDEAN:
-            raise ConfigError("mc method is defined in the euclidean mode only")
-        if "n_samples" not in params:
-            raise ConfigError("mc method needs n_samples")
-        quad = QuadratureSpec(QuadratureKind.MONTE_CARLO, params["n_samples"], seed, workers)
-        estimates = _sliced_kernel(problem, lattice, points, WLogDerivativeMode.EUCLIDEAN, quad)
-        values = [complex(est.value) for est in estimates]
-        std_errors = [est.std_error for est in estimates]
-    elif method == "exact_gaussian":
-        if mode is not WLogDerivativeMode.EUCLIDEAN:
-            raise ConfigError("exact_gaussian is defined in the euclidean mode only")
-        values = [exact_gaussian_propagator(problem, point, lattice) for point in points]
-    else:
-        if mode is not WLogDerivativeMode.REAL_TIME:
-            raise ConfigError("oscillatory method runs in real_time mode")
-        values = [oscillatory_check(problem, point, lattice) for point in points]
+    values, std_errors, boundary_mass = _method_at_probes(
+        method, params, problem, _mode(params), points, seed, workers
+    )
 
     rows = [
         {
@@ -434,10 +434,18 @@ def _run_solve(params: dict, seed: int, workers: int):
         }
         for cell, value, std_error in zip(cells, values, std_errors)
     ]
-    if method != "pde":
+    if method == "pde":
+        boundary_tol = params.get("boundary_tolerance", 1e-6)
+        assertion = _assert_entry(
+            "boundary_mass_small",
+            boundary_mass <= boundary_tol,
+            boundary_tol,
+            f"boundary mass fraction = {boundary_mass:.3e}",
+        )
+    else:
         finite = bool(np.all(np.isfinite(values)))
-        assertions = [_assert_entry("values_finite", finite, None, "all computed values finite")]
-    return rows, assertions
+        assertion = _assert_entry("values_finite", finite, None, "all computed values finite")
+    return rows, [assertion]
 
 
 def _run_compare(params: dict, seed: int, workers: int):
@@ -449,39 +457,31 @@ def _run_compare(params: dict, seed: int, workers: int):
     if not candidates:
         raise ConfigError("compare needs at least one candidate method")
 
-    ref_spec = params["reference"]
-    grid = SpaceGrid(problem.dim_q, ref_spec["grid"]["extent"], ref_spec["grid"]["n_points"])
-    ref_lattice = make_lattice(ref_spec["n_steps"], problem.t_final, problem.dim_q)
-    ref_result = pde_solve(problem, grid, ref_lattice, WLogDerivativeMode.EUCLIDEAN)
-    references = [value.real for value in _grid_values_at(ref_result.values, grid, points)]
-
-    def row(method: str, i: int, value: float, std_error: Optional[float], allowed: float) -> Row:
-        diff = abs(value - references[i])
-        return {
-            "method": method,
-            **cells[i],
-            "value": float(value),
-            "reference": float(references[i]),
-            "abs_diff": float(diff),
-            "std_error": std_error,
-            "pass": diff <= allowed,
-        }
+    euclidean = WLogDerivativeMode.EUCLIDEAN
+    ref = _method_at_probes("pde", params["reference"], problem, euclidean, points, seed, workers)
+    references = ref[0].real
 
     rows: list[Row] = []
-    if "mc" in candidates:
-        mc_spec = candidates["mc"]
-        lattice = make_lattice(mc_spec["n_steps"], problem.t_final, problem.dim_q)
-        quad = QuadratureSpec(QuadratureKind.MONTE_CARLO, mc_spec["n_samples"], seed, workers)
-        estimates = _sliced_kernel(problem, lattice, points, WLogDerivativeMode.EUCLIDEAN, quad)
-        for i, est in enumerate(estimates):
-            allowed = se_multiplier * est.std_error + tolerance_abs
-            rows.append(row("mc", i, est.value, est.std_error, allowed))
-    if "exact_gaussian" in candidates:
-        eg_spec = candidates["exact_gaussian"]
-        lattice = make_lattice(eg_spec["n_steps"], problem.t_final, problem.dim_q)
-        for i, point in enumerate(points):
-            value = exact_gaussian_propagator(problem, point, lattice).real
-            rows.append(row("exact_gaussian", i, value, None, tolerance_abs))
+    for method in ("mc", "exact_gaussian"):
+        if method not in candidates:
+            continue
+        values, std_errors, _ = _method_at_probes(
+            method, candidates[method], problem, euclidean, points, seed, workers
+        )
+        for cell, value, reference, std_error in zip(cells, values.real, references, std_errors):
+            diff = abs(value - reference)
+            allowed = tolerance_abs if std_error is None else se_multiplier * std_error + tolerance_abs
+            rows.append(
+                {
+                    "method": method,
+                    **cell,
+                    "value": float(value),
+                    "reference": float(reference),
+                    "abs_diff": float(diff),
+                    "std_error": std_error,
+                    "pass": diff <= allowed,
+                }
+            )
     what = "rows within 3 SE + tolerance of the PDE oracle"
     return rows, [_pass_count("methods_agree_with_pde", rows, tolerance_abs, what)]
 
@@ -551,11 +551,11 @@ def _run_oscillatory_check(params: dict, seed: int, workers: int):
     problem = _build_problem(params["problem"])
     if problem.dim_q != 1:
         raise ConfigError("oscillatory-check supports dim_q = 1 only")
-    lattice = make_lattice(params["n_steps"], problem.t_final, 1)
+    points = np.asarray(params["q_points"], dtype=float)[:, None]
     tolerance = params.get("tolerance", 1e-6)
     reference_kind = params["reference"]
+    real_time = WLogDerivativeMode.REAL_TIME
 
-    ref_values: list[Optional[complex]] = []
     if reference_kind == "closed_form_free":
         qe = problem.lagrangian.quadratic_eta
         if qe is None or np.any(qe.matrix) or np.any(qe.linear) or qe.constant != 0.0:
@@ -566,32 +566,22 @@ def _run_oscillatory_check(params: dict, seed: int, workers: int):
         sigma = 1.0 / np.sqrt(data.quad[0, 0])
         center = float(data.lin[0] * sigma**2)
         amplitude = float(np.exp(data.const + center**2 / (2.0 * sigma**2)) * data.poly0)
-        for q in params["q_points"]:
-            ref_values.append(
-                free_evolution_closed_form(
-                    amplitude,
-                    center,
-                    sigma,
-                    float(problem.kinetic_matrix[0, 0]),
-                    problem.t_final,
-                    float(q),
-                    WLogDerivativeMode.REAL_TIME,
-                )
+        kinetic = float(problem.kinetic_matrix[0, 0])
+        ref_values = [
+            free_evolution_closed_form(
+                amplitude, center, sigma, kinetic, problem.t_final, float(q), real_time
             )
+            for q in params["q_points"]
+        ]
     elif reference_kind == "pde":
-        if "grid" not in params:
-            raise ConfigError("pde reference needs a grid")
-        grid = SpaceGrid(1, params["grid"]["extent"], params["grid"]["n_points"])
-        pde_lattice = make_lattice(params.get("pde_steps", 512), problem.t_final, 1)
-        result = pde_solve(problem, grid, pde_lattice, WLogDerivativeMode.REAL_TIME)
-        points = np.asarray(params["q_points"], dtype=float)[:, None]
-        ref_values = _grid_values_at(result.values, grid, points)
+        pde_spec = {**params, "n_steps": params.get("pde_steps", 512)}
+        ref_values = _method_at_probes("pde", pde_spec, problem, real_time, points, seed, workers)[0]
     else:
-        ref_values = [None] * len(params["q_points"])
+        ref_values = [None] * len(points)
 
+    values = _method_at_probes("oscillatory", params, problem, real_time, points, seed, workers)[0]
     rows: list[Row] = []
-    for q, ref in zip(params["q_points"], ref_values):
-        value = oscillatory_check(problem, float(q), lattice)
+    for q, value, ref in zip(params["q_points"], values, ref_values):
         err = None if ref is None else abs(value - ref)
         rows.append(
             {

@@ -13,6 +13,9 @@ Four evaluation routes for u(t, q):
 * oscillatory_check: the same kernel with weight exp(i A_eta) on the contour
   e^{i pi/4} psi, by Gauss-Hermite quadrature (quadratic eta, Gaussian f0).
 
+The last three take one point or a (k, dim_q) batch of probes; a batch shares
+one set of paths, one Gauss-Hermite pass or one factorization.
+
 anomaly_experiment samples paths, evaluates the two summands of the weighted
 measure's logarithmic derivative (action variation and Jacobian trace) for
 several Lagrangians, and checks the determinant-trace duality plus the
@@ -33,7 +36,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
 from .action import DiscreteAction, Lagrangian, WLogDerivativeMode
-from .fields import TransformationFamily
+from .fields import TransformationFamily, _as_batch
 from .flows import (
     _cumulative_trace_integral,
     _flow_nodes,
@@ -335,52 +338,56 @@ def pde_solve(
 
 
 def _sliced_kernel(
-    p: SchrodingerProblem, lattice: TimeLattice, points: Sequence, mode: WLogDerivativeMode,
+    p: SchrodingerProblem, lattice: TimeLattice, points: Array, mode: WLogDerivativeMode,
     quad: QuadratureSpec,
 ) -> list[Estimate]:
-    """E_W[exp(mode.factor * A_eta(z; q)) * f0(z_n + q)] at every probe q.
+    """E_W[exp(mode.factor * A_eta(z; q)) * f0(z_n + q)] at every probe row q of points.
 
     W = wiener_measure(lattice, B), A_eta the eta part of DiscreteAction(q_offset=q),
-    z = psi (Euclidean) or e^{i pi/4} psi (real time).  Each batch is drawn once for
-    all probes; a probe gets one reducer column, or two (real, imag) in real time.
+    z = psi (Euclidean) or e^{i pi/4} psi (real time).  Each batch is drawn and laid out
+    once for all probes; a probe gets one reducer column, or two (real, imag) in real time.
     """
     if lattice.dim_q != p.dim_q:
         raise ValueError("lattice and problem disagree on spatial dimension")
     if not np.isclose(lattice.t_final, p.t_final):
         raise ValueError("lattice horizon does not match the problem's t_final")
     euclidean = mode is WLogDerivativeMode.EUCLIDEAN
-    actions = [DiscreteAction(p.lagrangian, lattice, q) for q in points]
+    action = DiscreteAction(p.lagrangian, lattice)
 
     def rows(x: Array) -> Array:
         z = x if euclidean else np.exp(1j * np.pi / 4.0) * x
+        weights = np.exp(mode.factor * action._action_rows(z, kinetic=False, offsets=points))
         cols = []
-        for action in actions:
-            f0_vals = np.asarray(p.f0.evaluator(z[:, -lattice.dim_q :] + action.q_offset))
+        for q, weight in zip(points, weights.T):
+            f0_vals = np.asarray(p.f0.evaluator(z[:, -lattice.dim_q :] + q))
             if euclidean and np.iscomplexobj(f0_vals):
                 raise ValueError("feynman_mc evaluates the damped regime; f0 must be real-valued")
-            vals = np.exp(mode.factor * action._action_rows(z, kinetic=False)) * f0_vals
+            vals = weight * f0_vals
             cols += [vals] if euclidean else [vals.real, vals.imag]
         return np.stack(cols, axis=1)
 
     m = wiener_measure(lattice, p.kinetic_matrix)
-    return _integrate_columns(m, quad, rows, len(actions) * (1 if euclidean else 2))
+    return _integrate_columns(m, quad, rows, len(points) * (1 if euclidean else 2))
 
 
 def feynman_mc(
     p: SchrodingerProblem, q_point, lattice: TimeLattice, mc: QuadratureSpec
-) -> Estimate:
-    """Feynman-Kac Monte Carlo value of u(t_final, q_point), damped weight.
+) -> Estimate | list[Estimate]:
+    """Feynman-Kac Monte Carlo value of u(t_final, q), damped weight.
 
     Samples discretized Wiener paths psi under the kinetic-weighted Gaussian
     measure and averages exp(-sum_j eta(psi_{j-1}+q, dpsi_j/dt) dt) *
-    f0(psi_n + q).  Deterministic for fixed (seed, workers).
+    f0(psi_n + q).  Deterministic for fixed (seed, workers).  q_point is one
+    point (returns an Estimate) or a (k, dim_q) batch (one each, same paths).
     """
     if mc.kind is not QuadratureKind.MONTE_CARLO:
         raise ValueError("feynman_mc requires a Monte Carlo quadrature spec")
-    return _sliced_kernel(p, lattice, [q_point], WLogDerivativeMode.EUCLIDEAN, mc)[0]
+    points, single = _as_batch(q_point, p.dim_q)
+    estimates = _sliced_kernel(p, lattice, points, WLogDerivativeMode.EUCLIDEAN, mc)
+    return estimates[0] if single else estimates
 
 
-def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> complex:
+def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> complex | Array:
     """Closed-form damped-regime value for quadratic eta and Gaussian f0.
 
     The weight exp(-A(psi)) times the Gaussian path density is itself an
@@ -388,7 +395,9 @@ def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLatti
     to one Cholesky factorization (its diagonal gives the log-determinant;
     the path measure's is closed form) and one linear solve; a
     quadratic polynomial factor on f0 is folded in through the first two
-    moments of the completed-square Gaussian.  No sampling error.
+    moments of the completed-square Gaussian.  No sampling error.  q_point is
+    one point (returns a complex) or a (k, dim_q) batch (returns a complex
+    array); the matrix does not depend on the probe and is factored once.
     """
     qe = p.lagrangian.quadratic_eta
     if qe is None:
@@ -400,43 +409,41 @@ def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLatti
         raise ValueError("lattice and problem disagree on spatial dimension")
     if not np.isclose(lattice.t_final, p.t_final):
         raise ValueError("lattice horizon does not match the problem's t_final")
-    q_point = np.asarray(q_point, dtype=float).reshape(p.dim_q)
+    points, single = _as_batch(q_point, p.dim_q)
 
     n, d, dt = lattice.n_steps, lattice.dim_q, lattice.dt
-    gram = cm_gram(lattice, p.kinetic_matrix).matrix
-    big = gram.copy()
-    rhs = np.zeros(n * d)
+    big = cm_gram(lattice, p.kinetic_matrix).matrix.copy()
     m_mat, g_vec, c_val = qe.matrix, qe.linear, qe.constant
-    lin_slot = -dt * (m_mat @ q_point + g_vec)
     for j in range(n - 1):
         sl = slice(j * d, (j + 1) * d)
         big[sl, sl] += dt * m_mat
-        rhs[sl] = lin_slot
     last = slice((n - 1) * d, n * d)
     big[last, last] += data.quad
-    rhs[last] += data.lin - data.quad @ q_point
-    const = (
-        -n * dt * (0.5 * q_point @ m_mat @ q_point + g_vec @ q_point + c_val)
-        - 0.5 * q_point @ data.quad @ q_point
-        + data.lin @ q_point
-        + data.const
-    )
 
     # det Dtilde = 1, so log det gram = n log det B - n d log dt (see cm_gram)
     log_det_gram = n * (np.linalg.slogdet(p.kinetic_matrix)[1] - d * np.log(dt))
     factor = cho_factor(big, lower=True)
     log_det_ratio = log_det_gram - 2.0 * np.sum(np.log(np.diag(factor[0])))
-    mu = cho_solve(factor, rhs)
-    value = np.exp(0.5 * log_det_ratio + const + 0.5 * rhs @ mu)
-
-    mean_last = mu[last] + q_point
-    poly_expect = data.poly0 + data.poly1 @ mean_last + mean_last @ data.poly2 @ mean_last
+    poly2_cov = 0.0
     if np.any(data.poly2):
         cols = np.zeros((n * d, d))
         cols[last, :] = np.eye(d)
-        cov_last = cho_solve(factor, cols)[last, :]
-        poly_expect += float(np.sum(data.poly2 * cov_last))
-    return complex(value * poly_expect)
+        poly2_cov = float(np.sum(data.poly2 * cho_solve(factor, cols)[last, :]))
+
+    values = np.empty(len(points), dtype=complex)
+    for i, q in enumerate(points):
+        rhs = np.concatenate([np.tile(-dt * (m_mat @ q + g_vec), n - 1), data.lin - data.quad @ q])
+        const = (
+            -n * dt * (0.5 * q @ m_mat @ q + g_vec @ q + c_val)
+            - 0.5 * q @ data.quad @ q
+            + data.lin @ q
+            + data.const
+        )
+        mu = cho_solve(factor, rhs)
+        mean_last = mu[last] + q
+        poly_expect = data.poly0 + data.poly1 @ mean_last + mean_last @ data.poly2 @ mean_last
+        values[i] = np.exp(0.5 * log_det_ratio + const + 0.5 * rhs @ mu) * (poly_expect + poly2_cov)
+    return complex(values[0]) if single else values
 
 
 def free_evolution_closed_form(
@@ -465,7 +472,7 @@ def free_evolution_closed_form(
 _OSCILLATORY_GH_ORDER = 24
 
 
-def oscillatory_check(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> complex:
+def oscillatory_check(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> complex | Array:
     """Gauss-Hermite quadrature of the oscillatory time-sliced kernel.
 
     Integrates over the contour x_j = e^{i pi/4} u_j, u real: the Fresnel
@@ -477,7 +484,8 @@ def oscillatory_check(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> c
     data required here (quadratic eta, Gaussian f0), so the rotated integral
     equals the original one.  A fixed tensor Gauss-Hermite rule of order
     _OSCILLATORY_GH_ORDER evaluates it; the rule's dim <= 6 guard bounds
-    n_steps.
+    n_steps.  q_point is one point (returns a complex) or a (k, 1) batch
+    (returns a complex array from one pass over the rule's nodes).
     """
     if p.dim_q != 1 or lattice.dim_q != 1:
         raise ValueError("oscillatory_check supports dim_q = 1 only")
@@ -488,8 +496,10 @@ def oscillatory_check(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> c
     if p.lagrangian.velocity_coupled:
         raise ValueError("velocity-coupled eta is not supported in the sliced kernel")
     gh = QuadratureSpec(QuadratureKind.GAUSS_HERMITE, _OSCILLATORY_GH_ORDER)
-    real_part, imag_part = _sliced_kernel(p, lattice, [q_point], WLogDerivativeMode.REAL_TIME, gh)
-    return complex(real_part.value, imag_part.value)
+    points, single = _as_batch(q_point, 1)
+    pairs = _sliced_kernel(p, lattice, points, WLogDerivativeMode.REAL_TIME, gh)
+    values = np.array([complex(re.value, im.value) for re, im in zip(pairs[::2], pairs[1::2])])
+    return complex(values[0]) if single else values
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 
 def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim == 1:
         if x.shape != (dim,):
             raise ValueError(f"point has dimension {x.shape}, expected ({dim},)")

@@ -244,8 +244,12 @@ def _integrate_columns(
     (count, mean, M2) merged by the Chan-Golub-LeVeque update, which keeps
     its digits when the column's mean dwarfs its spread.  Gauss-Hermite
     values are weighted sums and carry std_error None.  A batch with a
-    non-finite row raises ValueError rather than returning a NaN estimate.
+    non-finite row raises ValueError rather than returning a NaN estimate,
+    and so does a Monte Carlo spec of fewer than 2 samples, whose standard
+    error is undefined.
     """
+    if q.kind is QuadratureKind.MONTE_CARLO and q.n_samples < 2:
+        raise ValueError("a Monte Carlo estimate needs at least 2 samples for its standard error")
     sums = np.zeros(n_cols)
     total, mean, m2 = 0, np.zeros(n_cols), np.zeros(n_cols)
     for x, weights in _chunks(m, q):
@@ -253,12 +257,12 @@ def _integrate_columns(
         bad = np.count_nonzero(~np.isfinite(cols).all(axis=1))
         if bad:
             raise ValueError(f"{bad} of {len(x)} rows in a batch have a non-finite value")
+        # one contiguous row per column: numpy sums each pairwise, whatever the column count
+        cols = np.ascontiguousarray(cols.T)
         if weights is not None:
-            sums += weights @ cols
+            sums += (cols * weights).sum(axis=1)
             continue
         c = len(x)
-        # one contiguous row per column, so numpy sums each one pairwise
-        cols = np.ascontiguousarray(cols.T)
         col_sums = cols.sum(axis=1)
         sums += col_sums
         c_mean = col_sums / c
@@ -269,7 +273,7 @@ def _integrate_columns(
         total = merged
     if q.kind is QuadratureKind.GAUSS_HERMITE:
         return [Estimate(float(v)) for v in sums]
-    ses = np.sqrt(m2 / total / max(total - 1, 1))
+    ses = np.sqrt(m2 / total / (total - 1))
     return [Estimate(float(v), float(se)) for v, se in zip(sums / total, ses)]
 
 

@@ -12,6 +12,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from logmeasure import (
     QuadratureSpec,
@@ -85,6 +86,7 @@ def test_01_integration_by_parts_quadrature_battery():
             f"{n_pairs} pairs, max residual {worst:.2e} (tol 1e-10), {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_02_integration_by_parts_monte_carlo_battery():
     """In dims 8-32 with a million samples, residuals sit within 3 SE."""
     start = time.perf_counter()
@@ -187,6 +189,7 @@ def test_05_determinant_trace_duality():
             f"4 families at alpha<=0.25, worst gap {worst:.2e} (tol 1e-6)")
 
 
+@pytest.mark.slow
 def test_06_cauchy_problem_three_ways():
     """Grid PDE, exact Gaussian reduction and path-integral MC agree."""
     start = time.perf_counter()

@@ -378,6 +378,13 @@ def test_batched_rows_are_bitwise_the_path_methods(lag, q_offset):
         assert rows["first"][i] == action.first_variation(path, direction)
         assert rows["eta"][i] == action.eta_variation(path, direction)
 
+    # several offsets in one call: each column is bitwise the action at that q_offset
+    offsets = np.array([[0.3, -0.4], [-1.0, 0.5], [0.0, 0.0]])
+    columns = action._action_rows(x, kinetic=True, offsets=offsets)
+    for j, q in enumerate(offsets):
+        alone = DiscreteAction(lag, lat, q)._action_rows(x, kinetic=True)
+        assert columns[:, j].tobytes() == alone.tobytes()
+
     # e^{i pi/4}-rotated complex rows: each row of a batch equals its one-row call
     rot = np.exp(1j * np.pi / 4.0)
     z, kz = rot * x, rot * k

@@ -7,7 +7,8 @@ import os
 import pytest
 from jsonschema import Draft202012Validator
 
-from logmeasure import measures
+from logmeasure import feynman, measures
+from logmeasure.action import DiscreteAction
 from logmeasure.cli import _EXPERIMENTS, _TOP_SCHEMA, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -332,15 +333,22 @@ def test_duplicate_lagrangian_labels_exit_2_without_outputs(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_compare_draws_the_paths_once_for_all_probes(tmp_path, capsys, monkeypatch):
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; returns the call list."""
     calls = []
-    original = measures._transform
+    original = getattr(owner, name)
 
-    def counted(m, z):
-        calls.append(len(z))
-        return original(m, z)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(measures, "_transform", counted)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _run_small_compare(tmp_path, capsys):
     config_path = os.path.join(CONFIG_DIR, "compare_methods.json")
     args = ["run", config_path, "--out", str(tmp_path), "--workers", "2",
             "--set", "parameters.candidates.mc.n_samples=4000",
@@ -348,4 +356,45 @@ def test_compare_draws_the_paths_once_for_all_probes(tmp_path, capsys, monkeypat
     assert main(args) == 0
     capsys.readouterr()
     assert len(_read_rows(tmp_path / "compare_methods.csv")) == 2 * 5
-    assert calls == [2000, 2000]  # one chunk per worker stream, not one per probe
+
+
+def test_compare_draws_the_paths_once_for_all_probes(tmp_path, capsys, monkeypatch):
+    calls = _counting(monkeypatch, measures, "_transform")
+    _run_small_compare(tmp_path, capsys)
+    assert [len(z) for _, z in calls] == [2000, 2000]  # one chunk per worker stream, not one per probe
+
+
+def test_compare_lays_out_each_batch_once_for_all_probes(tmp_path, capsys, monkeypatch):
+    calls = _counting(monkeypatch, DiscreteAction, "_slices")
+    _run_small_compare(tmp_path, capsys)
+    assert len(calls) == 2  # one per worker stream's chunk, not one per probe
+
+
+def test_compare_factors_the_exact_propagator_once(tmp_path, capsys, monkeypatch):
+    calls = _counting(monkeypatch, feynman, "cho_factor")
+    _run_small_compare(tmp_path, capsys)
+    assert len(calls) == 1  # one factorization for the 5 probes
+
+
+@pytest.mark.parametrize(
+    "config_name, overrides, box",
+    [
+        ("solve_pde.json", ["parameters.probes=[[9.5],[0.0]]"], "[-8, 8]^1"),
+        ("solve_pde.json", ["parameters.problem.dim_q=2", "parameters.probes=[[9.0,0.0]]"], "[-8, 8]^2"),
+        ("compare_methods.json", ["parameters.probes=[[9.0]]"], "[-8, 8]^1"),
+        (
+            "oscillatory_check.json",
+            ["parameters.reference=pde", 'parameters.grid={"extent":4.0,"n_points":65}',
+             "parameters.q_points=[0.0,4.5]"],
+            "[-4, 4]^1",
+        ),
+    ],
+    ids=["solve_1d", "solve_2d", "compare", "oscillatory_pde_reference"],
+)
+def test_probe_outside_the_pde_box_exits_2_without_outputs(tmp_path, capsys, config_name, overrides, box):
+    args = ["run", os.path.join(CONFIG_DIR, config_name), "--out", str(tmp_path)]
+    for assignment in overrides:
+        args += ["--set", assignment]
+    assert main(args) == 2
+    assert f"every probe must lie in the PDE grid box {box}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

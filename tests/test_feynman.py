@@ -8,6 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from logmeasure import (
@@ -213,10 +216,7 @@ def test_each_probe_column_of_the_kernel_is_a_one_probe_call(dim_q):
         gh = QuadratureSpec("gauss_hermite", _OSCILLATORY_GH_ORDER)
         pairs = _sliced_kernel(p, lat, points, REAL, gh)
         values = [complex(re.value, im.value) for re, im in zip(pairs[::2], pairs[1::2])]
-        # the Gauss-Hermite sum is one weights @ columns product, so its
-        # rounding may depend on the column count
-        expected = [oscillatory_check(p, q, lat) for q in points]
-        np.testing.assert_allclose(values, expected, rtol=1e-14, atol=0.0)
+        assert values == [oscillatory_check(p, q, lat) for q in points]
 
 
 def test_mc_guards():
@@ -309,6 +309,77 @@ def test_exact_gaussian_guards():
     p2 = SchrodingerProblem(1, free_lagrangian(1), constant_initial_condition(1), 0.5)
     with pytest.raises(ValueError):
         exact_gaussian_propagator(p2, [0.0], make_lattice(8, 0.5, 1))
+
+
+def _polynomial_bump(dim_q):
+    data = GaussianInitialData(
+        quad=np.eye(dim_q) / 0.64,
+        lin=np.full(dim_q, 0.2),
+        const=-0.1,
+        poly0=0.5,
+        poly1=np.full(dim_q, 0.3),
+        poly2=0.2 * np.eye(dim_q),
+    )
+    return InitialCondition(evaluator=data.evaluate, gaussian_data=data)
+
+
+@pytest.mark.parametrize(
+    "dim_q, f0",
+    [(1, gaussian_bump(1, sigma=0.8)), (2, gaussian_bump(2, sigma=0.8)), (2, _polynomial_bump(2))],
+    ids=["1d", "2d", "2d_poly2"],
+)
+def test_exact_gaussian_batch_is_bitwise_the_one_point_calls(dim_q, f0):
+    p = SchrodingerProblem(dim_q, harmonic_lagrangian(dim_q, kinetic_scale=1.5), f0, 0.5)
+    lat = make_lattice(16, 0.5, dim_q)
+    points = np.random.default_rng(3).normal(size=(6, dim_q))
+    batch = exact_gaussian_propagator(p, points, lat)
+    assert batch.shape == (6,) and batch.dtype == complex
+    assert batch.tobytes() == np.array([exact_gaussian_propagator(p, q, lat) for q in points]).tobytes()
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    omega=st.floats(0.1, 3.0),
+    kinetic_scale=st.floats(0.2, 5.0),
+    n_steps=st.integers(1, 24),
+    points=arrays(float, st.tuples(st.integers(1, 5), st.just(1)), elements=st.floats(-3.0, 3.0)),
+)
+def test_exact_gaussian_batch_matches_points_for_random_problems(omega, kinetic_scale, n_steps, points):
+    lag = harmonic_lagrangian(1, omega=omega, kinetic_scale=kinetic_scale)
+    p = SchrodingerProblem(1, lag, gaussian_bump(1, sigma=0.8), 0.5)
+    lat = make_lattice(n_steps, 0.5, 1)
+    batch = exact_gaussian_propagator(p, points, lat)
+    assert batch.tobytes() == np.array([exact_gaussian_propagator(p, q, lat) for q in points]).tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
+def test_oscillatory_batch_is_bitwise_the_one_point_calls(n_steps):
+    p = SchrodingerProblem(1, harmonic_lagrangian(1), gaussian_bump(1, sigma=0.8), 0.5)
+    lat = make_lattice(n_steps, 0.5, 1)
+    points = np.array([[-1.0], [0.0], [0.4], [0.9]])
+    batch = oscillatory_check(p, points, lat)
+    assert batch.tobytes() == np.array([oscillatory_check(p, q, lat) for q in points]).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_feynman_mc_batch_is_bitwise_the_one_point_calls(workers):
+    p = SchrodingerProblem(2, quartic_lagrangian(2), gaussian_bump(2, sigma=0.8), 0.5)
+    lat = make_lattice(8, 0.5, 2)
+    points = np.array([[-1.0, 0.5], [0.0, 0.0], [0.4, -0.3]])
+    mc = QuadratureSpec("monte_carlo", 3000, seed=4, workers=workers)
+    assert feynman_mc(p, points, lat, mc) == [feynman_mc(p, q, lat, mc) for q in points]
+
+
+def test_a_probe_batch_of_the_wrong_width_raises():
+    p = SchrodingerProblem(2, harmonic_lagrangian(2), gaussian_bump(2), 0.5)
+    lat = make_lattice(4, 0.5, 2)
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        exact_gaussian_propagator(p, np.zeros((3, 1)), lat)
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        feynman_mc(p, np.zeros((3, 3)), lat, QuadratureSpec("monte_carlo", 100))
+    p1 = SchrodingerProblem(1, harmonic_lagrangian(1), gaussian_bump(1), 0.5)
+    with pytest.raises(ValueError, match=r"shape \(n, 1\)"):
+        oscillatory_check(p1, np.zeros((3, 2)), make_lattice(2, 0.5, 1))
 
 
 def test_free_evolution_closed_form_both_modes():

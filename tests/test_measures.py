@@ -247,6 +247,28 @@ def test_non_finite_rows_raise_with_their_count(quad):
         _integrate_columns(standard_normal(2), quad, rows, 2)
 
 
+def test_gauss_hermite_column_does_not_depend_on_its_neighbours():
+    m = standard_normal(3)
+    gh = QuadratureSpec("gauss_hermite", 10)
+
+    def f(x):
+        return np.cos(x @ np.array([0.7, -0.3, 0.5]))
+
+    def four(x):
+        return np.stack([np.sin(x[:, 0]), f(x), x[:, 1] ** 2, np.exp(0.1 * x[:, 2])], axis=1)
+
+    alone = _integrate_columns(m, gh, lambda x: f(x)[:, None], 1)[0]
+    among = _integrate_columns(m, gh, four, 4)[1]
+    assert alone.value.hex() == among.value.hex()
+
+
+def test_monte_carlo_with_one_sample_raises_instead_of_a_zero_standard_error():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        expectation(standard_normal(2), lambda x: x[:, 0], QuadratureSpec("monte_carlo", 1))
+    est = expectation(standard_normal(2), lambda x: x[:, 0], QuadratureSpec("monte_carlo", 2))
+    assert est.std_error > 0.0
+
+
 def test_gauss_hermite_dimension_guard():
     m = standard_normal(7)
     with pytest.raises(ValueError):
