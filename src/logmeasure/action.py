@@ -139,15 +139,21 @@ class DiscreteAction:
         q0 = np.asarray(q0, dtype=float).reshape(self.lattice.dim_q)
         object.__setattr__(self, "q_offset", q0)
 
-    def _slices(self, x: Array) -> tuple[Array, Array]:
+    def _slices(self, x: Array, velocities: bool) -> tuple[Array, Array]:
         """Positions psi_{j-1} (psi_{-1} = 0, no q_offset) and velocities (psi_j - psi_{j-1}) / dt
-        of flat paths (rows, dim), real or complex, each as (rows * n_steps, dim_q)."""
+        of flat paths (rows, dim), real or complex, each as (rows * n_steps, dim_q).
+
+        Without velocities the second array is a read-only zero view of the same shape.
+        """
         lat = self.lattice
         paths = x.reshape(len(x), lat.n_steps, lat.dim_q)
-        start = np.zeros((len(x), 1, lat.dim_q), dtype=x.dtype)
-        left = np.concatenate([start, paths[:, :-1]], axis=1)
-        vel = (paths - left) / lat.dt
-        return left.reshape(-1, lat.dim_q), vel.reshape(-1, lat.dim_q)
+        left = np.empty_like(paths)
+        left[:, 0] = 0
+        left[:, 1:] = paths[:, :-1]
+        shape = (len(x) * lat.n_steps, lat.dim_q)
+        if not velocities:
+            return left.reshape(shape), np.broadcast_to(np.zeros((), dtype=left.dtype), shape)
+        return left.reshape(shape), ((paths - left) / lat.dt).reshape(shape)
 
     def _action_rows(self, x: Array, kinetic: bool, offsets: Optional[Array] = None) -> Array:
         """A(psi) per row of a batch of flat paths; the eta part alone unless kinetic.
@@ -155,8 +161,8 @@ class DiscreteAction:
         offsets, a (k, dim_q) array, stands in for q_offset: the batch is laid
         out once and the result has one column per offset, shape (rows, k).
         """
-        left, V = self._slices(x)
         lag = self.lagrangian
+        left, V = self._slices(x, kinetic or lag.velocity_coupled)
         kin = 0.5 * np.einsum("ij,ij->i", V, V @ lag.kinetic_matrix) if kinetic else None
         cols = []
         for q in self.q_offset[None] if offsets is None else offsets:
@@ -168,11 +174,13 @@ class DiscreteAction:
 
     def _variation_rows(self, x: Array, k: Array, kinetic: bool) -> Array:
         """d/ds A(psi + s k)|_0 per row pair of two path batches; eta part alone unless kinetic."""
-        left, V = self._slices(x)
-        kQ, kV = self._slices(k)
-        lag, Q = self.lagrangian, left + self.q_offset
+        lag = self.lagrangian
+        v_part = kinetic or lag.eta_d2 is not None  # every velocity_coupled eta has eta_d2
+        left, V = self._slices(x, v_part)
+        kQ, kV = self._slices(k, v_part)
+        Q = left + self.q_offset
         rows = np.einsum("ij,ij->i", np.asarray(lag.eta_d1(Q, V)), kQ)
-        if kinetic or lag.eta_d2 is not None:
+        if v_part:
             v_grad = lag.eta_velocity_gradient(Q, V)
             if kinetic:
                 v_grad = v_grad + V @ lag.kinetic_matrix

@@ -9,7 +9,8 @@ Configs are JSON with a top-level ``"schema": 1`` marker and are validated
 with no output files.  A run writes one JSON result record and one CSV table,
 prints one line per declared assertion, and exits 0 only if every assertion
 passed (1 otherwise).  Identical config + seed + workers reproduces every
-numeric column bitwise; wall time lives only in the JSON record.
+numeric column bitwise; wall time and the number of threads that evaluate
+Monte Carlo batches (``mc_threads``) live only in the JSON record.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .measures import (
     GaussianMeasure,
     QuadratureKind,
     QuadratureSpec,
+    _mc_threads,
     ibp_residual,
     ibp_terms,
     standard_normal,
@@ -898,6 +900,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "passed": passed,
         "seed": seed,
         "workers": workers,
+        "mc_threads": _mc_threads(),
         "versions": {
             "logmeasure": __version__,
             "numpy": np.__version__,

@@ -15,17 +15,37 @@ primary consistency check (ibp_residual).
 
 Precision is the primary parameterization; covariance is derived on demand.
 
-Every integral in the package runs on one engine: _chunks yields batches of
-at most _CHUNK_ROWS points (Monte Carlo draws or Gauss-Hermite tensor-rule
-nodes with their weights) and _integrate_columns reduces the columns a row
-function returns for each batch; sample() fills its output from the same
+Every integral in the package runs on one engine: batches of at most
+_CHUNK_ROWS points, Monte Carlo draws laid out by _mc_batches or
+Gauss-Hermite tensor-rule nodes with their weights from _gh_chunks, and one
+reducer of the columns a row function returns for each batch
+(_integrate_columns); sample() fills its output from the same Monte Carlo
 batches.  Monte Carlo work is split across `workers` deterministic RNG
 streams derived from SeedSequence(seed).spawn(workers), so results are
 bitwise reproducible for a fixed (seed, workers) pair.
+
+A Monte Carlo integral runs on two threads: each batch is cut into two
+parts that are drawn, mapped onto the measure and evaluated by the row
+function in a pool of two threads, with numpy's OpenBLAS held to one thread
+for the call.  The parts of one stream draw in order and the reducer sees
+the same batches in the same order as a sequential loop, so every value and
+standard error is bitwise independent of the threads.  Where the OpenBLAS
+thread setter cannot be found, the pool has one thread.  Row functions (and
+the phi, h, eta, f0 and family callbacks they call) must therefore be safe
+to call from two threads at once.  Gauss-Hermite rules and sample() stay
+sequential.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import glob
+import os
+import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,6 +60,7 @@ from .lattice import TimeLattice, cm_gram
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _MAX_GH_DIM = 6
 _CHUNK_ROWS = 131072
+_PART_ALIGN = 1024  # a Monte Carlo batch is cut into two parts at a multiple of this many rows
 
 
 class QuadratureKind(str, Enum):
@@ -189,23 +210,21 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.hermite.hermgauss(order)
 
 
-def _chunks(
-    m: GaussianMeasure, q: QuadratureSpec
-) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Yield (points, weights) batches of at most _CHUNK_ROWS rows mapped onto m.
+def _mc_batches(q: QuadratureSpec) -> Iterator[tuple[np.random.Generator, int]]:
+    """(stream generator, rows) of every Monte Carlo batch: the worker streams in
+    order, each cut into batches of at most _CHUNK_ROWS rows (each row counts 1/n)."""
+    for rng, share in zip(_worker_rngs(q.seed, q.workers), _worker_shares(q.n_samples, q.workers)):
+        for done in range(0, share, _CHUNK_ROWS):
+            yield rng, min(_CHUNK_ROWS, share - done)
 
-    Monte Carlo batches are the worker streams' draws in stream order, with
-    weights None (each row counts 1/n).  Gauss-Hermite batches are
-    consecutive index ranges of the tensor rule in C order, with weights that
-    sum to 1 over the whole rule; only one batch of the order**dim nodes is
-    ever held.
+
+def _gh_chunks(m: GaussianMeasure, q: QuadratureSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (nodes, weights) batches of the Gauss-Hermite tensor rule mapped onto m.
+
+    Batches of at most _CHUNK_ROWS rows are consecutive index ranges of the
+    rule in C order, with weights that sum to 1 over the whole rule; only one
+    batch of the order**dim nodes is ever held.
     """
-    if q.kind is QuadratureKind.MONTE_CARLO:
-        for rng, share in zip(_worker_rngs(q.seed, q.workers), _worker_shares(q.n_samples, q.workers)):
-            for done in range(0, share, _CHUNK_ROWS):
-                take = min(_CHUNK_ROWS, share - done)
-                yield _transform(m, rng.standard_normal((take, m.dim))), None
-        return
     if m.dim > _MAX_GH_DIM:
         raise ValueError(
             f"gauss_hermite quadrature is guarded to dim <= {_MAX_GH_DIM}, got dim {m.dim}"
@@ -228,53 +247,163 @@ def sample(m: GaussianMeasure, n: int, seed: int, workers: int = 1) -> np.ndarra
         raise ValueError("n must be positive")
     out = np.empty((n, m.dim))
     pos = 0
-    for x, _ in _chunks(m, QuadratureSpec(QuadratureKind.MONTE_CARLO, n, seed, workers)):
-        out[pos : pos + len(x)] = x
-        pos += len(x)
+    for rng, rows in _mc_batches(QuadratureSpec(QuadratureKind.MONTE_CARLO, n, seed, workers)):
+        out[pos : pos + rows] = _transform(m, rng.standard_normal((rows, m.dim)))
+        pos += rows
     return out
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The getter and setter of numpy's bundled OpenBLAS thread count, or None where they are missing."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _mc_threads() -> int:
+    """Threads that evaluate Monte Carlo batch parts: two where OpenBLAS can be held to one thread."""
+    return 1 if _openblas_threads() is None else 2
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold OpenBLAS to one thread, so the two evaluation threads do not contend with its own."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _part_rows(rows: int) -> list[int]:
+    """A batch's part sizes: cut at rows // 2 rounded down to a multiple of _PART_ALIGN,
+    or one part under 2 * _PART_ALIGN rows."""
+    if rows < 2 * _PART_ALIGN:
+        return [rows]
+    cut = rows // 2 // _PART_ALIGN * _PART_ALIGN
+    return [cut, rows - cut]
+
+
+def _eval_rows(row_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, n_cols: int) -> np.ndarray:
+    return np.asarray(row_fn(x), dtype=float).reshape(len(x), n_cols)
+
+
+class _ColumnReducer:
+    """Sums of each column over a stream of (rows, n_cols) batches, plus the
+    Chan-Golub-LeVeque (count, mean, M2) merge for unweighted batches."""
+
+    def __init__(self, n_cols: int) -> None:
+        self.sums = np.zeros(n_cols)
+        self.total, self.mean, self.m2 = 0, np.zeros(n_cols), np.zeros(n_cols)
+
+    def add(self, cols: np.ndarray, weights: Optional[np.ndarray]) -> None:
+        c = len(cols)
+        bad = np.count_nonzero(~np.isfinite(cols).all(axis=1))
+        if bad:
+            raise ValueError(f"{bad} of {c} rows in a batch have a non-finite value")
+        # one contiguous row per column: numpy sums each pairwise, whatever the column count
+        cols = np.ascontiguousarray(cols.T)
+        if weights is not None:
+            self.sums += (cols * weights).sum(axis=1)
+            return
+        col_sums = cols.sum(axis=1)
+        self.sums += col_sums
+        c_mean = col_sums / c
+        delta = c_mean - self.mean
+        merged = self.total + c
+        self.mean += delta * (c / merged)
+        self.m2 += ((cols - c_mean[:, None]) ** 2).sum(axis=1) + delta * delta * (self.total * c / merged)
+        self.total = merged
+
+
+def _mc_pipeline(
+    m: GaussianMeasure, q: QuadratureSpec, row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int,
+    acc: _ColumnReducer,
+) -> None:
+    """Reduce each Monte Carlo batch's (rows, n_cols) block into acc, in stream and batch order.
+
+    Every batch of _mc_batches is cut by _part_rows; each part is drawn from
+    its stream, mapped onto m and evaluated by row_fn in a pool thread.  A
+    part draws only after the part before it in the same stream has drawn,
+    so the concatenated parts are the batch a sequential loop would draw.
+    The main thread joins one batch while the pool works on the next, which
+    keeps at most one batch of rows in flight.
+    """
+
+    def draw(rng: np.random.Generator, rows: int, after: Optional[threading.Event], drawn: threading.Event):
+        try:
+            if after is not None:
+                after.wait()
+            return rng.standard_normal((rows, m.dim))
+        finally:
+            drawn.set()  # also when the draw failed: the stream's next part must not wait forever
+
+    def part(*args) -> np.ndarray:
+        # the standard draws are a temporary: row_fn runs on the mapped points alone
+        return _eval_rows(row_fn, _transform(m, draw(*args)), n_cols)
+
+    def join(parts: list[Future]) -> None:
+        acc.add(np.concatenate([f.result() for f in parts]), None)
+
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(_mc_threads(), thread_name_prefix="logmeasure-mc")
+        try:
+            drawn: dict[np.random.Generator, threading.Event] = {}
+            queued: deque[list[Future]] = deque()
+            for rng, rows in _mc_batches(q):
+                parts = []
+                for part_rows in _part_rows(rows):
+                    after, drawn[rng] = drawn.get(rng), threading.Event()
+                    # the part runs in the caller's context, so np.errstate and the like carry over
+                    ctx = contextvars.copy_context()
+                    parts.append(pool.submit(ctx.run, part, rng, part_rows, after, drawn[rng]))
+                queued.append(parts)
+                if len(queued) == 2:
+                    join(queued.popleft())
+            while queued:
+                join(queued.popleft())
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _integrate_columns(
     m: GaussianMeasure, q: QuadratureSpec, row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int
 ) -> list[Estimate]:
-    """Integrate each column of row_fn against m, one batch of _chunks at a time.
+    """Integrate each column of row_fn against m, one batch at a time.
 
     row_fn maps a batch (c, dim) to (c, n_cols).  A Monte Carlo value is the
     plain column sum over n; its standard error comes from per-batch
     (count, mean, M2) merged by the Chan-Golub-LeVeque update, which keeps
-    its digits when the column's mean dwarfs its spread.  Gauss-Hermite
-    values are weighted sums and carry std_error None.  A batch with a
-    non-finite row raises ValueError rather than returning a NaN estimate,
-    and so does a Monte Carlo spec of fewer than 2 samples, whose standard
-    error is undefined.
+    its digits when the column's mean dwarfs its spread.  Monte Carlo
+    batches are evaluated by _mc_pipeline on two threads and reduced in
+    order.  Gauss-Hermite values are weighted sums and carry std_error None.
+    A batch with a non-finite row raises ValueError rather than returning a
+    NaN estimate, and so does a Monte Carlo spec of fewer than 2 samples,
+    whose standard error is undefined.
     """
-    if q.kind is QuadratureKind.MONTE_CARLO and q.n_samples < 2:
-        raise ValueError("a Monte Carlo estimate needs at least 2 samples for its standard error")
-    sums = np.zeros(n_cols)
-    total, mean, m2 = 0, np.zeros(n_cols), np.zeros(n_cols)
-    for x, weights in _chunks(m, q):
-        cols = np.asarray(row_fn(x), dtype=float).reshape(len(x), n_cols)
-        bad = np.count_nonzero(~np.isfinite(cols).all(axis=1))
-        if bad:
-            raise ValueError(f"{bad} of {len(x)} rows in a batch have a non-finite value")
-        # one contiguous row per column: numpy sums each pairwise, whatever the column count
-        cols = np.ascontiguousarray(cols.T)
-        if weights is not None:
-            sums += (cols * weights).sum(axis=1)
-            continue
-        c = len(x)
-        col_sums = cols.sum(axis=1)
-        sums += col_sums
-        c_mean = col_sums / c
-        delta = c_mean - mean
-        merged = total + c
-        mean += delta * (c / merged)
-        m2 += ((cols - c_mean[:, None]) ** 2).sum(axis=1) + delta * delta * (total * c / merged)
-        total = merged
+    acc = _ColumnReducer(n_cols)
     if q.kind is QuadratureKind.GAUSS_HERMITE:
-        return [Estimate(float(v)) for v in sums]
-    ses = np.sqrt(m2 / total / (total - 1))
-    return [Estimate(float(v), float(se)) for v, se in zip(sums / total, ses)]
+        for x, weights in _gh_chunks(m, q):
+            acc.add(_eval_rows(row_fn, x, n_cols), weights)
+        return [Estimate(float(v)) for v in acc.sums]
+    if q.n_samples < 2:
+        raise ValueError("a Monte Carlo estimate needs at least 2 samples for its standard error")
+    _mc_pipeline(m, q, row_fn, n_cols, acc)
+    ses = np.sqrt(acc.m2 / acc.total / (acc.total - 1))
+    return [Estimate(float(v), float(se)) for v, se in zip(acc.sums / acc.total, ses)]
 
 
 def expectation(

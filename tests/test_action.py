@@ -1,5 +1,7 @@
 """Discretized actions, their variations, and the weighted log derivative."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -404,3 +406,68 @@ def test_batched_rows_are_bitwise_the_path_methods(lag, q_offset):
         ]
         for b, o in zip(batched, one):
             assert b[i].tobytes() == o[0].tobytes()
+
+
+def _materialized_layout(x, lat):
+    """Left positions and forward-difference velocities, both built in full."""
+    paths = x.reshape(len(x), lat.n_steps, lat.dim_q)
+    left = np.concatenate([np.zeros((len(x), 1, lat.dim_q), dtype=x.dtype), paths[:, :-1]], axis=1)
+    return left.reshape(-1, lat.dim_q), ((paths - left) / lat.dt).reshape(-1, lat.dim_q)
+
+
+def _spying(lag, seen):
+    """lag with eta and eta_d1 recording the velocity array each receives."""
+
+    def eta(q, v):
+        seen.append(v)
+        return lag.eta(q, v)
+
+    def eta_d1(q, v):
+        seen.append(v)
+        return lag.eta_d1(q, v)
+
+    return dataclasses.replace(lag, eta=eta, eta_d1=eta_d1)
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["real", "rotated"])
+@pytest.mark.parametrize(
+    "lag",
+    [free_lagrangian(2), harmonic_lagrangian(2), quartic_lagrangian(2), _coupled_lagrangian()],
+    ids=["free", "harmonic", "quartic", "velocity_coupled"],
+)
+def test_velocities_are_built_only_for_kinetic_or_velocity_coupled_rows(lag, rotate):
+    lat = make_lattice(7, 0.9, 2)
+    x, k = np.random.default_rng(5).normal(size=(2, 4, lat.dim))
+    if rotate:
+        x, k = np.exp(1j * np.pi / 4.0) * x, np.exp(1j * np.pi / 4.0) * k
+    q0 = np.array([0.3, -0.4])
+    seen = []
+    action = DiscreteAction(_spying(lag, seen), lat, q0)
+    left, V = _materialized_layout(x, lat)
+
+    eta_rows = action._action_rows(x, kinetic=False)
+    eta_first = action._variation_rows(x, k, kinetic=False)
+    if lag.velocity_coupled:
+        assert all(v.strides != (0, 0) and np.array_equal(v, V) for v in seen)
+    else:
+        # a read-only zero view: no (rows * n_steps, dim_q) velocity array is ever built
+        assert all(v.strides == (0, 0) and not v.flags.writeable and v.shape == V.shape for v in seen)
+        assert all(not v.any() and v.dtype == x.dtype for v in seen)
+    assert len(seen) == 2
+
+    seen.clear()
+    full = action._action_rows(x, kinetic=True)
+    assert len(seen) == 1 and np.array_equal(seen[0], V)
+
+    # the rows are the ones computed from materialized velocities
+    eta_ref = np.asarray(lag.eta(left + q0, V)).reshape(len(x), -1).sum(axis=1) * lat.dt
+    kin = 0.5 * np.einsum("ij,ij->i", V, V @ lag.kinetic_matrix)
+    full_ref = (np.asarray(lag.eta(left + q0, V)) + kin).reshape(len(x), -1).sum(axis=1) * lat.dt
+    kQ, kV = _materialized_layout(k, lat)
+    first_ref = np.einsum("ij,ij->i", np.asarray(lag.eta_d1(left + q0, V)), kQ)
+    if lag.eta_d2 is not None:
+        first_ref = first_ref + np.einsum("ij,ij->i", lag.eta_velocity_gradient(left + q0, V), kV)
+    first_ref = first_ref.reshape(len(x), -1).sum(axis=1) * lat.dt
+    assert eta_rows.tobytes() == eta_ref.tobytes()
+    assert full.tobytes() == full_ref.tobytes()
+    assert eta_first.tobytes() == first_ref.tobytes()

@@ -116,9 +116,11 @@ def test_ibp_check_run_outputs_and_pass_lines(tmp_path, capsys):
     assert all(r["pass"] == "true" for r in rows)
     record = json.loads((tmp_path / "ibp.json").read_text())
     for key in ("experiment", "config", "columns", "rows", "assertions", "passed",
-                "seed", "workers", "versions", "wall_time_s"):
+                "seed", "workers", "mc_threads", "versions", "wall_time_s"):
         assert key in record
     assert record["passed"] is True
+    assert record["mc_threads"] == measures._mc_threads()
+    assert record["mc_threads"] in (1, 2)
     assert record["versions"]["logmeasure"]
 
 

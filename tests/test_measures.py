@@ -1,26 +1,38 @@
 """Gaussian measures, sampling, quadrature, and logarithmic derivatives."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from logmeasure import (
     Estimate,
     GaussianMeasure,
     QuadratureSpec,
+    SchrodingerProblem,
     TestFunction,
     VectorField,
     expectation,
+    feynman_mc,
+    gaussian_bump,
+    harmonic_lagrangian,
     ibp_residual,
     log_derivative_along_field,
     log_derivative_along_vector,
     make_lattice,
+    proposition1_check,
     sample,
+    scaling_family,
     standard_normal,
     wiener_measure,
 )
+from logmeasure import measures
 from logmeasure.lattice import cm_gram
 from logmeasure.library import polynomial_pairs
 from logmeasure.measures import _CHUNK_ROWS, _integrate_columns, _transform, ibp_terms
@@ -203,10 +215,10 @@ def test_monte_carlo_standard_error_is_the_sample_standard_error(workers):
 
 def test_monte_carlo_column_sums_are_pairwise():
     # a strided axis-0 sum of a (c, 3) batch carries about 5e-15 relative rounding
-    data = np.random.default_rng(2).normal(1.0, 1.0, (_CHUNK_ROWS, 3))
-    ests = _integrate_columns(
-        standard_normal(1), QuadratureSpec("monte_carlo", _CHUNK_ROWS), lambda x: data, 3
-    )
+    m = standard_normal(3)
+    rows = lambda x: 1.0 + x  # N(1, 1) columns, one row per sample as the row contract asks
+    ests = _integrate_columns(m, QuadratureSpec("monte_carlo", _CHUNK_ROWS, seed=2), rows, 3)
+    data = rows(sample(m, _CHUNK_ROWS, seed=2))
     for est, col in zip(ests, data.T):
         exact = math.fsum(col)
         assert abs(est.value * _CHUNK_ROWS - exact) <= 1e-15 * abs(exact)
@@ -401,7 +413,20 @@ def test_ibp_monte_carlo_within_three_standard_errors():
         assert abs(res.value) <= 3.0 * res.std_error
 
 
-def test_ibp_monte_carlo_evaluates_the_field_once_per_chunk():
+def _reduced_batches(monkeypatch):
+    """Record the row count of every batch the reducer sees; returns the list."""
+    sizes = []
+    add = measures._ColumnReducer.add
+
+    def counted(self, cols, weights):
+        sizes.append(len(cols))
+        return add(self, cols, weights)
+
+    monkeypatch.setattr(measures._ColumnReducer, "add", counted)
+    return sizes
+
+
+def test_ibp_monte_carlo_evaluates_the_field_once_per_chunk(monkeypatch):
     dim = 3
     phi, h = polynomial_pairs(dim, count=1, seed=0)[0]
     batches = []
@@ -412,11 +437,14 @@ def test_ibp_monte_carlo_evaluates_the_field_once_per_chunk():
 
     counted = VectorField(dim=dim, eval=counted_eval, jacobian=h.jacobian, divergence=h.divergence)
     n = 2 * _CHUNK_ROWS + 5
+    reduced = _reduced_batches(monkeypatch)
     ibp_residual(standard_normal(dim), phi, counted, QuadratureSpec("monte_carlo", n, seed=1))
-    assert batches == [_CHUNK_ROWS, _CHUNK_ROWS, 5]
+    # h sees each sample once, in parts of the reducer's batches (twice would sum to 2n)
+    assert sum(batches) == n and max(batches) <= _CHUNK_ROWS
+    assert reduced == [_CHUNK_ROWS, _CHUNK_ROWS, 5]
 
 
-def test_ibp_terms_evaluate_the_field_once_per_chunk_and_sum_to_the_residual():
+def test_ibp_terms_evaluate_the_field_once_per_chunk_and_sum_to_the_residual(monkeypatch):
     dim = 3
     m = wiener_measure(make_lattice(dim, 1.0, 1))
     phi, h = polynomial_pairs(dim, count=1, seed=0)[0]
@@ -428,8 +456,10 @@ def test_ibp_terms_evaluate_the_field_once_per_chunk_and_sum_to_the_residual():
 
     counted = VectorField(dim=dim, eval=counted_eval, jacobian=h.jacobian, divergence=h.divergence)
     mc = QuadratureSpec("monte_carlo", 2 * _CHUNK_ROWS + 5, seed=1)
+    reduced = _reduced_batches(monkeypatch)
     terms = ibp_terms(m, phi, counted, mc)
-    assert batches == [_CHUNK_ROWS, _CHUNK_ROWS, 5]
+    assert sum(batches) == mc.n_samples and max(batches) <= _CHUNK_ROWS
+    assert reduced == [_CHUNK_ROWS, _CHUNK_ROWS, 5]
     scale = max(abs(t.value) for t in terms)
     assert sum(t.value for t in terms) == pytest.approx(ibp_residual(m, phi, h, mc).value, abs=1e-12 * scale)
 
@@ -441,3 +471,232 @@ def test_ibp_monte_carlo_is_deterministic():
     a = ibp_residual(m, phi, h, mc)
     b = ibp_residual(m, phi, h, mc)
     assert a.value == b.value and a.std_error == b.std_error
+
+
+# ---------------------------------------------------------------------------
+# the two-thread Monte Carlo pipeline against a sequential reference reducer
+
+
+def _sequential_reference(m, q, row_fn, n_cols):
+    """(value, std_error) per column from a plain loop: sample()'s rows cut into the
+    stream-and-batch layout, one row_fn call per batch, merged in order."""
+    x = sample(m, q.n_samples, q.seed, q.workers)
+    base, rem = divmod(q.n_samples, q.workers)
+    sizes = []
+    for share in [base + (w < rem) for w in range(q.workers)]:
+        sizes += [min(_CHUNK_ROWS, share - done) for done in range(0, share, _CHUNK_ROWS)]
+    sums, total, mean, m2 = np.zeros(n_cols), 0, np.zeros(n_cols), np.zeros(n_cols)
+    pos = 0
+    for c in sizes:
+        cols = np.asarray(row_fn(x[pos : pos + c]), dtype=float).reshape(c, n_cols)
+        cols = np.ascontiguousarray(cols.T)
+        pos += c
+        col_sums = cols.sum(axis=1)
+        sums += col_sums
+        c_mean = col_sums / c
+        delta = c_mean - mean
+        merged = total + c
+        mean += delta * (c / merged)
+        m2 += ((cols - c_mean[:, None]) ** 2).sum(axis=1) + delta * delta * (total * c / merged)
+        total = merged
+    return [(v.hex(), se.hex()) for v, se in zip(sums / total, np.sqrt(m2 / total / (total - 1)))]
+
+
+def _capture_pipeline(monkeypatch):
+    """Record (m, q, row_fn, n_cols) of every Monte Carlo pipeline run; returns the list."""
+    seen = []
+    run = measures._mc_pipeline
+
+    def spy(m, q, row_fn, n_cols, acc):
+        seen.append((m, q, row_fn, n_cols))
+        return run(m, q, row_fn, n_cols, acc)
+
+    monkeypatch.setattr(measures, "_mc_pipeline", spy)
+    return seen
+
+
+def _estimates(ests):
+    return [(e.value.hex(), e.std_error.hex()) for e in ests]
+
+
+def _pipeline_call(name, q):
+    """Run one public MC function; returns its (value, se) pairs in reducer column order
+    (proposition1_check reports the residual's standard error alone)."""
+    wiener = wiener_measure(make_lattice(3, 1.0, 1))
+    phi, h = polynomial_pairs(3, count=1, seed=0)[0]
+    if name == "ibp_residual":
+        return _estimates([ibp_residual(wiener, phi, h, q)])
+    if name == "ibp_terms":
+        return _estimates(ibp_terms(wiener, phi, h, q))
+    if name == "proposition1_check":
+        res = proposition1_check(wiener, scaling_family(3), phi, q)
+        return [res.lhs.hex(), res.rhs.hex(), (res.residual.hex(), res.std_error.hex())]
+    if name == "expectation":
+        return _estimates([expectation(wiener, lambda x: np.exp(0.3 * x[:, 0]) + x[:, 1] * x[:, 2], q)])
+    p = SchrodingerProblem(1, harmonic_lagrangian(1), gaussian_bump(1, sigma=1.0), 0.5)
+    probes = np.array([[-1.0], [0.0], [0.7]])
+    return _estimates(feynman_mc(p, probes, make_lattice(8, 0.5, 1), q))
+
+
+@pytest.mark.parametrize("n", [2, 2047, 2048, 2 * _CHUNK_ROWS + 5, 300001])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name", ["ibp_residual", "ibp_terms", "proposition1_check", "expectation", "feynman_mc"]
+)
+def test_pipeline_is_bitwise_the_sequential_reducer(monkeypatch, name, workers, n):
+    seen = _capture_pipeline(monkeypatch)
+    got = _pipeline_call(name, QuadratureSpec("monte_carlo", n, seed=7, workers=workers))
+    (m, q, row_fn, n_cols), = seen
+    ref = _sequential_reference(m, q, row_fn, n_cols)
+    if name == "proposition1_check":
+        ref = [ref[0][0], ref[1][0], ref[2]]
+    assert got == ref
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=2 * _CHUNK_ROWS + 4096),
+    workers=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pipeline_matches_the_sequential_reducer_for_any_layout(n, workers, seed):
+    m = wiener_measure(make_lattice(2, 1.0, 1))
+    q = QuadratureSpec("monte_carlo", n, seed=seed, workers=workers)
+
+    def rows(x):
+        return np.stack([np.sin(x[:, 0]) * x[:, 1], x[:, 0] ** 2], axis=1)
+
+    assert _estimates(_integrate_columns(m, q, rows, 2)) == _sequential_reference(m, q, rows, 2)
+
+
+class _FirstDrawHook:
+    """A stream generator that runs hook() before its first draw."""
+
+    def __init__(self, rng, hook):
+        self.rng, self.hook, self.draws = rng, hook, 0
+
+    def standard_normal(self, size):
+        self.draws += 1
+        if self.draws == 1:
+            self.hook()
+        return self.rng.standard_normal(size)
+
+
+def _hook_first_draws(monkeypatch, hook):
+    rngs = measures._worker_rngs
+    monkeypatch.setattr(
+        measures, "_worker_rngs", lambda seed, workers: [_FirstDrawHook(r, hook) for r in rngs(seed, workers)]
+    )
+
+
+def test_parts_of_one_stream_draw_in_order_when_the_first_draw_is_slow(monkeypatch):
+    # five streams of one split batch each; a second part that drew before the first would move the values
+    m = wiener_measure(make_lattice(3, 1.0, 1))
+    q = QuadratureSpec("monte_carlo", 5 * 3048, seed=3, workers=5)
+    rows = lambda x: x * x
+    ref = _sequential_reference(m, q, rows, 3)
+    _hook_first_draws(monkeypatch, lambda: time.sleep(0.02))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [_estimates(_integrate_columns(m, q, rows, 3)) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [ref] * 3
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sample_is_the_sequential_whole_batch_draw(workers):
+    m = wiener_measure(make_lattice(4, 1.0, 1))
+    n, seed = 2 * _CHUNK_ROWS + 7, 5
+    ref = []
+    for rng, share in zip(measures._worker_rngs(seed, workers), measures._worker_shares(n, workers)):
+        for done in range(0, share, _CHUNK_ROWS):
+            ref.append(_transform(m, rng.standard_normal((min(_CHUNK_ROWS, share - done), m.dim))))
+    assert sample(m, n, seed, workers).tobytes() == np.concatenate(ref).tobytes()
+
+
+def test_pipeline_holds_blas_to_one_thread_and_restores_it():
+    blas = measures._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS thread setter is not available here")
+    get, put = blas
+    before = get()
+    seen = []
+
+    def rows(x):
+        seen.append(get())
+        return x[:, 0]
+
+    def broken(x):
+        raise RuntimeError("row function failed")
+
+    mc = QuadratureSpec("monte_carlo", 10_000, seed=1)
+    put(2)
+    try:
+        expectation(standard_normal(2), rows, mc)
+        assert set(seen) == {1} and get() == 2
+        with pytest.raises(RuntimeError, match="row function failed"):
+            expectation(standard_normal(2), broken, mc)
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def _finishes(fn, timeout=60.0):
+    """Run fn in a thread joined with a timeout; returns the exception it raised, or None."""
+    out = {}
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the Monte Carlo pipeline did not return"
+    return out.get("error")
+
+
+@pytest.mark.parametrize("failure", ["raises", "non_finite"])
+def test_a_failing_part_stops_the_pipeline_promptly(failure):
+    # 4 batches of two parts; the second part evaluated fails
+    calls = []
+    lock = threading.Lock()
+
+    def rows(x):
+        with lock:
+            calls.append(len(x))
+            second = len(calls) == 2
+        out = x[:, :1].copy()
+        if second and failure == "raises":
+            raise RuntimeError("part failed")
+        if second:
+            out[0] = np.nan
+        return out
+
+    mc = QuadratureSpec("monte_carlo", 4 * _CHUNK_ROWS, seed=1)
+    error = _finishes(lambda: _integrate_columns(standard_normal(2), mc, rows, 1))
+    expected = RuntimeError if failure == "raises" else ValueError
+    assert isinstance(error, expected)
+    assert len(calls) <= 4  # its batch and at most the one queued behind it, not all 8 parts
+
+
+def test_a_failed_draw_cannot_deadlock_the_part_waiting_on_its_stream(monkeypatch):
+    def fail():
+        raise RuntimeError("draw failed")
+
+    _hook_first_draws(monkeypatch, fail)
+    mc = QuadratureSpec("monte_carlo", 2 * _CHUNK_ROWS, seed=1, workers=2)
+    error = _finishes(lambda: _integrate_columns(standard_normal(2), mc, lambda x: x, 2))
+    assert isinstance(error, RuntimeError) and str(error) == "draw failed"
+
+
+def test_the_callers_floating_point_state_reaches_the_parts():
+    # arctan(1 / 0) is finite, but the division warns, and pytest turns the warning into an error
+    f = lambda x: np.arctan(1.0 / (0.0 * x[:, 0]))
+    mc = QuadratureSpec("monte_carlo", 5000, seed=1)
+    with np.errstate(divide="ignore"):
+        assert expectation(standard_normal(1), f, mc).value == pytest.approx(0.0, abs=0.1)
