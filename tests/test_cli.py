@@ -373,7 +373,7 @@ def test_compare_lays_out_each_batch_once_for_all_probes(tmp_path, capsys, monke
 
 
 def test_compare_factors_the_exact_propagator_once(tmp_path, capsys, monkeypatch):
-    calls = _counting(monkeypatch, feynman, "cho_factor")
+    calls = _counting(monkeypatch, feynman, "cholesky_banded")
     _run_small_compare(tmp_path, capsys)
     assert len(calls) == 1  # one factorization for the 5 probes
 

@@ -4,6 +4,7 @@ oscillatory quadrature check, plus the anomaly experiment built on top."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,11 +17,14 @@ from scipy.integrate import quad
 from logmeasure import (
     GaussianInitialData,
     InitialCondition,
+    Lagrangian,
+    QuadraticEta,
     QuadratureSpec,
     SchrodingerProblem,
     SpaceGrid,
     WLogDerivativeMode,
     anomaly_experiment,
+    cm_gram,
     constant_initial_condition,
     exact_gaussian_propagator,
     feynman_mc,
@@ -309,6 +313,114 @@ def test_exact_gaussian_guards():
     p2 = SchrodingerProblem(1, free_lagrangian(1), constant_initial_condition(1), 0.5)
     with pytest.raises(ValueError):
         exact_gaussian_propagator(p2, [0.0], make_lattice(8, 0.5, 1))
+
+
+def _quadratic_lagrangian(matrix, linear, constant, kinetic_matrix):
+    qe = QuadraticEta(matrix=matrix, linear=linear, constant=constant)
+
+    def eta(q, v):
+        q = np.atleast_2d(q)
+        return 0.5 * np.einsum("ij,ij->i", q, q @ qe.matrix) + q @ qe.linear + qe.constant
+
+    return Lagrangian(
+        dim_q=len(qe.linear),
+        eta=eta,
+        eta_d1=lambda q, v: np.atleast_2d(q) @ qe.matrix + qe.linear,
+        kinetic_matrix=kinetic_matrix,
+        quadratic_eta=qe,
+        label="quadratic",
+    )
+
+
+def _dense_exact_reference(p, q, lat):
+    """The exact route's Gaussian integral, built on the dense (n d)^2 path precision."""
+    qe, data = p.lagrangian.quadratic_eta, p.f0.gaussian_data
+    n, d, dt = lat.n_steps, lat.dim_q, lat.dt
+    gram = cm_gram(lat, p.kinetic_matrix).matrix
+    eta_slots = np.diag(np.r_[np.full(n - 1, dt), 0.0])
+    last_slot = np.diag(np.r_[np.zeros(n - 1), 1.0])
+    prec = gram + np.kron(eta_slots, qe.matrix) + np.kron(last_slot, data.quad)
+    rhs = np.concatenate([np.tile(-dt * (qe.matrix @ q + qe.linear), n - 1), data.lin - data.quad @ q])
+    const = (
+        -n * dt * (0.5 * q @ qe.matrix @ q + qe.linear @ q + qe.constant)
+        - 0.5 * q @ data.quad @ q
+        + data.lin @ q
+        + data.const
+    )
+    mu = np.linalg.solve(prec, rhs)
+    cov_last = np.linalg.solve(prec, np.eye(n * d)[:, -d:])[-d:]
+    mean_last = mu[-d:] + q
+    poly = data.poly0 + data.poly1 @ mean_last + mean_last @ data.poly2 @ mean_last
+    log_ratio = np.linalg.slogdet(gram)[1] - np.linalg.slogdet(prec)[1]
+    return np.exp(0.5 * log_ratio + const + 0.5 * rhs @ mu) * (poly + np.sum(data.poly2 * cov_last))
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 16, 64])
+@pytest.mark.parametrize("poly2", [False, True], ids=["bump", "poly2"])
+@pytest.mark.parametrize("dim_q", [1, 2])
+def test_exact_gaussian_matches_the_dense_path_precision(dim_q, poly2, n_steps):
+    b = np.array([[1.5]]) if dim_q == 1 else np.array([[2.0, 0.3], [0.3, 1.0]])
+    m = np.array([[0.8]]) if dim_q == 1 else np.array([[0.8, -0.2], [-0.2, 0.5]])
+    lag = _quadratic_lagrangian(m, np.full(dim_q, 0.3), 0.1, b)
+    f0 = _polynomial_bump(dim_q) if poly2 else gaussian_bump(dim_q, amplitude=1.3, center=0.2, sigma=0.8)
+    p = SchrodingerProblem(dim_q, lag, f0, 0.5)
+    lat = make_lattice(n_steps, 0.5, dim_q)
+    points = np.random.default_rng(n_steps).normal(size=(4, dim_q))
+    values = exact_gaussian_propagator(p, points, lat)
+    ref = np.array([_dense_exact_reference(p, q, lat) for q in points])
+    np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def _spd_2x2(draw, floor):
+    a = draw(arrays(float, (2, 2), elements=st.floats(-1.5, 1.5)))
+    return a @ a.T + floor * np.eye(2)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    b=_spd_2x2(0.2),
+    m=_spd_2x2(0.0),
+    n_steps=st.integers(1, 32),
+    points=arrays(float, st.tuples(st.integers(1, 4), st.just(2)), elements=st.floats(-2.0, 2.0)),
+)
+def test_exact_gaussian_matches_the_dense_path_precision_for_random_problems(b, m, n_steps, points):
+    lag = _quadratic_lagrangian(m, np.array([0.3, -0.1]), 0.1, b)
+    p = SchrodingerProblem(2, lag, _polynomial_bump(2), 0.5)
+    lat = make_lattice(n_steps, 0.5, 2)
+    values = exact_gaussian_propagator(p, points, lat)
+    ref = np.array([_dense_exact_reference(p, q, lat) for q in points])
+    np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+
+
+def test_exact_gaussian_at_4096_steps_matches_the_continuum_closed_form():
+    p = SchrodingerProblem(1, free_lagrangian(1), gaussian_bump(1, sigma=0.5), 0.25)
+    value = exact_gaussian_propagator(p, [0.3], make_lattice(4096, 0.25, 1))
+    ref = free_evolution_closed_form(1.0, 0.0, 0.5, 1.0, 0.25, 0.3, EUCLID)
+    assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
+def test_exact_gaussian_at_4096_steps_never_forms_the_dense_matrix():
+    # the band of a d = 2, 4096-step path precision is 4 x 8192 doubles (256 kB);
+    # the dense matrix would be 8192^2 doubles (512 MB)
+    p = SchrodingerProblem(2, harmonic_lagrangian(2), _polynomial_bump(2), 0.5)
+    lat = make_lattice(4096, 0.5, 2)
+    tracemalloc.start()
+    try:
+        value = exact_gaussian_propagator(p, np.array([[0.3, -0.2], [0.0, 0.1]]), lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(value))
+    assert peak < 8 * 2**20
+
+
+def test_exact_gaussian_raises_when_the_path_integral_diverges():
+    # eta = -20 q^2 makes the path precision indefinite on this lattice
+    lag = _quadratic_lagrangian(np.array([[-40.0]]), np.zeros(1), 0.0, np.eye(1))
+    p = SchrodingerProblem(1, lag, gaussian_bump(1), 1.0)
+    with pytest.raises(ValueError, match="path integral diverges"):
+        exact_gaussian_propagator(p, np.array([[0.0], [0.5]]), make_lattice(16, 1.0, 1))
 
 
 def _polynomial_bump(dim_q):
