@@ -4,13 +4,17 @@ Usage:
     logmeasure run <config.json> [--set key=value]... [--seed N] [--workers N] [--out DIR]
     logmeasure list-builtins [--json]
 
-Configs are JSON with a top-level ``"schema": 1`` marker and are validated
-(unknown keys rejected) before any computation; validation problems exit 2
-with no output files.  A run writes one JSON result record and one CSV table,
-prints one line per declared assertion, and exits 0 only if every assertion
-passed (1 otherwise).  Identical config + seed + workers reproduces every
-numeric column bitwise; wall time and the number of threads that evaluate
-Monte Carlo batches (``mc_threads``) live only in the JSON record.
+Configs are JSON with a top-level ``"schema": 1`` marker.  An experiment's
+schema holds every rule on which keys a config must or may set and which
+values go together; a key left out takes the default of the library function
+it is passed to.  The schema, the builtin names and parameters and the probe
+dimensions are checked before any computation; any problem exits 2 with no
+output files.  A run writes one JSON result record and one CSV table (its
+columns are the rows' keys, documented in ``docs/csv_schema.json``), prints
+one line per declared assertion, and exits 0 only if every assertion passed
+(1 otherwise).  Identical config + seed + workers reproduces every numeric
+column bitwise; wall time and the number of threads that evaluate Monte
+Carlo batches (``mc_threads``) live only in the JSON record.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib.metadata
+import inspect
 import json
 import os
 import platform
@@ -74,17 +79,33 @@ class ConfigError(Exception):
 # config schema fragments shared by the experiments
 
 
-def _object(properties: dict, required: tuple[str, ...] = ()) -> dict:
+def _object(properties: dict, required: tuple[str, ...] = (), *rules: dict) -> dict:
     """Schema of a JSON object with the given properties that rejects unknown keys.
 
+    Each rule is a further schema the object must match (see _when and _at).
     The keyword order decides which error jsonschema reports first; keep it.
     """
-    return {
+    schema = {
         "type": "object",
         "additionalProperties": False,
         "required": list(required),
         "properties": properties,
     }
+    if rules:
+        schema["allOf"] = list(rules)
+    return schema
+
+
+def _at(path: str, schema: dict) -> dict:
+    """Schema that applies schema to the value at a dotted path of object keys, where present."""
+    for key in reversed(path.split(".")):
+        schema = {"properties": {key: schema}}
+    return schema
+
+
+def _when(key: str, value: Any, then: dict) -> dict:
+    """Rule: an object whose key is value must also match then."""
+    return {"if": {"properties": {key: {"const": value}}, "required": [key]}, "then": then}
 
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -102,11 +123,15 @@ _MEASURE_SCHEMA = _object(
         "kinetic_scale": _POSITIVE,
     },
     ("kind",),
+    _when("kind", "standard", {"required": ["dim"]}),
+    _when("kind", "wiener", {"required": ["lattice"]}),
 )
 
 _QUADRATURE_SCHEMA = _object(
     {"kind": {"enum": ["monte_carlo", "gauss_hermite"]}, "n_samples": _COUNT, "order": _COUNT},
     ("kind",),
+    _when("kind", "gauss_hermite", {"required": ["order"]}),
+    _when("kind", "monte_carlo", {"required": ["n_samples"]}),
 )
 
 _NAMED_SCHEMA = _object({"name": {"type": "string"}, "params": {"type": "object"}}, ("name",))
@@ -118,9 +143,12 @@ _FAMILY_SCHEMA = _object(
 
 _PAIRS_SCHEMA = _object({"count": _COUNT, "seed": {"type": "integer", "minimum": 0}}, ("count",))
 
+# f0 types; a type takes the f0 keys its factory has a parameter of and ignores the rest
+_F0_FACTORIES = {"gaussian_bump": gaussian_bump, "constant": constant_initial_condition}
+
 _F0_SCHEMA = _object(
     {
-        "type": {"enum": ["gaussian_bump", "constant"]},
+        "type": {"enum": list(_F0_FACTORIES)},
         "amplitude": _POSITIVE,
         "center": {"type": "number"},
         "sigma": _POSITIVE,
@@ -145,6 +173,9 @@ _GRID_SCHEMA = _object(
 
 _MODE_SCHEMA = {"enum": ["euclidean", "real_time"]}
 
+# the one mode each method is defined in; pde runs in both
+_METHOD_MODES = {"mc": "euclidean", "exact_gaussian": "euclidean", "oscillatory": "real_time"}
+
 _PROBES_SCHEMA = {
     "type": "array",
     "minItems": 1,
@@ -158,25 +189,17 @@ _PROBES_SCHEMA = {
 
 def _build_measure(spec: dict) -> tuple[GaussianMeasure, str]:
     if spec["kind"] == "standard":
-        if "dim" not in spec:
-            raise ConfigError("standard measure needs a dim")
         return standard_normal(spec["dim"]), f"standard(dim={spec['dim']})"
-    if "lattice" not in spec:
-        raise ConfigError("wiener measure needs a lattice")
     lat = spec["lattice"]
     lattice = make_lattice(lat["n_steps"], lat["t_final"], lat["dim_q"])
-    kinetic = spec.get("kinetic_scale", 1.0) * np.eye(lattice.dim_q)
+    kinetic = spec["kinetic_scale"] * np.eye(lattice.dim_q) if "kinetic_scale" in spec else None
     label = f"wiener(n={lat['n_steps']},t={lat['t_final']},d={lat['dim_q']})"
     return wiener_measure(lattice, kinetic), label
 
 
 def _build_quadrature(spec: dict, seed: int, workers: int) -> QuadratureSpec:
     if spec["kind"] == "gauss_hermite":
-        if "order" not in spec:
-            raise ConfigError("gauss_hermite quadrature needs an order")
         return QuadratureSpec(QuadratureKind.GAUSS_HERMITE, spec["order"])
-    if "n_samples" not in spec:
-        raise ConfigError("monte_carlo quadrature needs n_samples")
     return QuadratureSpec(QuadratureKind.MONTE_CARLO, spec["n_samples"], seed, workers)
 
 
@@ -185,15 +208,9 @@ def _build_problem(spec: dict) -> SchrodingerProblem:
     lag_spec = spec["lagrangian"]
     lagrangian = make_lagrangian(lag_spec["name"], dim_q, lag_spec.get("params"))
     f0_spec = spec["f0"]
-    if f0_spec["type"] == "gaussian_bump":
-        f0 = gaussian_bump(
-            dim_q,
-            amplitude=f0_spec.get("amplitude", 1.0),
-            center=f0_spec.get("center", 0.0),
-            sigma=f0_spec.get("sigma", 1.0),
-        )
-    else:
-        f0 = constant_initial_condition(dim_q, f0_spec.get("value", 1.0))
+    factory = _F0_FACTORIES[f0_spec["type"]]
+    taken = inspect.signature(factory).parameters
+    f0 = factory(dim_q, **{key: value for key, value in f0_spec.items() if key in taken})
     return SchrodingerProblem(
         dim_q=dim_q,
         lagrangian=lagrangian,
@@ -203,20 +220,12 @@ def _build_problem(spec: dict) -> SchrodingerProblem:
     )
 
 
-def _mode(params: dict, default: str = "euclidean") -> WLogDerivativeMode:
-    return WLogDerivativeMode(params.get("mode", default))
-
-
 def _probes(probes: list, dim_q: int) -> tuple[np.ndarray, list[dict]]:
     """Probe points and their q0/q1 CSV cells; every probe must have dim_q coordinates."""
     if any(len(probe) != dim_q for probe in probes):
         raise ConfigError(f"every probe must have {dim_q} coordinate(s)")
     cells = [{"q0": float(p[0]), "q1": float(p[1]) if dim_q > 1 else None} for p in probes]
     return np.asarray(probes, dtype=float), cells
-
-
-# the one mode each method is defined in; pde runs in both
-_METHOD_MODES = {"mc": "euclidean", "exact_gaussian": "euclidean", "oscillatory": "real_time"}
 
 
 def _method_at_probes(
@@ -229,13 +238,9 @@ def _method_at_probes(
     n_samples.  A PDE solution is interpolated linearly at the probes, which
     must lie in its grid box.
     """
-    if mode.value != _METHOD_MODES.get(method, mode.value):
-        raise ConfigError(f"{method} method is defined in the {_METHOD_MODES[method]} mode only")
     lattice = make_lattice(spec["n_steps"], problem.t_final, problem.dim_q)
     no_errors = [None] * len(points)
     if method == "pde":
-        if "grid" not in spec:
-            raise ConfigError("pde method needs a grid")
         grid = SpaceGrid(problem.dim_q, spec["grid"]["extent"], spec["grid"]["n_points"])
         if np.any(np.abs(points) > grid.extent):
             box = f"[-{grid.extent:g}, {grid.extent:g}]^{grid.dim_q}"
@@ -249,8 +254,6 @@ def _method_at_probes(
             values = RegularGridInterpolator((grid.axis, grid.axis), result.values)(points)
         return values, no_errors, result.error_estimate
     if method == "mc":
-        if "n_samples" not in spec:
-            raise ConfigError("mc method needs n_samples")
         quad = QuadratureSpec(QuadratureKind.MONTE_CARLO, spec["n_samples"], seed, workers)
         estimates = feynman_mc(problem, points, lattice, quad)
         return np.array([e.value for e in estimates]), [e.std_error for e in estimates], None
@@ -288,7 +291,7 @@ def _run_ibp_check(params: dict, seed: int, workers: int):
     rows: list[Row] = []
     for measure_spec in params["measures"]:
         m, label = _build_measure(measure_spec)
-        pairs = polynomial_pairs(m.dim, params["pairs"]["count"], params["pairs"].get("seed", 0))
+        pairs = polynomial_pairs(m.dim, **params["pairs"])
         for idx, (phi, h) in enumerate(pairs):
             est = ibp_residual(m, phi, h, quad)
             if est.std_error is None:
@@ -315,7 +318,7 @@ def _run_theorem1_check(params: dict, seed: int, workers: int):
     quad = _build_quadrature(params["quadrature"], seed, workers)
     tolerance = params.get("tolerance", 1e-10)
     trace_floor = params.get("trace_floor", 1e-6)
-    pairs = polynomial_pairs(m.dim, params["pairs"]["count"], params["pairs"].get("seed", 0))
+    pairs = polynomial_pairs(m.dim, **params["pairs"])
 
     rows: list[Row] = []
     for idx, (phi, h) in enumerate(pairs):
@@ -357,11 +360,15 @@ def _run_prop1_check(params: dict, seed: int, workers: int):
     quad = _build_quadrature(params["quadrature"], seed, workers)
     tolerance = params.get("tolerance", 1e-8)
     se_multiplier = params.get("se_multiplier", 3.0)
-    pairs = polynomial_pairs(m.dim, params["pairs"]["count"], params["pairs"].get("seed", 0))
+    pairs = polynomial_pairs(m.dim, **params["pairs"])
+
+    families = [
+        (spec["name"], make_family(spec["name"], m.dim, spec.get("params")))
+        for spec in params["families"]
+    ]
 
     rows: list[Row] = []
-    for fam_spec in params["families"]:
-        family = make_family(fam_spec["name"], m.dim, fam_spec.get("params"))
+    for name, family in families:
         for idx, (phi, _) in enumerate(pairs):
             result = proposition1_check(m, family, phi, quad)
             if result.std_error is None:
@@ -371,7 +378,7 @@ def _run_prop1_check(params: dict, seed: int, workers: int):
             rows.append(
                 {
                     "measure": label,
-                    "family": fam_spec["name"],
+                    "family": name,
                     "phi": idx,
                     "lhs": result.lhs,
                     "rhs": result.rhs,
@@ -423,7 +430,7 @@ def _run_solve(params: dict, seed: int, workers: int):
     method = params["method"]
     points, cells = _probes(params.get("probes", [[0.0] * problem.dim_q]), problem.dim_q)
     values, std_errors, boundary_mass = _method_at_probes(
-        method, params, problem, _mode(params), points, seed, workers
+        method, params, problem, WLogDerivativeMode(params["mode"]), points, seed, workers
     )
 
     rows = [
@@ -455,9 +462,7 @@ def _run_compare(params: dict, seed: int, workers: int):
     points, cells = _probes(params["probes"], problem.dim_q)
     tolerance_abs = params.get("tolerance_abs", 1e-3)
     se_multiplier = params.get("se_multiplier", 3.0)
-    candidates = params.get("candidates", {})
-    if not candidates:
-        raise ConfigError("compare needs at least one candidate method")
+    candidates = params["candidates"]
 
     euclidean = WLogDerivativeMode.EUCLIDEAN
     ref = _method_at_probes("pde", params["reference"], problem, euclidean, points, seed, workers)
@@ -502,25 +507,12 @@ def _run_anomaly_scan(params: dict, seed: int, workers: int):
         for spec in params["lagrangians"]
     ]
     labels = [lag.label for lag in lagrangians]
+    # every other parameter is a keyword of anomaly_experiment, forwarded only when set
+    options = {k: v for k, v in params.items() if k not in ("lattice", "family", "lagrangians")}
+    if "mode" in options:
+        options["mode"] = WLogDerivativeMode(options["mode"])
 
-    report = anomaly_experiment(
-        family,
-        lagrangians,
-        lattice,
-        n_paths=params["n_paths"],
-        seed=seed,
-        mode=_mode(params),
-        invariant_flags=params.get("invariant_flags"),
-        expect_nonzero_trace=params.get("expect_nonzero_trace", True),
-        alpha_max=params.get("alpha_max", 0.25),
-        n_alpha=params.get("n_alpha", 5),
-        eta_zero_tol=params.get("eta_zero_tolerance", 1e-10),
-        duality_tol=params.get("duality_tolerance", 1e-6),
-        duality_grid=params.get("duality_grid", 256),
-        density_grid=params.get("density_grid", 64),
-        density_floor=params.get("density_floor", 1e-3),
-        strict=False,
-    )
+    report = anomaly_experiment(family, lagrangians, lattice, seed=seed, strict=False, **options)
 
     summands = {(r.lagrangian_label, r.path_index): r for r in report.summand_rows}
     duality = {(r.path_index, r.alpha): r for r in report.duality_rows}
@@ -551,20 +543,13 @@ def _run_anomaly_scan(params: dict, seed: int, workers: int):
 
 def _run_oscillatory_check(params: dict, seed: int, workers: int):
     problem = _build_problem(params["problem"])
-    if problem.dim_q != 1:
-        raise ConfigError("oscillatory-check supports dim_q = 1 only")
     points = np.asarray(params["q_points"], dtype=float)[:, None]
     tolerance = params.get("tolerance", 1e-6)
     reference_kind = params["reference"]
     real_time = WLogDerivativeMode.REAL_TIME
 
     if reference_kind == "closed_form_free":
-        qe = problem.lagrangian.quadratic_eta
-        if qe is None or np.any(qe.matrix) or np.any(qe.linear) or qe.constant != 0.0:
-            raise ConfigError("closed_form_free reference requires the free Lagrangian")
         data = problem.f0.gaussian_data
-        if data is None or data.dim_q != 1 or np.any(data.poly1) or np.any(data.poly2):
-            raise ConfigError("closed_form_free reference requires a plain Gaussian f0")
         sigma = 1.0 / np.sqrt(data.quad[0, 0])
         center = float(data.lin[0] * sigma**2)
         amplitude = float(np.exp(data.const + center**2 / (2.0 * sigma**2)) * data.poly0)
@@ -602,11 +587,10 @@ def _run_oscillatory_check(params: dict, seed: int, workers: int):
 
 
 class _Experiment(NamedTuple):
-    """One experiment: the schema of its parameters, its runner and its CSV columns."""
+    """One experiment: its parameters' schema and its runner, whose row keys are its CSV columns."""
 
     schema: dict
     run: Callable[[dict, int, int], tuple[list[Row], list[Assertion]]]
-    columns: list[str]
 
 
 _EXPERIMENTS: dict[str, _Experiment] = {
@@ -623,7 +607,6 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             ("measures", "pairs", "quadrature"),
         ),
         _run_ibp_check,
-        ["measure", "dim", "pair", "residual", "std_error", "pass"],
     ),
     "theorem1-check": _Experiment(
         _object(
@@ -637,16 +620,6 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             ("measure", "pairs", "quadrature"),
         ),
         _run_theorem1_check,
-        [
-            "measure",
-            "pair",
-            "grad_term",
-            "vector_term",
-            "trace_term",
-            "residual",
-            "residual_no_trace",
-            "pass",
-        ],
     ),
     "prop1-check": _Experiment(
         _object(
@@ -661,7 +634,6 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             ("measure", "families", "pairs", "quadrature"),
         ),
         _run_prop1_check,
-        ["measure", "family", "phi", "lhs", "rhs", "residual", "std_error", "pass"],
     ),
     "flow-density": _Experiment(
         _object(
@@ -676,7 +648,6 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             ("measure", "family", "alpha_max", "n_grid", "probe"),
         ),
         _run_flow_density,
-        ["measure", "family", "alpha", "density", "reference", "abs_error"],
     ),
     "solve": _Experiment(
         _object(
@@ -691,9 +662,11 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                 "boundary_tolerance": _POSITIVE,
             },
             ("problem", "mode", "method", "n_steps"),
+            _when("method", "pde", {"required": ["grid"]}),
+            _when("method", "mc", {"required": ["n_samples"]}),
+            *(_when("method", m, _at("mode", {"const": mode})) for m, mode in _METHOD_MODES.items()),
         ),
         _run_solve,
-        ["method", "q0", "q1", "value_real", "value_imag", "std_error"],
     ),
     "compare": _Experiment(
         _object(
@@ -714,10 +687,10 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                 "tolerance_abs": _POSITIVE,
                 "se_multiplier": _POSITIVE,
             },
-            ("problem", "reference", "probes"),
+            ("problem", "reference", "candidates", "probes"),
+            _at("candidates", {"minProperties": 1}),
         ),
         _run_compare,
-        ["method", "q0", "q1", "value", "reference", "abs_diff", "std_error", "pass"],
     ),
     "anomaly-scan": _Experiment(
         _object(
@@ -731,8 +704,8 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                 "alpha_max": _POSITIVE,
                 "n_alpha": _COUNT,
                 "mode": _MODE_SCHEMA,
-                "eta_zero_tolerance": _POSITIVE,
-                "duality_tolerance": _POSITIVE,
+                "eta_zero_tol": _POSITIVE,
+                "duality_tol": _POSITIVE,
                 "duality_grid": _COUNT,
                 "density_grid": _COUNT,
                 "density_floor": _POSITIVE,
@@ -740,18 +713,6 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             ("lattice", "family", "lagrangians", "n_paths"),
         ),
         _run_anomaly_scan,
-        [
-            "lagrangian",
-            "path",
-            "alpha",
-            "eta_term_real",
-            "eta_term_imag",
-            "trace_term",
-            "log_det",
-            "trace_integral",
-            "duality_gap",
-            "density_deviation",
-        ],
     ),
     "oscillatory-check": _Experiment(
         _object(
@@ -765,9 +726,20 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                 "tolerance": _POSITIVE,
             },
             ("problem", "n_steps", "q_points", "reference"),
+            _at("problem.dim_q", {"const": 1}),
+            _when("reference", "pde", {"required": ["grid"]}),
+            _when(
+                "reference",
+                "closed_form_free",
+                {
+                    "allOf": [
+                        _at("problem.lagrangian.name", {"const": "free"}),
+                        _at("problem.f0.type", {"const": "gaussian_bump"}),
+                    ]
+                },
+            ),
         ),
         _run_oscillatory_check,
-        ["q", "value_real", "value_imag", "ref_real", "ref_imag", "abs_error", "pass"],
     ),
 }
 
@@ -882,19 +854,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         experiment = config["experiment"]
         seed = config["seed"]
         workers = config["workers"]
-        entry = _EXPERIMENTS[experiment]
         start = time.perf_counter()
-        rows, assertions = entry.run(config["parameters"], seed, workers)
+        rows, assertions = _EXPERIMENTS[experiment].run(config["parameters"], seed, workers)
     except (ConfigError, ValueError, SingularJacobianError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     wall_time = time.perf_counter() - start
 
     passed = all(a["passed"] for a in assertions)
+    columns = list(rows[0])
     record = {
         "experiment": experiment,
         "config": config,
-        "columns": entry.columns,
+        "columns": columns,
         "rows": [{k: _json_ready(v) for k, v in row.items()} for row in rows],
         "assertions": assertions,
         "passed": passed,
@@ -911,7 +883,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "wall_time_s": wall_time,
     }
     prefix = config.get("output_path", experiment.replace("-", "_") + "_result")
-    json_path, csv_path = _write_outputs(args.out, prefix, record, entry.columns, rows)
+    json_path, csv_path = _write_outputs(args.out, prefix, record, columns, rows)
 
     for a in assertions:
         status = "PASS" if a["passed"] else "FAIL"

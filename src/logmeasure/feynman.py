@@ -220,6 +220,15 @@ class SpaceGrid:
         return np.stack([xx.reshape(-1), yy.reshape(-1)], axis=1)
 
 
+def _check_lattice(p: SchrodingerProblem, lattice: TimeLattice, grid: Optional[SpaceGrid] = None) -> None:
+    """Raise ValueError unless lattice (and grid, if given) match the problem's dim_q and t_final."""
+    if lattice.dim_q != p.dim_q or (grid is not None and grid.dim_q != p.dim_q):
+        parties = "lattice and problem" if grid is None else "problem, grid, and lattice"
+        raise ValueError(f"{parties} disagree on spatial dimension")
+    if not np.isclose(lattice.t_final, p.t_final):
+        raise ValueError("lattice horizon does not match the problem's t_final")
+
+
 @dataclass(frozen=True)
 class PropagatorResult:
     """Grid solution carrying its method tag and the boundary-mass diagnostic."""
@@ -295,10 +304,7 @@ def pde_solve(
     Oscillatory mode supports dim_q = 1 only.
     """
     start = time.perf_counter()
-    if grid.dim_q != p.dim_q or lattice.dim_q != p.dim_q:
-        raise ValueError("problem, grid, and lattice disagree on spatial dimension")
-    if not np.isclose(lattice.t_final, p.t_final):
-        raise ValueError("lattice horizon does not match the problem's t_final")
+    _check_lattice(p, lattice, grid)
     if mode is WLogDerivativeMode.REAL_TIME and p.dim_q != 1:
         raise ValueError("oscillatory-mode PDE solves support dim_q = 1 only")
     if p.lagrangian.velocity_coupled:
@@ -349,10 +355,7 @@ def _sliced_kernel(
     z = psi (Euclidean) or e^{i pi/4} psi (real time).  Each batch is drawn and laid out
     once for all probes; a probe gets one reducer column, or two (real, imag) in real time.
     """
-    if lattice.dim_q != p.dim_q:
-        raise ValueError("lattice and problem disagree on spatial dimension")
-    if not np.isclose(lattice.t_final, p.t_final):
-        raise ValueError("lattice horizon does not match the problem's t_final")
+    _check_lattice(p, lattice)
     euclidean = mode is WLogDerivativeMode.EUCLIDEAN
     action = DiscreteAction(p.lagrangian, lattice)
 
@@ -412,10 +415,7 @@ def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLatti
     data = p.f0.gaussian_data
     if data is None:
         raise ValueError("exact_gaussian_propagator requires Gaussian-polynomial initial data")
-    if lattice.dim_q != p.dim_q:
-        raise ValueError("lattice and problem disagree on spatial dimension")
-    if not np.isclose(lattice.t_final, p.t_final):
-        raise ValueError("lattice horizon does not match the problem's t_final")
+    _check_lattice(p, lattice)
     points, single = _as_batch(q_point, p.dim_q)
 
     n, d, dt = lattice.n_steps, lattice.dim_q, lattice.dt

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,8 +142,9 @@ def scaling_family(dim: int) -> TransformationFamily:
 def rotation_family(dim: int, plane: tuple[int, int] = (0, 1)) -> TransformationFamily:
     """Rotation by alpha in one coordinate plane; volume preserving."""
     i, j = plane
-    if dim < 2 or not (0 <= i < dim and 0 <= j < dim) or i == j:
-        raise ValueError("rotation needs two distinct axes inside the dimension")
+    integral = isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)
+    if dim < 2 or not (integral and 0 <= i < dim and 0 <= j < dim) or i == j:
+        raise ValueError("rotation needs two distinct integer axes inside the dimension")
     omega = np.zeros((dim, dim))
     omega[j, i] = 1.0
     omega[i, j] = -1.0
@@ -401,24 +403,48 @@ def polynomial_pairs(
     return pairs
 
 
-def make_lagrangian(name: str, dim_q: int, params: Optional[dict] = None) -> Lagrangian:
-    params = dict(params or {})
+def _parameters(factory) -> list[str]:
+    """A builtin's parameters: its factory's keyword parameters after the leading dimension."""
+    return list(inspect.signature(factory).parameters)[1:]
+
+
+def _parameter_fault(factory, params: dict) -> Optional[str]:
+    """What is wrong with params for factory: an unknown key, or a non-number where it takes a number."""
+    signature = inspect.signature(factory).parameters
+    accepted = _parameters(factory)
+    for key, value in params.items():
+        if key not in accepted:
+            return f"unknown parameter {key!r}"
+        numeric = signature[key].annotation in ("float", "int")
+        if numeric and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
+            return f"parameter {key!r} must be a number, not {value!r}"
+    return None
+
+
+def _make(kind: str, factories: dict, name: str, dim: int, params: Optional[dict]):
+    """factories[name](dim, **params); ValueError naming the builtin's parameters if they do not fit."""
     try:
-        factory = _LAGRANGIAN_FACTORIES[name]
+        factory = factories[name]
     except KeyError:
-        raise ValueError(f"unknown Lagrangian {name!r}; see list-builtins") from None
-    return factory(dim_q, **params)
+        raise ValueError(f"unknown {kind} {name!r}; see list-builtins") from None
+    params = dict(params or {})
+    fault = _parameter_fault(factory, params)
+    if fault is None:
+        try:
+            return factory(dim, **params)
+        except TypeError as exc:
+            fault = str(exc)
+    accepted = _parameters(factory)
+    takes = f"parameters: {', '.join(accepted)}" if accepted else "no parameters"
+    raise ValueError(f"{kind} {name!r} ({takes}): {fault}")
+
+
+def make_lagrangian(name: str, dim_q: int, params: Optional[dict] = None) -> Lagrangian:
+    return _make("Lagrangian", _LAGRANGIAN_FACTORIES, name, dim_q, params)
 
 
 def make_family(name: str, dim: int, params: Optional[dict] = None) -> TransformationFamily:
-    params = dict(params or {})
-    try:
-        factory = _FAMILY_FACTORIES[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; see list-builtins") from None
-    if "plane" in params:
-        params["plane"] = tuple(params["plane"])
-    return factory(dim, **params)
+    return _make("family", _FAMILY_FACTORIES, name, dim, params)
 
 
 _LAGRANGIAN_FACTORIES = {
@@ -437,15 +463,11 @@ _FAMILY_FACTORIES = {
 
 
 def list_builtins_data() -> dict:
-    """Stable description of the named builtins, for the CLI.
-
-    A builtin's parameters are its factory's keyword parameters: every one after
-    the leading dimension.
-    """
+    """Stable description of the named builtins and their parameters, for the CLI."""
 
     def describe(factories: dict) -> list[dict]:
         return [
-            {"name": name, "parameters": list(inspect.signature(factory).parameters)[1:]}
+            {"name": name, "parameters": _parameters(factory)}
             for name, factory in factories.items()
         ]
 

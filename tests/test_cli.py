@@ -1,13 +1,14 @@
 """Command line interface: config validation, experiment runs, output formats."""
 
 import csv
+import glob
 import json
 import os
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from logmeasure import feynman, measures
+from logmeasure import cli, feynman, measures
 from logmeasure.action import DiscreteAction
 from logmeasure.cli import _EXPERIMENTS, _TOP_SCHEMA, main
 
@@ -223,11 +224,6 @@ def test_shipped_configs_run_green(tmp_path, config_name, capsys):
     config_path = os.path.join(CONFIG_DIR, config_name)
     assert main(["run", config_path, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    config = json.load(open(config_path, encoding="utf-8"))
-    prefix = config["output_path"]
-    header = (tmp_path / f"{prefix}.csv").read_bytes().decode("utf-8").split("\r\n")[0]
-    documented = _csv_schema()["experiments"][config["experiment"]]["columns"]
-    assert header.split(",") == documented
 
 
 def test_config_schemas_are_valid_against_the_metaschema():
@@ -258,12 +254,33 @@ def test_flow_density_checks_every_builtin_against_the_oracle(tmp_path, capsys, 
     assert all(r["reference"] != "" and r["abs_error"] != "" for r in rows)
 
 
-def test_every_experiment_declares_the_documented_columns():
+# smaller runs of the slower shipped configs, enough to write their CSV headers
+_QUICK_SETS = {
+    "compare_methods.json": ["parameters.candidates.mc.n_samples=4000",
+                             "parameters.candidates.mc.n_steps=8"],
+    "anomaly_scan.json": ["parameters.n_paths=2"],
+}
+
+
+def test_every_experiment_declares_the_documented_columns(tmp_path, capsys):
     documented = _csv_schema()["experiments"]
     assert set(_EXPERIMENTS) == set(documented)
-    for name, entry in _EXPERIMENTS.items():
-        assert entry.columns == documented[name]["columns"], name
-        assert entry.columns == list(documented[name]["description"]), name
+    headers = {}
+    for config_path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
+        args = ["run", config_path, "--out", str(tmp_path)]
+        for assignment in _QUICK_SETS.get(os.path.basename(config_path), []):
+            args += ["--set", assignment]
+        assert main(args) == 0, config_path
+        config = json.load(open(config_path, encoding="utf-8"))
+        prefix = tmp_path / config["output_path"]
+        header = prefix.with_suffix(".csv").read_bytes().decode("utf-8").split("\r\n")[0]
+        assert json.loads(prefix.with_suffix(".json").read_text())["columns"] == header.split(",")
+        headers[config["experiment"]] = header.split(",")
+    capsys.readouterr()
+    assert set(headers) == set(documented)  # every experiment has a shipped config
+    for name, entry in documented.items():
+        assert headers[name] == entry["columns"], name
+        assert entry["columns"] == list(entry["description"]), name
 
 
 @pytest.mark.parametrize(
@@ -400,3 +417,118 @@ def test_probe_outside_the_pde_box_exits_2_without_outputs(tmp_path, capsys, con
     assert main(args) == 2
     assert f"every probe must lie in the PDE grid box {box}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# every config rule is checked before any computation
+
+_DELETE = object()
+
+# the library calls through which the runners compute
+_COMPUTATIONS = ("ibp_residual", "ibp_terms", "proposition1_check", "solve_density_ode",
+                 "pde_solve", "feynman_mc", "exact_gaussian_propagator", "oscillatory_check",
+                 "anomaly_experiment")
+
+
+def _edited_config(config_name, edits):
+    """A shipped config with each dotted parameter path set to a value, or deleted."""
+    with open(os.path.join(CONFIG_DIR, config_name), encoding="utf-8") as fh:
+        config = json.load(fh)
+    for dotted, value in edits.items():
+        *parents, last = dotted.split(".")
+        node = config["parameters"]
+        for key in parents:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return config
+
+
+def _run_rejected(tmp_path, capsys, monkeypatch, config):
+    """Run config, expecting exit 2 with no outputs and no computation; returns stderr."""
+    calls = {name: _counting(monkeypatch, cli, name) for name in _COMPUTATIONS}
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, config), "--out", str(out)]) == 2
+    assert {name: len(c) for name, c in calls.items() if c} == {}
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "config_name, edits, message",
+    [
+        ("ibp_check.json",
+         {"measures": [{"kind": "standard", "dim": 2}, {"kind": "standard"}]},
+         "measures/1: 'dim' is a required property"),
+        ("theorem1_check.json", {"measure": {"kind": "wiener"}},
+         "measure: 'lattice' is a required property"),
+        ("ibp_check.json", {"quadrature": {"kind": "gauss_hermite"}},
+         "quadrature: 'order' is a required property"),
+        ("prop1_check.json", {"quadrature": {"kind": "monte_carlo"}},
+         "quadrature: 'n_samples' is a required property"),
+        ("solve_pde.json", {"grid": _DELETE}, "'grid' is a required property"),
+        ("solve_pde.json", {"method": "mc"}, "'n_samples' is a required property"),
+        ("solve_pde.json", {"method": "mc", "n_samples": 100, "mode": "real_time"},
+         "mode: 'euclidean' was expected"),
+        ("solve_pde.json", {"method": "exact_gaussian", "mode": "real_time"},
+         "mode: 'euclidean' was expected"),
+        ("solve_pde.json", {"method": "oscillatory"}, "mode: 'real_time' was expected"),
+        ("compare_methods.json", {"candidates": {}}, "candidates: {} should be non-empty"),
+        ("compare_methods.json", {"candidates": _DELETE}, "'candidates' is a required property"),
+        ("oscillatory_check.json", {"problem.dim_q": 2}, "problem/dim_q: 1 was expected"),
+        ("oscillatory_check.json", {"reference": "pde"}, "'grid' is a required property"),
+        ("oscillatory_check.json", {"problem.lagrangian": {"name": "harmonic"}},
+         "problem/lagrangian/name: 'free' was expected"),
+        ("oscillatory_check.json", {"problem.f0": {"type": "constant"}},
+         "problem/f0/type: 'gaussian_bump' was expected"),
+    ],
+    ids=["standard_needs_dim", "wiener_needs_lattice", "gauss_hermite_needs_order",
+         "monte_carlo_needs_n_samples", "solve_pde_needs_grid", "solve_mc_needs_n_samples",
+         "solve_mc_is_euclidean", "solve_exact_is_euclidean", "solve_oscillatory_is_real_time",
+         "compare_needs_a_candidate", "compare_needs_candidates", "oscillatory_needs_dim_q_1",
+         "oscillatory_pde_reference_needs_grid", "closed_form_free_needs_free",
+         "closed_form_free_needs_a_bump"],
+)
+def test_every_schema_rule_exits_2_before_any_computation(
+    tmp_path, capsys, monkeypatch, config_name, edits, message
+):
+    err = _run_rejected(tmp_path, capsys, monkeypatch, _edited_config(config_name, edits))
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "config_name, edits, message",
+    [
+        ("anomaly_scan.json",
+         {"lagrangians": [{"name": "free"}, {"name": "harmonic", "params": {"omegaa": 1.0}}],
+          "invariant_flags": [True, False]},
+         "Lagrangian 'harmonic' (parameters: omega, kinetic_scale): unknown parameter 'omegaa'"),
+        ("anomaly_scan.json",
+         {"lagrangians": [{"name": "free"}, {"name": "harmonic", "params": {"omega": "x"}}],
+          "invariant_flags": [True, False]},
+         "Lagrangian 'harmonic' (parameters: omega, kinetic_scale): "
+         "parameter 'omega' must be a number, not 'x'"),
+        ("anomaly_scan.json", {"family.params": {"foo": 1}},
+         "family 'scaling' (no parameters): unknown parameter 'foo'"),
+        ("prop1_check.json",
+         {"families": [{"name": "scaling"}, {"name": "shear", "params": {"strenght": 0.5}}]},
+         "family 'shear' (parameters: strength): unknown parameter 'strenght'"),
+        ("flow_density.json", {"family": {"name": "sine_flow", "params": {"amplitude": "0.1"}}},
+         "family 'sine_flow' (parameters: amplitude, wavenumber, steps_per_unit): "
+         "parameter 'amplitude' must be a number, not '0.1'"),
+        ("solve_pde.json", {"problem.lagrangian.params": {"omega": [1.0]}},
+         "parameter 'omega' must be a number, not [1.0]"),
+    ],
+    ids=["unknown_lagrangian_parameter", "non_number_lagrangian_parameter",
+         "unknown_family_parameter", "second_family_of_prop1", "non_number_sine_flow_amplitude",
+         "lagrangian_of_a_problem"],
+)
+def test_bad_builtin_parameter_exits_2_before_any_computation(
+    tmp_path, capsys, monkeypatch, config_name, edits, message
+):
+    err = _run_rejected(tmp_path, capsys, monkeypatch, _edited_config(config_name, edits))
+    assert message in err

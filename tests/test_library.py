@@ -189,6 +189,34 @@ def test_registries_reject_unknown_names():
         make_family("spiral", 2)
 
 
+@pytest.mark.parametrize(
+    "make, kind, name, params, fault",
+    [
+        (make_lagrangian, "lagrangians", "harmonic", {"omegaa": 1.0}, "unknown parameter 'omegaa'"),
+        (make_lagrangian, "lagrangians", "harmonic", {"omega": "x"},
+         "parameter 'omega' must be a number, not 'x'"),
+        (make_lagrangian, "lagrangians", "free", {"kinetic_scale": True},
+         "parameter 'kinetic_scale' must be a number, not True"),
+        (make_family, "families", "scaling", {"foo": 1}, "unknown parameter 'foo'"),
+        (make_family, "families", "sine_flow", {"steps_per_unit": None},
+         "parameter 'steps_per_unit' must be a number, not None"),
+        (make_family, "families", "rotation", {"plane": 5}, "cannot unpack non-iterable int object"),
+    ],
+)
+def test_registries_name_the_accepted_parameters_of_a_bad_call(make, kind, name, params, fault):
+    entry = next(e for e in list_builtins_data()[kind] if e["name"] == name)
+    takes = f"parameters: {', '.join(entry['parameters'])}" if entry["parameters"] else "no parameters"
+    with pytest.raises(ValueError) as info:
+        make(name, 3, params)
+    assert str(info.value).endswith(f"{name!r} ({takes}): {fault}")
+
+
+@pytest.mark.parametrize("plane", [[0, 1.5], [0, 3], [1, 1]])
+def test_rotation_rejects_a_plane_that_is_not_two_distinct_integer_axes(plane):
+    with pytest.raises(ValueError, match="two distinct integer axes"):
+        make_family("rotation", 3, {"plane": plane})
+
+
 def test_list_builtins_data_is_complete_and_stable():
     data = list_builtins_data()
     lag_names = {entry["name"] for entry in data["lagrangians"]}
