@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib.metadata
-import inspect
 import json
 import os
 import platform
@@ -53,6 +52,7 @@ from .feynman import (
 from .flows import _pushforward_density, proposition1_check, solve_density_ode
 from .lattice import make_lattice
 from .library import (
+    _parameters,
     list_builtins_data,
     make_family,
     make_lagrangian,
@@ -82,7 +82,7 @@ class ConfigError(Exception):
 def _object(properties: dict, required: tuple[str, ...] = (), *rules: dict) -> dict:
     """Schema of a JSON object with the given properties that rejects unknown keys.
 
-    Each rule is a further schema the object must match (see _when and _at).
+    Each rule is a further schema the object must match (see _when, _kind and _at).
     The keyword order decides which error jsonschema reports first; keep it.
     """
     schema = {
@@ -108,6 +108,13 @@ def _when(key: str, value: Any, then: dict) -> dict:
     return {"if": {"properties": {key: {"const": value}}, "required": [key]}, "then": then}
 
 
+def _kind(key: str, value: Any, takes: list[str], required: tuple[str, ...] = ()) -> dict:
+    """Rule: an object whose key is value has no keys but key and takes, and has the required ones."""
+    allowed = {name: True for name in [key, *takes]}
+    then = {"required": list(required), "properties": allowed, "additionalProperties": False}
+    return _when(key, value, then)
+
+
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _COUNT = {"type": "integer", "minimum": 1}
 
@@ -123,15 +130,15 @@ _MEASURE_SCHEMA = _object(
         "kinetic_scale": _POSITIVE,
     },
     ("kind",),
-    _when("kind", "standard", {"required": ["dim"]}),
-    _when("kind", "wiener", {"required": ["lattice"]}),
+    _kind("kind", "standard", ["dim"], ("dim",)),
+    _kind("kind", "wiener", ["lattice", "kinetic_scale"], ("lattice",)),
 )
 
 _QUADRATURE_SCHEMA = _object(
     {"kind": {"enum": ["monte_carlo", "gauss_hermite"]}, "n_samples": _COUNT, "order": _COUNT},
     ("kind",),
-    _when("kind", "gauss_hermite", {"required": ["order"]}),
-    _when("kind", "monte_carlo", {"required": ["n_samples"]}),
+    _kind("kind", "gauss_hermite", ["order"], ("order",)),
+    _kind("kind", "monte_carlo", ["n_samples"], ("n_samples",)),
 )
 
 _NAMED_SCHEMA = _object({"name": {"type": "string"}, "params": {"type": "object"}}, ("name",))
@@ -143,7 +150,7 @@ _FAMILY_SCHEMA = _object(
 
 _PAIRS_SCHEMA = _object({"count": _COUNT, "seed": {"type": "integer", "minimum": 0}}, ("count",))
 
-# f0 types; a type takes the f0 keys its factory has a parameter of and ignores the rest
+# f0 types; a type takes the f0 keys its factory has a parameter of
 _F0_FACTORIES = {"gaussian_bump": gaussian_bump, "constant": constant_initial_condition}
 
 _F0_SCHEMA = _object(
@@ -155,6 +162,7 @@ _F0_SCHEMA = _object(
         "value": {"type": "number"},
     },
     ("type",),
+    *(_kind("type", name, _parameters(factory)) for name, factory in _F0_FACTORIES.items()),
 )
 
 _PROBLEM_SCHEMA = _object(
@@ -208,9 +216,7 @@ def _build_problem(spec: dict) -> SchrodingerProblem:
     lag_spec = spec["lagrangian"]
     lagrangian = make_lagrangian(lag_spec["name"], dim_q, lag_spec.get("params"))
     f0_spec = spec["f0"]
-    factory = _F0_FACTORIES[f0_spec["type"]]
-    taken = inspect.signature(factory).parameters
-    f0 = factory(dim_q, **{key: value for key, value in f0_spec.items() if key in taken})
+    f0 = _F0_FACTORIES[f0_spec["type"]](dim_q, **{k: v for k, v in f0_spec.items() if k != "type"})
     return SchrodingerProblem(
         dim_q=dim_q,
         lagrangian=lagrangian,

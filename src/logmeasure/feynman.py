@@ -26,6 +26,7 @@ pushforward non-invariance of the weighted measure via the density ODE.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -42,10 +43,10 @@ from .fields import TransformationFamily, _as_batch
 from .flows import (
     _cumulative_trace_integral,
     _flow_nodes,
+    _log_dets,
     _rk4_growth,
     family_generator,
     family_velocity,
-    jacobian_log_det,
 )
 from .lattice import TimeLattice
 from .measures import (
@@ -225,8 +226,16 @@ def _check_lattice(p: SchrodingerProblem, lattice: TimeLattice, grid: Optional[S
     if lattice.dim_q != p.dim_q or (grid is not None and grid.dim_q != p.dim_q):
         parties = "lattice and problem" if grid is None else "problem, grid, and lattice"
         raise ValueError(f"{parties} disagree on spatial dimension")
-    if not np.isclose(lattice.t_final, p.t_final):
+    if not _isclose(lattice.t_final, p.t_final):
         raise ValueError("lattice horizon does not match the problem's t_final")
+
+
+def _isclose(a: float, b: float) -> bool:
+    """np.isclose(a, b) for two floats: |a - b| <= 1e-8 + 1e-5 |b| with b finite, or a == b.
+
+    Equal infinities are close and NaN is close to nothing, as in numpy.
+    """
+    return a == b or (math.isfinite(b) and abs(a - b) <= 1e-8 + 1e-5 * abs(b))
 
 
 @dataclass(frozen=True)
@@ -660,9 +669,9 @@ def anomaly_experiment(
     trace_ints = _cumulative_trace_integral(family, alpha_max / n_fine, n_fine, paths_flat)
     duality_rows: list[AnomalyDualityRow] = []
     for idx in range(n_paths):
-        x = paths_flat[idx]
-        for k, alpha in enumerate(alphas, start=1):
-            log_det = jacobian_log_det(family, float(alpha), x)
+        log_dets = _log_dets(family, alphas, paths_flat[idx])
+        for k, (alpha, log_det) in enumerate(zip(alphas, log_dets), start=1):
+            log_det = float(log_det)
             trace_int = float(trace_ints[k * per_alpha, idx])
             duality_rows.append(
                 AnomalyDualityRow(

@@ -8,7 +8,7 @@ for vectors.  Jacobian callables work on a single point of shape (dim,).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -133,6 +133,11 @@ class TransformationFamily:
                      dS(alpha)(x)/dx, optional
     generator_field: analytic generator h_S(x) = -d/dalpha S(alpha)(x)|_0
                      when known in closed form, optional
+    sweep          : (alphas (k,), (n, dim), jacobian=False) -> (k, n, dim),
+                     S(alpha_i) at every row at once, and with jacobian=True
+                     also the (k, n, dim, dim) spatial Jacobians; each entry
+                     bitwise what eval and alpha_jacobian give.  Optional:
+                     without it, callers evaluate one alpha at a time
     """
 
     dim: int
@@ -140,6 +145,7 @@ class TransformationFamily:
     alpha_jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     generator_field: Optional[VectorField] = None
     label: str = ""
+    sweep: Optional[Callable[..., Any]] = None
 
     def apply(self, alpha: float, x: np.ndarray) -> np.ndarray:
         """Evaluate S(alpha) at a single point or a batch."""

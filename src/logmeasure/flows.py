@@ -23,6 +23,7 @@ import numpy as np
 from .errors import SingularJacobianError
 from .fields import DensityCurve, TestFunction, TransformationFamily, VectorField, _as_batch, negated
 from .measures import (
+    _CHUNK_ROWS,
     Estimate,
     GaussianMeasure,
     QuadratureSpec,
@@ -80,12 +81,40 @@ def jacobian_log_det(
         jac = np.asarray(family.alpha_jacobian(float(alpha), x), dtype=float)
     else:
         jac = VectorField(family.dim, lambda y: family.eval(float(alpha), y)).jacobian_at(x, fd_step)
-    sign, logdet = np.linalg.slogdet(jac)
-    if sign <= 0.0 or not np.isfinite(logdet):
+    return float(_checked_log_dets(family, [alpha], jac[None])[0])
+
+
+def _checked_log_dets(family: TransformationFamily, alphas, jacs: np.ndarray) -> np.ndarray:
+    """log |det| of each Jacobian of a (k, dim, dim) stack, one per alpha.
+
+    Raises SingularJacobianError at the first singular or orientation-reversing one.
+    """
+    sign, logdet = np.linalg.slogdet(jacs)
+    bad = np.flatnonzero((sign <= 0.0) | ~np.isfinite(logdet))
+    if bad.size:
         raise SingularJacobianError(
-            f"Jacobian of {family.label or 'family'} at alpha={alpha} is singular or orientation-reversing"
+            f"Jacobian of {family.label or 'family'} at alpha={alphas[bad[0]]} "
+            "is singular or orientation-reversing"
         )
-    return float(logdet)
+    return logdet
+
+
+def _log_dets(family: TransformationFamily, alphas, x: np.ndarray) -> np.ndarray:
+    """jacobian_log_det(family, alpha, x) at each alpha for one point x, raising as it does.
+
+    A family with a sweep gives the Jacobians of as many alphas per sweep as
+    keep the (k, dim, dim) stack within _CHUNK_ROWS entries.
+    """
+    x = np.asarray(x, dtype=float)
+    if family.sweep is None:
+        return np.array([jacobian_log_det(family, a, x) for a in alphas])
+    alphas = np.asarray(alphas, dtype=float)
+    per_sweep = max(1, _CHUNK_ROWS // family.dim**2)
+    log_dets = []
+    for chunk in np.split(alphas, range(per_sweep, len(alphas), per_sweep)):
+        jacs = family.sweep(chunk, x[None], jacobian=True)[1][:, 0]
+        log_dets.append(_checked_log_dets(family, chunk, jacs))
+    return np.concatenate(log_dets)
 
 
 def _alpha_difference_rows(
@@ -163,7 +192,19 @@ def _flow_nodes(family: TransformationFamily, step: float, n: int, x: np.ndarray
     nodes = [0.0]
     for i in range(n):
         nodes += [i * step + 0.5 * step, i * step + step]
-    return np.stack([family.apply(s, x) for s in nodes])
+    return _flow_points(family, nodes, x)
+
+
+def _flow_points(family: TransformationFamily, alphas, x: np.ndarray) -> np.ndarray:
+    """S(alpha, x) at each alpha, alpha index first; x is a point or a batch.
+
+    One sweep when the family has one, else one apply per alpha.
+    """
+    if family.sweep is None:
+        return np.stack([family.apply(a, x) for a in alphas])
+    xb, single = _as_batch(x, family.dim)
+    points = family.sweep(np.asarray(alphas, dtype=float), xb)
+    return points[:, 0] if single else points
 
 
 def _rk4_growth(rates: np.ndarray, step: float) -> np.ndarray:
@@ -221,9 +262,8 @@ def _pushforward_density(
     """
     x = np.asarray(x, dtype=float).reshape(m.dim)
     alphas = np.asarray(alphas, dtype=float)
-    moved = np.array([family.apply(a, x) for a in alphas])
-    log_det = np.array([jacobian_log_det(family, a, x) for a in alphas])
-    return np.exp(m.logpdf(x) - m.logpdf(moved) - log_det)
+    moved = _flow_points(family, alphas, x)
+    return np.exp(m.logpdf(x) - m.logpdf(moved) - _log_dets(family, alphas, x))
 
 
 def _cumulative_trace_integral(

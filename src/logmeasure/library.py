@@ -14,11 +14,11 @@ import numbers
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .action import Lagrangian, QuadraticEta
 from .fields import TestFunction, TransformationFamily, VectorField
 from .lattice import TimeLattice
+from .measures import _CHUNK_ROWS
 
 
 def _kinetic(dim_q: int, kinetic_scale: float) -> np.ndarray:
@@ -197,10 +197,11 @@ def sine_flow_family(
 ) -> TransformationFamily:
     """Flow of the separable velocity v_i(x) = amplitude * sin(wavenumber * x_i).
 
-    S(alpha) integrates dy/ds = v(y) with classical RK4, so the family is a
-    genuine flow up to O(h^4) substep error; steps_per_unit controls the
-    refinement.  The spatial Jacobian integrates the variational equation
-    dJ/ds = v'(y) J alongside the trajectory.
+    S(alpha) integrates dy/ds = v(y) with classical RK4 in n_sub(alpha) =
+    max(4, ceil(|alpha| * steps_per_unit)) steps, so the family is a genuine
+    flow up to O(h^4) substep error.  The spatial Jacobian integrates the
+    variational equation dJ/ds = v'(y) J alongside the trajectory.  The
+    family's sweep integrates many alphas in one loop of max n_sub steps.
     """
     if steps_per_unit <= 0:
         raise ValueError("steps_per_unit must be positive")
@@ -214,32 +215,64 @@ def sine_flow_family(
     def n_sub(alpha: float) -> int:
         return max(4, int(math.ceil(abs(alpha) * steps_per_unit)))
 
-    def integrate(alpha: float, y: np.ndarray, jac: Optional[np.ndarray] = None) -> tuple:
-        """RK4 for y, and for the diagonal jac of dS/dx from dJ/ds = v'(y) J when given."""
-        steps = n_sub(alpha)
-        h = alpha / steps
-        for _ in range(steps):
-            k1 = vel(y)
-            y2 = y + 0.5 * h * k1
+    def rk4(y: np.ndarray, jac: Optional[np.ndarray], h: np.ndarray, steps: np.ndarray) -> None:
+        """RK4 in place on the rows of y, and on the diagonal jac of dS/dx (dJ/ds = v'(y) J) when given.
+
+        Row r takes steps[r] steps of size h[r] (a column).  steps does not
+        increase down the rows, so the rows still stepping are a prefix.
+        """
+        for i in range(steps[0]):
+            live = np.count_nonzero(steps > i)
+            yi, hi = y[:live], h[:live]
+            k1 = vel(yi)
+            y2 = yi + 0.5 * hi * k1
             k2 = vel(y2)
-            y3 = y + 0.5 * h * k2
+            y3 = yi + 0.5 * hi * k2
             k3 = vel(y3)
-            y4 = y + h * k3
+            y4 = yi + hi * k3
             k4 = vel(y4)
             if jac is not None:
-                j1 = vel_diag(y) * jac
-                j2 = vel_diag(y2) * (jac + 0.5 * h * j1)
-                j3 = vel_diag(y3) * (jac + 0.5 * h * j2)
-                j4 = vel_diag(y4) * (jac + h * j3)
-                jac = jac + h / 6.0 * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return y, jac
+                ji = jac[:live]
+                j1 = vel_diag(yi) * ji
+                j2 = vel_diag(y2) * (ji + 0.5 * hi * j1)
+                j3 = vel_diag(y3) * (ji + 0.5 * hi * j2)
+                j4 = vel_diag(y4) * (ji + hi * j3)
+                jac[:live] = ji + hi / 6.0 * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
+            y[:live] = yi + hi / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def sweep(alphas, x: np.ndarray, jacobian: bool = False):
+        """S(alpha, x) for every alpha and row of x in one RK4 loop, and the Jacobians when asked.
+
+        Each (alpha, row) pair steps with its own h = alpha / n_sub(alpha), so
+        it is bitwise what a call with that alpha alone gives.  The pairs run
+        in blocks of at most _CHUNK_ROWS values, most steps first.
+        """
+        alphas = np.asarray(alphas, dtype=float).reshape(-1)
+        xb = np.asarray(np.atleast_2d(x), dtype=float)
+        k, n = len(alphas), len(xb)
+        steps = np.array([n_sub(a) for a in alphas], dtype=int)
+        h = alphas / steps
+        # pair r of the loop order is alpha order[r // n] at row r % n
+        order = np.argsort(-steps, kind="stable")
+        points = np.empty((k, n, dim))
+        jacs = np.zeros((k, n, dim, dim)) if jacobian else None
+        per_block = max(1, _CHUNK_ROWS // dim)
+        for start in range(0, k * n, per_block):
+            pairs = np.arange(start, min(start + per_block, k * n))
+            a, p = order[pairs // n], pairs % n
+            y = xb[p]
+            jac = np.ones_like(y) if jacobian else None
+            rk4(y, jac, h[a, None], steps[a])
+            points[a, p] = y
+            if jacobian:
+                jacs.reshape(k * n, dim * dim)[a * n + p, :: dim + 1] = jac
+        return (points, jacs) if jacobian else points
 
     def flow(alpha: float, x: np.ndarray) -> np.ndarray:
-        return integrate(alpha, np.array(np.atleast_2d(x), dtype=float))[0]
+        return sweep([alpha], x)[0]
 
     def alpha_jacobian(alpha: float, x: np.ndarray) -> np.ndarray:
-        return np.diag(integrate(alpha, np.asarray(x, dtype=float), np.ones(dim))[1])
+        return sweep([alpha], x, jacobian=True)[1][0, 0]
 
     generator = VectorField(
         dim=dim,
@@ -254,7 +287,17 @@ def sine_flow_family(
         alpha_jacobian=alpha_jacobian,
         generator_field=generator,
         label="sine_flow",
+        sweep=sweep,
     )
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The (..., n * d, n * d) block-diagonal matrices of an (..., n, d, d) stack of blocks."""
+    *lead, n, d, _ = blocks.shape
+    out = np.zeros((*lead, n, d, n, d))
+    for j in range(n):
+        out[..., j, :, j, :] = blocks[..., j, :, :]
+    return out.reshape(*lead, n * d, n * d)
 
 
 def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> TransformationFamily:
@@ -272,7 +315,7 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
     def per_node_blocks(block, x: np.ndarray) -> np.ndarray:
         """Block-diagonal matrix of block(x_j) over the time nodes x_j of x."""
         x = np.asarray(x, dtype=float)
-        return block_diag(*(block(x[j * d : (j + 1) * d]) for j in range(n)))
+        return _block_diagonal(np.stack([block(x[j * d : (j + 1) * d]) for j in range(n)]))
 
     alpha_jacobian = None
     if base.alpha_jacobian is not None:
@@ -301,12 +344,25 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
             label=f"pointwise {base_gen.label}",
         )
 
+    sweep = None
+    if base.sweep is not None:
+
+        def sweep(alphas, x: np.ndarray, jacobian: bool = False):
+            xb = np.atleast_2d(x)
+            swept = base.sweep(alphas, xb.reshape(-1, d), jacobian)
+            points, blocks = swept if jacobian else (swept, None)
+            points = points.reshape(len(points), *xb.shape)
+            if blocks is None:
+                return points
+            return points, _block_diagonal(blocks.reshape(*points.shape[:2], n, d, d))
+
     return TransformationFamily(
         dim=dim,
         eval=eval_paths,
         alpha_jacobian=alpha_jacobian,
         generator_field=generator,
         label=f"pointwise_{base.label}",
+        sweep=sweep,
     )
 
 

@@ -106,3 +106,39 @@ def discrete_ground_state(axis_interior, spacing, diffusivity, eta_values):
     vec = vecs[:, 0]
     vec = vec / vec[np.argmax(np.abs(vec))]
     return float(vals[0]), vec
+
+
+def sine_flow_rk4(alpha, y, amplitude, wavenumber, steps_per_unit=256):
+    """The sine flow at one alpha by a plain RK4 loop: (S(alpha, y), diagonal of dS/dx).
+
+    max(4, ceil(|alpha| steps_per_unit)) steps of size alpha / steps for
+    dy/ds = amplitude sin(wavenumber y), with the variational equation
+    dJ/ds = amplitude wavenumber cos(wavenumber y) J alongside; y is one
+    point or a batch of rows.
+    """
+
+    def vel(z):
+        return amplitude * np.sin(wavenumber * z)
+
+    def vel_diag(z):
+        return amplitude * wavenumber * np.cos(wavenumber * z)
+
+    y = np.array(y, dtype=float)
+    jac = np.ones_like(y)
+    steps = max(4, int(np.ceil(abs(alpha) * steps_per_unit)))
+    h = alpha / steps
+    for _ in range(steps):
+        k1 = vel(y)
+        y2 = y + 0.5 * h * k1
+        k2 = vel(y2)
+        y3 = y + 0.5 * h * k2
+        k3 = vel(y3)
+        y4 = y + h * k3
+        k4 = vel(y4)
+        j1 = vel_diag(y) * jac
+        j2 = vel_diag(y2) * (jac + 0.5 * h * j1)
+        j3 = vel_diag(y3) * (jac + 0.5 * h * j2)
+        j4 = vel_diag(y4) * (jac + h * j3)
+        jac = jac + h / 6.0 * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y, jac

@@ -485,13 +485,33 @@ def _run_rejected(tmp_path, capsys, monkeypatch, config):
          "problem/lagrangian/name: 'free' was expected"),
         ("oscillatory_check.json", {"problem.f0": {"type": "constant"}},
          "problem/f0/type: 'gaussian_bump' was expected"),
+        ("solve_pde.json", {"problem.f0": {"type": "constant", "sigma": 0.1, "value": 1.0}},
+         "problem/f0: Additional properties are not allowed ('sigma' was unexpected)"),
+        ("solve_pde.json", {"problem.f0": {"type": "gaussian_bump", "value": 1.0}},
+         "problem/f0: Additional properties are not allowed ('value' was unexpected)"),
+        ("theorem1_check.json",
+         {"measure": {"kind": "wiener", "lattice": {"n_steps": 3, "t_final": 1.0, "dim_q": 1},
+                      "dim": 3}},
+         "measure: Additional properties are not allowed ('dim' was unexpected)"),
+        ("ibp_check.json",
+         {"measures": [{"kind": "standard", "dim": 1,
+                        "lattice": {"n_steps": 3, "t_final": 1.0, "dim_q": 1}}]},
+         "measures/0: Additional properties are not allowed ('lattice' was unexpected)"),
+        ("prop1_check.json", {"measure": {"kind": "standard", "dim": 3, "kinetic_scale": 2.0}},
+         "measure: Additional properties are not allowed ('kinetic_scale' was unexpected)"),
+        ("ibp_check.json", {"quadrature": {"kind": "monte_carlo", "n_samples": 1000, "order": 6}},
+         "quadrature: Additional properties are not allowed ('order' was unexpected)"),
+        ("prop1_check.json", {"quadrature": {"kind": "gauss_hermite", "order": 8, "n_samples": 10}},
+         "quadrature: Additional properties are not allowed ('n_samples' was unexpected)"),
     ],
     ids=["standard_needs_dim", "wiener_needs_lattice", "gauss_hermite_needs_order",
          "monte_carlo_needs_n_samples", "solve_pde_needs_grid", "solve_mc_needs_n_samples",
          "solve_mc_is_euclidean", "solve_exact_is_euclidean", "solve_oscillatory_is_real_time",
          "compare_needs_a_candidate", "compare_needs_candidates", "oscillatory_needs_dim_q_1",
          "oscillatory_pde_reference_needs_grid", "closed_form_free_needs_free",
-         "closed_form_free_needs_a_bump"],
+         "closed_form_free_needs_a_bump", "constant_takes_no_sigma", "bump_takes_no_value",
+         "wiener_takes_no_dim", "standard_takes_no_lattice", "standard_takes_no_kinetic_scale",
+         "monte_carlo_takes_no_order", "gauss_hermite_takes_no_n_samples"],
 )
 def test_every_schema_rule_exits_2_before_any_computation(
     tmp_path, capsys, monkeypatch, config_name, edits, message

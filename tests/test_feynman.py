@@ -37,7 +37,7 @@ from logmeasure import (
     solve_density_ode,
     wiener_measure,
 )
-from logmeasure.feynman import _OSCILLATORY_GH_ORDER, _sliced_kernel
+from logmeasure.feynman import _OSCILLATORY_GH_ORDER, _check_lattice, _isclose, _sliced_kernel
 from logmeasure.library import (
     free_lagrangian,
     harmonic_lagrangian,
@@ -74,6 +74,24 @@ def test_problem_validation():
         SchrodingerProblem(1, free_lagrangian(2), gaussian_bump(1), 1.0)
     with pytest.raises(ValueError):
         SchrodingerProblem(1, free_lagrangian(1), gaussian_bump(1), -1.0)
+
+
+def test_lattice_horizon_check_is_numpys_isclose_at_the_boundary():
+    t = 0.5
+    edge = t + (1e-8 + 1e-5 * t)
+    above = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    below = [2.0 * t - v for v in above]
+    values = [t, *above, *below, 0.0, -0.0, 1e-300, np.inf, -np.inf, np.nan]
+    for a in values:
+        for b in values:
+            assert _isclose(float(a), float(b)) == bool(np.isclose(a, b)), (a, b)
+    assert _isclose(np.inf, np.inf) and not _isclose(1.0, np.inf) and not _isclose(np.nan, np.nan)
+    p = SchrodingerProblem(1, free_lagrangian(1), gaussian_bump(1), t)
+    for inside in (above[0], below[0]):
+        _check_lattice(p, make_lattice(4, inside, 1))
+    for outside in (above[2], below[2]):
+        with pytest.raises(ValueError, match="horizon"):
+            _check_lattice(p, make_lattice(4, outside, 1))
 
 
 def test_grid_validation_and_geometry():
@@ -733,6 +751,61 @@ def test_anomaly_scan_walks_each_trajectory_once():
     )
     n_fine = n_alpha * -(-duality_grid // n_alpha)
     assert len(calls) == (2 * n_fine + 1) + (2 * density_grid + 1)
+
+
+def test_anomaly_scan_sweeps_a_flow_family_once_per_path_and_never_calls_eval():
+    lat = _scan_lattice()
+    base = pointwise_family(sine_flow_family(1, amplitude=0.3), lat)
+    evals, sweeps = [], []
+
+    def counted_eval(alpha, x):
+        evals.append(alpha)
+        return base.eval(alpha, x)
+
+    def counted_sweep(alphas, x, jacobian=False):
+        sweeps.append(len(alphas))
+        return base.sweep(alphas, x, jacobian)
+
+    n_paths, n_alpha, duality_grid, density_grid = 3, 3, 8, 5
+    anomaly_experiment(
+        family=replace(base, eval=counted_eval, sweep=counted_sweep),
+        lagrangians=[free_lagrangian(1), harmonic_lagrangian(1), quartic_lagrangian(1)],
+        lattice=lat,
+        n_paths=n_paths,
+        seed=3,
+        invariant_flags=[True, False, False],
+        n_alpha=n_alpha,
+        duality_grid=duality_grid,
+        density_grid=density_grid,
+    )
+    n_fine = n_alpha * -(-duality_grid // n_alpha)
+    assert evals == []
+    # the trace trajectory, one log-det sweep per path, the density trajectory
+    assert sweeps == [2 * n_fine + 1] + [n_alpha] * n_paths + [2 * density_grid + 1]
+
+
+@pytest.mark.parametrize("mode", [EUCLID, REAL], ids=["euclidean", "real_time"])
+def test_anomaly_scan_is_bitwise_with_and_without_the_sweep(mode):
+    lat = make_lattice(8, 1.0, 1)
+    family = pointwise_family(sine_flow_family(1, amplitude=0.3), lat)
+    reports = [
+        anomaly_experiment(
+            family=fam,
+            lagrangians=[free_lagrangian(1), harmonic_lagrangian(1), quartic_lagrangian(1)],
+            lattice=lat,
+            n_paths=3,
+            seed=6,
+            mode=mode,
+            invariant_flags=[True, False, False],
+            duality_grid=20,
+            density_grid=8,
+        )
+        for fam in (family, replace(family, sweep=None))
+    ]
+    swept, per_alpha = reports
+    assert swept.summand_rows == per_alpha.summand_rows
+    assert swept.duality_rows == per_alpha.duality_rows
+    assert swept.density_deviation == per_alpha.density_deviation
 
 
 @pytest.mark.parametrize("mode", [EUCLID, REAL], ids=["euclidean", "real_time"])

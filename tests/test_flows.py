@@ -1,11 +1,14 @@
 """Transformation flows: generators, Jacobians, pushforward derivatives, densities."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from logmeasure import (
     GaussianMeasure,
@@ -20,12 +23,13 @@ from logmeasure import (
     make_lattice,
     proposition1_check,
     pushforward_derivative,
+    sample,
     solve_density_ode,
     standard_normal,
     trace_integral_along_flow,
     wiener_measure,
 )
-from logmeasure.flows import _cumulative_trace_integral, _pushforward_density
+from logmeasure.flows import _cumulative_trace_integral, _log_dets, _pushforward_density
 from logmeasure.library import (
     pointwise_family,
     polynomial_pairs,
@@ -36,7 +40,7 @@ from logmeasure.library import (
     translation_family,
 )
 
-from _oracles import fd_jacobian, scaling_density_ratio, translation_density_ratio
+from _oracles import fd_jacobian, scaling_density_ratio, sine_flow_rk4, translation_density_ratio
 
 GH = QuadratureSpec("gauss_hermite", 8)
 
@@ -429,3 +433,100 @@ def test_trace_integral_is_bitwise_the_interval_by_interval_simpson_loop(builder
         total += step / 6.0 * (trace[2 * i] + 4.0 * trace[2 * i + 1] + trace[2 * i + 2])
     # the sign bit too: a zero integral is +0.0
     assert trace_integral_along_flow(fam, alpha, paths, n_grid).tobytes() == total.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# sweeps: every alpha of a flow-defined family in one loop
+
+# 4 / 256 and -0.01 take the 4-step floor of steps_per_unit 256
+_SWEEP_ALPHAS = np.array([0.25, -0.3, 4.0 / 256.0, -0.01, 0.0, 0.1])
+
+
+def _sine_case(name):
+    """A flow-defined family, points to sweep, and its per-alpha oracle (points, Jacobians)."""
+    if name == "pointwise_sine_flow":
+        lat = make_lattice(5, 1.0, 2)
+        fam = pointwise_family(sine_flow_family(2, amplitude=0.3, wavenumber=1.5), lat)
+        points = sample(wiener_measure(lat), 4, 9)
+
+        def oracle(alpha, x):
+            y, jac = sine_flow_rk4(alpha, np.reshape(x, (-1, 2)), 0.3, 1.5)
+            return y.reshape(np.shape(x)), block_diag(*(np.diag(j) for j in jac))
+
+        return fam, points, oracle
+    dim = {"sine_flow_1d": 1, "sine_flow_2d": 2}[name]
+    fam = sine_flow_family(dim, amplitude=0.2, wavenumber=1.5)
+    points = np.random.default_rng(dim).normal(scale=2.0, size=(4, dim))
+
+    def oracle(alpha, x):
+        y, jac = sine_flow_rk4(alpha, x, 0.2, 1.5)
+        return y, np.diag(jac)
+
+    return fam, points, oracle
+
+
+@pytest.mark.parametrize("n_points", [1, 4], ids=["one_point", "batch"])
+@pytest.mark.parametrize("name", ["sine_flow_1d", "sine_flow_2d", "pointwise_sine_flow"])
+def test_sweep_is_bytewise_the_per_alpha_calls(name, n_points):
+    fam, points, oracle = _sine_case(name)
+    xb = points[:n_points]
+    swept, jacs = fam.sweep(_SWEEP_ALPHAS, xb, jacobian=True)
+    assert swept.shape == (len(_SWEEP_ALPHAS), n_points, fam.dim)
+    assert jacs.shape == (len(_SWEEP_ALPHAS), n_points, fam.dim, fam.dim)
+    assert fam.sweep(_SWEEP_ALPHAS, xb).tobytes() == swept.tobytes()
+    for i, alpha in enumerate(_SWEEP_ALPHAS):
+        assert swept[i].tobytes() == fam.apply(alpha, xb).tobytes()
+        for j, x in enumerate(xb):
+            reference_point, reference_jac = oracle(alpha, x)
+            assert swept[i, j].tobytes() == reference_point.tobytes()
+            assert jacs[i, j].tobytes() == fam.alpha_jacobian(alpha, x).tobytes()
+            assert jacs[i, j].tobytes() == reference_jac.tobytes()
+    for x in xb:
+        per_alpha = np.array([jacobian_log_det(fam, alpha, x) for alpha in _SWEEP_ALPHAS])
+        assert _log_dets(fam, _SWEEP_ALPHAS, x).tobytes() == per_alpha.tobytes()
+
+
+@pytest.mark.parametrize("name", ["sine_flow_2d", "pointwise_sine_flow"])
+def test_flow_routes_are_bitwise_with_and_without_the_sweep(name):
+    fam, points, _ = _sine_case(name)
+    per_alpha = replace(fam, sweep=None)
+    m = GaussianMeasure(fam.dim, np.full(fam.dim, 0.1), 1.5 * np.eye(fam.dim))
+    assert (
+        trace_integral_along_flow(fam, -0.2, points, 24).tobytes()
+        == trace_integral_along_flow(per_alpha, -0.2, points, 24).tobytes()
+    )
+    curve = solve_density_ode(m, fam, 0.3, 16, points[0])
+    per_alpha_curve = solve_density_ode(m, per_alpha, 0.3, 16, points[0])
+    assert curve.values.tobytes() == per_alpha_curve.values.tobytes()
+    assert (
+        _pushforward_density(m, fam, curve.alphas, points[1]).tobytes()
+        == _pushforward_density(m, per_alpha, curve.alphas, points[1]).tobytes()
+    )
+
+
+def test_log_dets_of_a_sweep_raise_at_the_first_singular_alpha():
+    # RK4 steps this coarse turn the Jacobian negative at alpha -1 and -2 (not at 0.1)
+    fam = sine_flow_family(1, amplitude=10.0, wavenumber=1.0, steps_per_unit=4)
+    x = np.array([3.0])
+    with pytest.raises(SingularJacobianError) as per_alpha:
+        [jacobian_log_det(fam, a, x) for a in (0.1, -1.0, -2.0)]
+    with pytest.raises(SingularJacobianError) as swept:
+        _log_dets(fam, [0.1, -1.0, -2.0], x)
+    assert "alpha=-1.0 " in str(swept.value)
+    assert str(swept.value) == str(per_alpha.value)
+
+
+def test_a_large_sweep_holds_its_temporaries_in_blocks():
+    fam = sine_flow_family(1)
+    alphas = np.linspace(-4.0 / 256.0, 4.0 / 256.0, 16)
+    x = np.random.default_rng(0).normal(size=(32768, 1))
+    output = len(alphas) * x.size * 8
+    tracemalloc.start()
+    try:
+        points = fam.sweep(alphas, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (16, 32768, 1)
+    # the output is 4 MiB; unblocked, the RK4 stages and index arrays take over 16 times that
+    assert peak < output + 24 * 2**20
