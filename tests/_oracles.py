@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.sparse import diags
-from scipy.sparse.linalg import eigsh
+from scipy.sparse import diags, identity
+from scipy.sparse.linalg import eigsh, splu
 from scipy.stats import multivariate_normal
 
 
@@ -81,6 +81,20 @@ def oscillator_kernel_value(q, t, f0, omega=1.0, cut=40.0):
 
     value, _ = quad(integrand, -cut, cut, epsabs=1e-13, epsrel=1e-12, limit=400)
     return value
+
+
+def crank_nicolson_reference(op, u0, dt, n_steps):
+    """n_steps Crank-Nicolson steps of u' = op u, written out as two matrices:
+    one COLAMD-ordered LU of I - (dt/2) op, and a product with I + (dt/2) op
+    before each solve."""
+    eye = identity(op.shape[0], format="csc")
+    half = 0.5 * dt
+    forward = (eye + half * op).tocsr()
+    backward = splu((eye - half * op).tocsc())
+    u = u0
+    for _ in range(n_steps):
+        u = backward.solve(forward @ u)
+    return u
 
 
 def fd_jacobian(map_fn, x, step=1e-6):

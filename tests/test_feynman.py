@@ -9,10 +9,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
+from scipy.sparse.linalg import splu
 
 from logmeasure import (
     GaussianInitialData,
@@ -37,7 +39,15 @@ from logmeasure import (
     solve_density_ode,
     wiener_measure,
 )
-from logmeasure.feynman import _OSCILLATORY_GH_ORDER, _check_lattice, _isclose, _sliced_kernel
+from logmeasure import feynman
+from logmeasure.feynman import (
+    _OSCILLATORY_GH_ORDER,
+    _boundary_mass_fraction,
+    _check_lattice,
+    _isclose,
+    _sliced_kernel,
+    _spatial_operator,
+)
 from logmeasure.library import (
     free_lagrangian,
     harmonic_lagrangian,
@@ -49,6 +59,7 @@ from logmeasure.library import (
 )
 
 from _oracles import (
+    crank_nicolson_reference,
     discrete_ground_state,
     fresnel_evolved_gaussian,
     heat_evolved_gaussian,
@@ -185,6 +196,96 @@ def test_pde_guards():
     p1 = SchrodingerProblem(1, free_lagrangian(1), gaussian_bump(1), 0.2)
     with pytest.raises(ValueError):
         pde_solve(p1, SpaceGrid(1, 6.0, 41), make_lattice(16, 0.3, 1), EUCLID)
+
+
+_MIXED_KINETIC = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+
+def _radial_quartic():
+    """eta(q) = |q|^4 in 2-D: quartic, and not a sum of one-axis terms."""
+
+    def eta(q, v):
+        q = np.atleast_2d(q)
+        r2 = np.einsum("ij,ij->i", q, q)
+        return r2 * r2
+
+    def eta_d1(q, v):
+        q = np.atleast_2d(q)
+        return 4.0 * np.einsum("ij,ij->i", q, q)[:, None] * q
+
+    return replace(quartic_lagrangian(2), eta=eta, eta_d1=eta_d1, label="radial quartic")
+
+
+@pytest.mark.parametrize(
+    "lagrangian, grid, n_steps, t_final, mode",
+    [
+        (lambda: harmonic_lagrangian(1), SpaceGrid(1, 8.0, 257), 64, 0.5, EUCLID),
+        (lambda: harmonic_lagrangian(1), SpaceGrid(1, 10.0, 2049), 1024, 0.5, REAL),
+        (lambda: harmonic_lagrangian(2), SpaceGrid(2, 6.0, 81), 64, 0.5, EUCLID),
+        (_radial_quartic, SpaceGrid(2, 6.0, 81), 64, 0.5, EUCLID),
+        (lambda: replace(free_lagrangian(2), kinetic_matrix=_MIXED_KINETIC), SpaceGrid(2, 6.0, 81), 64, 0.2,
+         EUCLID),
+    ],
+    ids=["1d_euclidean", "1d_real_time", "2d_harmonic", "2d_quartic", "2d_mixed_kinetic"],
+)
+def test_pde_steps_match_the_two_matrix_crank_nicolson_loop(lagrangian, grid, n_steps, t_final, mode):
+    lag = lagrangian()
+    p = SchrodingerProblem(lag.dim_q, lag, gaussian_bump(lag.dim_q, sigma=1.0), t_final)
+    lattice = make_lattice(n_steps, t_final, lag.dim_q)
+    op, points = _spatial_operator(p, grid, mode)
+    u0 = np.asarray(p.f0.evaluator(points), dtype=complex if mode is REAL else float)
+    ref = crank_nicolson_reference(op, u0, lattice.dt, n_steps)
+    values = pde_solve(p, grid, lattice, mode).values
+    interior = values[(slice(1, -1),) * lag.dim_q].reshape(-1)
+    assert np.max(np.abs(interior - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_pde_factors_once_with_a_symmetric_ordering_that_halves_the_fill(monkeypatch):
+    p = SchrodingerProblem(2, harmonic_lagrangian(2), gaussian_bump(2, sigma=1.0), 0.5)
+    grid = SpaceGrid(2, 8.0, 129)
+    lattice = make_lattice(64, 0.5, 2)
+    factors = []
+
+    def counting_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(feynman, "splu", counting_splu)
+    pde_solve(p, grid, lattice, EUCLID)
+    assert len(factors) == 1
+    op, _ = _spatial_operator(p, grid, EUCLID)
+    colamd = splu((sp.identity(op.shape[0], format="csc") - 0.5 * lattice.dt * op).tocsc())
+    fill = factors[0].L.nnz + factors[0].U.nnz
+    assert fill <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_pde_mixed_derivative_term_matches_the_gaussian_closed_form():
+    """Free heat flow with C = B^{-1} non-diagonal: u(t, x) = det(S)^{-1/2}
+    exp(-x^T S^{-1} x / 2), S = I + t C, for the unit Gaussian bump."""
+    t = 0.2
+    p = SchrodingerProblem(2, replace(free_lagrangian(2), kinetic_matrix=_MIXED_KINETIC),
+                           gaussian_bump(2, sigma=1.0), t)
+    grid = SpaceGrid(2, 6.0, 81)
+    res = pde_solve(p, grid, make_lattice(64, t, 2), EUCLID)
+    s_mat = np.eye(2) + t * np.linalg.inv(_MIXED_KINETIC)
+    x = grid.points()
+    ref = np.exp(-0.5 * np.einsum("ij,ij->i", x, x @ np.linalg.inv(s_mat))) / np.sqrt(np.linalg.det(s_mat))
+    assert _l2_rel(res.values.reshape(-1), ref) <= 2e-3
+
+
+@pytest.mark.parametrize("dim_q", [1, 2])
+@pytest.mark.parametrize("n_points", [3, 5, 9])
+def test_boundary_mass_counts_each_ring_point_once(dim_q, n_points):
+    values = np.zeros((n_points,) * dim_q)
+    values[(slice(1, -1),) * dim_q] = 1.0
+    n_int = n_points - 2
+    ring = n_int**dim_q - max(n_int - 2, 0) ** dim_q
+    assert _boundary_mass_fraction(values, dim_q) == ring / n_int**dim_q
+
+    p = SchrodingerProblem(dim_q, free_lagrangian(dim_q), gaussian_bump(dim_q), 0.2)
+    with pytest.warns(UserWarning, match="boundary mass"):
+        res = pde_solve(p, SpaceGrid(dim_q, 1.0, n_points), make_lattice(4, 0.2, dim_q), EUCLID)
+    assert 0.0 <= res.error_estimate <= 1.0
 
 
 # ---------------------------------------------------------------------------
