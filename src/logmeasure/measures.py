@@ -17,23 +17,25 @@ Precision is the primary parameterization; covariance is derived on demand.
 
 Every integral in the package runs on one engine: batches of at most
 _CHUNK_ROWS points, Monte Carlo draws laid out by _mc_batches or
-Gauss-Hermite tensor-rule nodes with their weights from _gh_chunks, and one
-reducer of the columns a row function returns for each batch
-(_integrate_columns); sample() fills its output from the same Monte Carlo
-batches.  Monte Carlo work is split across `workers` deterministic RNG
-streams derived from SeedSequence(seed).spawn(workers), so results are
-bitwise reproducible for a fixed (seed, workers) pair.
+Gauss-Hermite tensor-rule nodes with their weights, and one reducer of the
+columns a row function returns for each batch (_integrate_columns);
+sample() fills its output from the same Monte Carlo batches.  Monte Carlo
+work is split across `workers` deterministic RNG streams derived from
+SeedSequence(seed).spawn(workers), so results are bitwise reproducible for a
+fixed (seed, workers) pair.
 
-A Monte Carlo integral runs on two threads: each batch is cut into two
-parts that are drawn, mapped onto the measure and evaluated by the row
-function in a pool of two threads, with numpy's OpenBLAS held to one thread
-for the call.  The parts of one stream draw in order and the reducer sees
-the same batches in the same order as a sequential loop, so every value and
-standard error is bitwise independent of the threads.  Where the OpenBLAS
-thread setter cannot be found, the pool has one thread.  Row functions (and
-the phi, h, eta, f0 and family callbacks they call) must therefore be safe
-to call from two threads at once.  Gauss-Hermite rules and sample() stay
-sequential.
+Both rules run on two threads: each batch is cut into parts of at most
+_PART_ROWS rows, and a pool of two threads builds each part's points (a
+Monte Carlo draw mapped onto the measure, or the Gauss-Hermite nodes and
+weights of its index range) and evaluates the row function on them, with
+numpy's OpenBLAS held to one thread for the call.  A part's temporaries stay
+a few MB even at dim 64, and only a few parts are in flight at once.  The
+parts of one stream draw in order and the reducer sees the same whole
+batches in the same order as a sequential loop, so every value and standard
+error is bitwise independent of the threads.  Where the OpenBLAS thread
+setter cannot be found, the pool has one thread.  Row functions (and the
+phi, h, eta, f0 and family callbacks they call) must therefore be safe to
+call from two threads at once.  sample() stays sequential.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -60,7 +62,11 @@ from .lattice import TimeLattice, cm_gram
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _MAX_GH_DIM = 6
 _CHUNK_ROWS = 131072
-_PART_ALIGN = 1024  # a Monte Carlo batch is cut into two parts at a multiple of this many rows
+_PART_ROWS = 8192  # the pool evaluates every batch in parts of at most this many rows
+_PART_ALIGN = 1024  # no part is shorter than this unless its batch is
+
+# (rows, [(start, stop, points)]) per batch: points() builds a part's rows start..stop - 1
+_Batches = Iterator[tuple[int, list[tuple[int, int, Callable[[], tuple]]]]]
 
 
 class QuadratureKind(str, Enum):
@@ -218,29 +224,6 @@ def _mc_batches(q: QuadratureSpec) -> Iterator[tuple[np.random.Generator, int]]:
             yield rng, min(_CHUNK_ROWS, share - done)
 
 
-def _gh_chunks(m: GaussianMeasure, q: QuadratureSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (nodes, weights) batches of the Gauss-Hermite tensor rule mapped onto m.
-
-    Batches of at most _CHUNK_ROWS rows are consecutive index ranges of the
-    rule in C order, with weights that sum to 1 over the whole rule; only one
-    batch of the order**dim nodes is ever held.
-    """
-    if m.dim > _MAX_GH_DIM:
-        raise ValueError(
-            f"gauss_hermite quadrature is guarded to dim <= {_MAX_GH_DIM}, got dim {m.dim}"
-        )
-    xi, w = _hermite_rule(q.n_samples)
-    shape = (len(xi),) * m.dim
-    n_nodes = len(xi) ** m.dim
-    for start in range(0, n_nodes, _CHUNK_ROWS):
-        idx = np.unravel_index(np.arange(start, min(start + _CHUNK_ROWS, n_nodes)), shape)
-        nodes_std = np.stack([xi[i] for i in idx], axis=1)
-        weights = np.ones(nodes_std.shape[0])
-        for i in idx:
-            weights = weights * w[i]
-        yield _transform(m, np.sqrt(2.0) * nodes_std), weights / np.pi ** (m.dim / 2.0)
-
-
 def sample(m: GaussianMeasure, n: int, seed: int, workers: int = 1) -> np.ndarray:
     """Draw n iid samples; deterministic for fixed (seed, workers)."""
     if n <= 0:
@@ -268,7 +251,8 @@ def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], Non
 
 
 def _mc_threads() -> int:
-    """Threads that evaluate Monte Carlo batch parts: two where OpenBLAS can be held to one thread."""
+    """Threads that evaluate batch parts, Monte Carlo or Gauss-Hermite: two where OpenBLAS can be
+    held to one thread."""
     return 1 if _openblas_threads() is None else 2
 
 
@@ -288,17 +272,103 @@ def _one_blas_thread() -> Iterator[None]:
         put(before)
 
 
-def _part_rows(rows: int) -> list[int]:
-    """A batch's part sizes: cut at rows // 2 rounded down to a multiple of _PART_ALIGN,
-    or one part under 2 * _PART_ALIGN rows."""
-    if rows < 2 * _PART_ALIGN:
-        return [rows]
-    cut = rows // 2 // _PART_ALIGN * _PART_ALIGN
-    return [cut, rows - cut]
+def _part_bounds(rows: int) -> list[tuple[int, int]]:
+    """A batch's parts as (start, stop) row ranges of _PART_ROWS rows, the last one shorter.
+
+    A tail under _PART_ALIGN rows shares the rows of the part before it, cut at
+    half of _PART_ROWS: a one-row part would take numpy's matrix-vector product,
+    which rounds differently from the matrix product of its batch.
+    """
+    cuts = list(range(0, rows, _PART_ROWS))
+    if len(cuts) > 1 and rows - cuts[-1] < _PART_ALIGN:
+        cuts[-1] -= _PART_ROWS // 2
+    return list(zip(cuts, cuts[1:] + [rows]))
+
+
+def _draw_part(
+    m: GaussianMeasure, rng: np.random.Generator, rows: int, after: Optional[threading.Event],
+    drawn: threading.Event,
+) -> tuple[np.ndarray, None]:
+    """Draw a part once the part before it in its stream has drawn, and map it onto m."""
+    try:
+        if after is not None:
+            after.wait()
+        z = rng.standard_normal((rows, m.dim))
+    finally:
+        drawn.set()  # also when the draw failed: the stream's next part must not wait forever
+    # the standard draws are a temporary: row_fn runs on the mapped points alone
+    return _transform(m, z), None
+
+
+def _mc_parts(m: GaussianMeasure, q: QuadratureSpec) -> _Batches:
+    """The parts of every Monte Carlo batch of _mc_batches.
+
+    A part draws only after the part before it in the same stream has drawn,
+    so the concatenated parts are the batch a sequential loop would draw.
+    """
+    drawn: dict[np.random.Generator, threading.Event] = {}
+    for rng, rows in _mc_batches(q):
+        parts = []
+        for start, stop in _part_bounds(rows):
+            after, drawn[rng] = drawn.get(rng), threading.Event()
+            parts.append((start, stop, partial(_draw_part, m, rng, stop - start, after, drawn[rng])))
+        yield rows, parts
+
+
+def _gh_points(
+    m: GaussianMeasure, nodes: np.ndarray, w: np.ndarray, first: int, last: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points on m and weights of the tensor rule's flat indices first..last - 1 in C order.
+
+    nodes and w are the 1-D rule's standard-normal nodes and its weights; an
+    index's digits in base len(w), most significant first, pick the node and
+    the weight of each axis.
+    """
+    n, index, digits = len(w), np.arange(first, last), []
+    for _ in range(m.dim):
+        # divmod by n, with the remainder from the quotient: numpy's // is far faster than its %
+        high = index // n
+        digits.append(index - high * n)
+        index = high
+    digits.reverse()
+    z = np.empty((last - first, m.dim))
+    weights = w[digits[0]]
+    for axis, digit in enumerate(digits):
+        z[:, axis] = nodes[digit]
+        if axis:
+            weights = weights * w[digit]
+    return _transform(m, z), weights / np.pi ** (m.dim / 2.0)
+
+
+def _gh_parts(m: GaussianMeasure, q: QuadratureSpec) -> _Batches:
+    """The parts of every batch of the Gauss-Hermite tensor rule.
+
+    Batches of at most _CHUNK_ROWS rows are consecutive index ranges of the
+    rule in C order, with weights that sum to 1 over the whole rule; each part
+    builds its own nodes and weights, so no more than a few parts of the
+    order**dim nodes are ever held.
+    """
+    if m.dim > _MAX_GH_DIM:
+        raise ValueError(
+            f"gauss_hermite quadrature is guarded to dim <= {_MAX_GH_DIM}, got dim {m.dim}"
+        )
+    xi, w = _hermite_rule(q.n_samples)
+    nodes, n_nodes = np.sqrt(2.0) * xi, len(xi) ** m.dim
+    for first in range(0, n_nodes, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, n_nodes - first)
+        yield rows, [
+            (start, stop, partial(_gh_points, m, nodes, w, first + start, first + stop))
+            for start, stop in _part_bounds(rows)
+        ]
 
 
 def _eval_rows(row_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, n_cols: int) -> np.ndarray:
-    return np.asarray(row_fn(x), dtype=float).reshape(len(x), n_cols)
+    """row_fn's (rows, n_cols) block on x; a row with a non-finite value raises ValueError."""
+    cols = np.asarray(row_fn(x), dtype=float).reshape(len(x), n_cols)
+    bad = np.count_nonzero(~np.isfinite(cols).all(axis=1))
+    if bad:
+        raise ValueError(f"{bad} of {len(cols)} rows in a batch have a non-finite value")
+    return cols
 
 
 class _ColumnReducer:
@@ -311,9 +381,6 @@ class _ColumnReducer:
 
     def add(self, cols: np.ndarray, weights: Optional[np.ndarray]) -> None:
         c = len(cols)
-        bad = np.count_nonzero(~np.isfinite(cols).all(axis=1))
-        if bad:
-            raise ValueError(f"{bad} of {c} rows in a batch have a non-finite value")
         # one contiguous row per column: numpy sums each pairwise, whatever the column count
         cols = np.ascontiguousarray(cols.T)
         if weights is not None:
@@ -329,54 +396,74 @@ class _ColumnReducer:
         self.total = merged
 
 
+def _run_parts(
+    batches: _Batches, weighted: bool, row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int,
+    acc: _ColumnReducer,
+) -> None:
+    """Reduce each batch's (rows, n_cols) block into acc, in batch order, from its parts.
+
+    points() returns a part's points and their weights (None for Monte
+    Carlo).  In a pool thread each part builds its points, evaluates row_fn
+    on them and writes its rows into its batch's block, held one contiguous
+    row per column as the reducer sums them.  The main thread joins the parts
+    in order and hands a batch to acc when its last part is joined, so acc
+    sees whole batches in the order a sequential loop would.  At most one
+    part more than the pool has threads is submitted ahead of the join, so
+    memory is bounded by a few parts; once a part fails, no part calls row_fn
+    again.
+    """
+    failed = threading.Event()
+
+    def run(points: Callable, block: np.ndarray, weights: Optional[np.ndarray], start: int, stop: int) -> None:
+        try:
+            x, w = points()  # even after a failure: the next part of a stream waits on this draw
+            if failed.is_set():
+                return  # the call raises at the failed part's join
+            block[:, start:stop] = _eval_rows(row_fn, x, n_cols).T
+            if weights is not None:
+                weights[start:stop] = w
+        except BaseException:
+            failed.set()
+            raise
+
+    def join(future: Future, batch: Optional[tuple[np.ndarray, Optional[np.ndarray]]]) -> None:
+        future.result()
+        if batch is not None:
+            acc.add(batch[0].T, batch[1])
+
+    with _one_blas_thread():
+        threads = _mc_threads()
+        pool = ThreadPoolExecutor(threads, thread_name_prefix="logmeasure-parts")
+        try:
+            pending: deque[tuple[Future, Optional[tuple[np.ndarray, Optional[np.ndarray]]]]] = deque()
+            for rows, parts in batches:
+                block, weights = np.empty((n_cols, rows)), np.empty(rows) if weighted else None
+                for start, stop, points in parts:
+                    # the part runs in the caller's context, so np.errstate and the like carry over
+                    ctx = contextvars.copy_context()
+                    future = pool.submit(ctx.run, run, points, block, weights, start, stop)
+                    pending.append((future, (block, weights) if stop == rows else None))
+                    if len(pending) > threads:
+                        join(*pending.popleft())
+            while pending:
+                join(*pending.popleft())
+        finally:
+            # pending parts run out rather than being cancelled: a running part may wait on the
+            # draw of a part queued before it, which a cancellation would never let happen
+            pool.shutdown(wait=True)
+
+
 def _mc_pipeline(
     m: GaussianMeasure, q: QuadratureSpec, row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int,
     acc: _ColumnReducer,
 ) -> None:
     """Reduce each Monte Carlo batch's (rows, n_cols) block into acc, in stream and batch order.
 
-    Every batch of _mc_batches is cut by _part_rows; each part is drawn from
-    its stream, mapped onto m and evaluated by row_fn in a pool thread.  A
-    part draws only after the part before it in the same stream has drawn,
-    so the concatenated parts are the batch a sequential loop would draw.
-    The main thread joins one batch while the pool works on the next, which
-    keeps at most one batch of rows in flight.
+    Every batch of _mc_batches is cut into parts by _part_bounds; _run_parts
+    draws each part from its stream, maps it onto m and evaluates row_fn on
+    it in a pool thread.
     """
-
-    def draw(rng: np.random.Generator, rows: int, after: Optional[threading.Event], drawn: threading.Event):
-        try:
-            if after is not None:
-                after.wait()
-            return rng.standard_normal((rows, m.dim))
-        finally:
-            drawn.set()  # also when the draw failed: the stream's next part must not wait forever
-
-    def part(*args) -> np.ndarray:
-        # the standard draws are a temporary: row_fn runs on the mapped points alone
-        return _eval_rows(row_fn, _transform(m, draw(*args)), n_cols)
-
-    def join(parts: list[Future]) -> None:
-        acc.add(np.concatenate([f.result() for f in parts]), None)
-
-    with _one_blas_thread():
-        pool = ThreadPoolExecutor(_mc_threads(), thread_name_prefix="logmeasure-mc")
-        try:
-            drawn: dict[np.random.Generator, threading.Event] = {}
-            queued: deque[list[Future]] = deque()
-            for rng, rows in _mc_batches(q):
-                parts = []
-                for part_rows in _part_rows(rows):
-                    after, drawn[rng] = drawn.get(rng), threading.Event()
-                    # the part runs in the caller's context, so np.errstate and the like carry over
-                    ctx = contextvars.copy_context()
-                    parts.append(pool.submit(ctx.run, part, rng, part_rows, after, drawn[rng]))
-                queued.append(parts)
-                if len(queued) == 2:
-                    join(queued.popleft())
-            while queued:
-                join(queued.popleft())
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+    _run_parts(_mc_parts(m, q), False, row_fn, n_cols, acc)
 
 
 def _integrate_columns(
@@ -387,17 +474,17 @@ def _integrate_columns(
     row_fn maps a batch (c, dim) to (c, n_cols).  A Monte Carlo value is the
     plain column sum over n; its standard error comes from per-batch
     (count, mean, M2) merged by the Chan-Golub-LeVeque update, which keeps
-    its digits when the column's mean dwarfs its spread.  Monte Carlo
-    batches are evaluated by _mc_pipeline on two threads and reduced in
-    order.  Gauss-Hermite values are weighted sums and carry std_error None.
-    A batch with a non-finite row raises ValueError rather than returning a
-    NaN estimate, and so does a Monte Carlo spec of fewer than 2 samples,
-    whose standard error is undefined.
+    its digits when the column's mean dwarfs its spread.  Gauss-Hermite
+    values are weighted sums and carry std_error None.  Both rules evaluate
+    their batches in parts on two threads (_run_parts; _mc_pipeline for
+    Monte Carlo) and reduce whole batches in order.  A part with a
+    non-finite row raises ValueError rather than returning a NaN estimate,
+    and so does a Monte Carlo spec of fewer than 2 samples, whose standard
+    error is undefined.
     """
     acc = _ColumnReducer(n_cols)
     if q.kind is QuadratureKind.GAUSS_HERMITE:
-        for x, weights in _gh_chunks(m, q):
-            acc.add(_eval_rows(row_fn, x, n_cols), weights)
+        _run_parts(_gh_parts(m, q), True, row_fn, n_cols, acc)
         return [Estimate(float(v)) for v in acc.sums]
     if q.n_samples < 2:
         raise ValueError("a Monte Carlo estimate needs at least 2 samples for its standard error")

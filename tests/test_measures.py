@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -700,3 +701,158 @@ def test_the_callers_floating_point_state_reaches_the_parts():
     mc = QuadratureSpec("monte_carlo", 5000, seed=1)
     with np.errstate(divide="ignore"):
         assert expectation(standard_normal(1), f, mc).value == pytest.approx(0.0, abs=0.1)
+
+
+# ---------------------------------------------------------------------------
+# cache-sized parts: both rules evaluated on the pool, bitwise the whole-batch loops
+
+
+def _gauss_hermite_reference(m, order, row_fn, n_cols):
+    """Column values of the tensor rule from a plain loop: every node by meshgrid, the
+    weight products taken axis by axis, one row_fn call per _CHUNK_ROWS batch."""
+    xi, w = np.polynomial.hermite.hermgauss(order)
+    idx = [g.reshape(-1) for g in np.meshgrid(*([np.arange(order)] * m.dim), indexing="ij")]
+    z = np.sqrt(2.0) * np.stack([xi[i] for i in idx], axis=1)
+    weights = np.ones(len(z))
+    for i in idx:
+        weights = weights * w[i]
+    weights = weights / np.pi ** (m.dim / 2.0)
+    sums = np.zeros(n_cols)
+    for start in range(0, len(z), _CHUNK_ROWS):
+        x = _transform(m, z[start : start + _CHUNK_ROWS])
+        cols = np.ascontiguousarray(np.asarray(row_fn(x), dtype=float).reshape(len(x), n_cols).T)
+        sums += (cols * weights[start : start + _CHUNK_ROWS]).sum(axis=1)
+    return [v.hex() for v in sums]
+
+
+def _recorded_rows(row_fn, sizes):
+    """row_fn that records the row count of every call in sizes (from any thread)."""
+
+    def rows(x):
+        sizes.append(len(x))
+        return row_fn(x)
+
+    return rows
+
+
+def _assert_cache_sized(sizes, batches):
+    """Every call is at most _PART_ROWS rows, and none is under _PART_ALIGN rows unless its batch is."""
+    assert sum(sizes) == sum(batches) and max(sizes) <= measures._PART_ROWS
+    assert min(sizes) >= min(measures._PART_ALIGN, min(batches))
+
+
+# order**dim: 20, 8281 (a tail of 89 rows), 9261, 10000, 16807 (a tail of 423) and 262144 (two batches)
+@pytest.mark.parametrize("dim, order", [(1, 20), (2, 91), (3, 21), (4, 10), (5, 7), (6, 8)])
+@pytest.mark.parametrize("shifted", [False, True], ids=["standard", "shifted_wiener"])
+def test_gauss_hermite_parts_are_bitwise_the_whole_batch_rule(dim, order, shifted):
+    m = standard_normal(dim)
+    if shifted:
+        m = GaussianMeasure(dim, np.linspace(-0.5, 0.5, dim), wiener_measure(make_lattice(dim, 1.0, 1)).precision)
+    mix = np.linspace(0.5, 1.5, dim * dim).reshape(dim, dim)
+
+    def f(x):
+        return np.stack([np.cos(x @ mix).sum(axis=1), np.sum(x * x, axis=1), np.exp(0.2 * x[:, 0])], axis=1)
+
+    sizes = []
+    got = _integrate_columns(m, QuadratureSpec("gauss_hermite", order), _recorded_rows(f, sizes), 3)
+    assert [e.value.hex() for e in got] == _gauss_hermite_reference(m, order, f, 3)
+    assert all(e.std_error is None for e in got)
+    n_nodes = order**dim
+    _assert_cache_sized(sizes, [min(_CHUNK_ROWS, n_nodes - s) for s in range(0, n_nodes, _CHUNK_ROWS)])
+
+
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 3 * 8192 + 1])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", ["ibp_terms", "proposition1_check", "feynman_mc"])
+def test_pipeline_is_bitwise_the_sequential_reducer_at_part_boundaries(monkeypatch, name, workers, n):
+    seen = _capture_pipeline(monkeypatch)
+    got = _pipeline_call(name, QuadratureSpec("monte_carlo", n, seed=11, workers=workers))
+    (m, q, row_fn, n_cols), = seen
+    ref = _sequential_reference(m, q, row_fn, n_cols)
+    if name == "proposition1_check":
+        ref = [ref[0][0], ref[1][0], ref[2]]
+    assert got == ref
+    sizes = []
+    measures._mc_pipeline(m, q, _recorded_rows(row_fn, sizes), n_cols, measures._ColumnReducer(n_cols))
+    _assert_cache_sized(sizes, [rows for _, rows in measures._mc_batches(q)])
+
+
+def _traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_is_bounded_by_parts_not_batches():
+    # a (131072, 32) temporary alone is 32 MiB
+    phi, h = polynomial_pairs(32, count=1, seed=0)[0]
+    mc = QuadratureSpec("monte_carlo", 2 * _CHUNK_ROWS, seed=1)
+    assert _traced_peak_mib(lambda: ibp_residual(standard_normal(32), phi, h, mc)) < 32.0
+
+
+def test_gauss_hermite_memory_is_bounded_by_parts_not_batches():
+    # the dim-6, order-8 rule is two full batches of 131072 nodes
+    phi, h = polynomial_pairs(6, count=1, seed=0)[0]
+    m = wiener_measure(make_lattice(6, 1.0, 1))
+    assert _traced_peak_mib(lambda: ibp_residual(m, phi, h, QuadratureSpec("gauss_hermite", 8))) < 16.0
+
+
+def test_gauss_hermite_holds_blas_to_one_thread_and_restores_it():
+    blas = measures._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS thread setter is not available here")
+    get, put = blas
+    before = get()
+    seen = []
+
+    def rows(x):
+        seen.append(get())
+        return x[:, 0]
+
+    def broken(x):
+        raise RuntimeError("row function failed")
+
+    gh = QuadratureSpec("gauss_hermite", 12)  # 12**4 = 20736 nodes, three parts
+    put(2)
+    try:
+        expectation(standard_normal(4), rows, gh)
+        assert len(seen) == 3 and set(seen) == {1} and get() == 2
+        with pytest.raises(RuntimeError, match="row function failed"):
+            expectation(standard_normal(4), broken, gh)
+        assert get() == 2
+    finally:
+        put(before)
+
+
+@pytest.mark.parametrize("failure", ["raises", "non_finite"])
+def test_a_failing_gauss_hermite_part_stops_the_rule_promptly(failure):
+    # the dim-6, order-8 rule is 32 parts; the second part evaluated fails
+    calls = []
+    lock = threading.Lock()
+
+    def rows(x):
+        with lock:
+            calls.append(len(x))
+            second = len(calls) == 2
+        out = x[:, :1].copy()
+        if second and failure == "raises":
+            raise RuntimeError("part failed")
+        if second:
+            out[0] = np.nan
+        return out
+
+    gh = QuadratureSpec("gauss_hermite", 8)
+    error = _finishes(lambda: _integrate_columns(standard_normal(6), gh, rows, 1))
+    expected = RuntimeError if failure == "raises" else ValueError
+    assert isinstance(error, expected)
+    assert len(calls) <= 4  # the failing part and the few submitted ahead of its join, not all 32
+
+
+def test_the_callers_floating_point_state_reaches_the_gauss_hermite_parts():
+    # 40**3 = 64000 nodes in eight parts; the division by zero warns in every one of them
+    f = lambda x: np.arctan(1.0 / (0.0 * x[:, 0]))
+    with np.errstate(divide="ignore"):
+        assert np.isfinite(expectation(standard_normal(3), f, QuadratureSpec("gauss_hermite", 40)).value)
