@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
+from scipy.linalg import block_diag
 
 
 def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
@@ -61,7 +62,7 @@ class VectorField:
     """Vector field on R^dim with optional analytic Jacobian and divergence.
 
     eval       : (n, dim) -> (n, dim)
-    jacobian   : (dim,) -> (dim, dim), entry (i, j) = d h_i / d x_j
+    jacobian   : (dim,) -> (dim, dim), entry (i, j) = d h_i / d x_j, or its diagonal blocks
     divergence : (n, dim) -> (n,), trace of the Jacobian at each row
     """
 
@@ -77,10 +78,11 @@ class VectorField:
         return np.asarray(self.eval(xb), dtype=float)[0]
 
     def jacobian_at(self, x: np.ndarray, fd_step: float = 1e-6) -> np.ndarray:
-        """Jacobian at a single point, analytic when supplied, else central FD."""
+        """Dense Jacobian at a single point (blocks expanded), analytic when supplied, else FD."""
         x = np.asarray(x, dtype=float)
         if self.jacobian is not None:
-            return np.asarray(self.jacobian(x), dtype=float)
+            jac = np.asarray(self.jacobian(x), dtype=float)
+            return block_diag(*jac) if jac.ndim == 3 else jac
         h = fd_step * (1.0 + np.linalg.norm(x))
         jac = np.empty((self.dim, self.dim))
         for j in range(self.dim):
@@ -130,14 +132,15 @@ class TransformationFamily:
 
     eval           : (alpha, (n, dim)) -> (n, dim)
     alpha_jacobian : (alpha, (dim,)) -> (dim, dim), the spatial Jacobian
-                     dS(alpha)(x)/dx, optional
+                     dS(alpha)(x)/dx or its (nodes, d, d) diagonal blocks, optional
     generator_field: analytic generator h_S(x) = -d/dalpha S(alpha)(x)|_0
                      when known in closed form, optional
     sweep          : (alphas (k,), (n, dim), jacobian=False) -> (k, n, dim),
                      S(alpha_i) at every row at once, and with jacobian=True
-                     also the (k, n, dim, dim) spatial Jacobians; each entry
-                     bitwise what eval and alpha_jacobian give.  Optional:
-                     without it, callers evaluate one alpha at a time
+                     also the (k, n, dim, dim) spatial Jacobians (or
+                     (k, n, nodes, d, d) blocks); each entry bitwise what eval
+                     and alpha_jacobian give.  Optional: without it, callers
+                     evaluate one alpha at a time
     """
 
     dim: int

@@ -38,8 +38,9 @@ def generator(family: TransformationFamily, fd_step: float = 1e-5) -> VectorFiel
     h is a central difference in alpha with step fd_step at every point, so a
     row's h(x) does not depend on the other rows of its batch.  The Jacobian
     differentiates alpha_jacobian in alpha with step fd_step * (1 + |x|) when
-    the family supplies it, else falls back to nested differencing of the
-    generator itself with an outer step of sqrt(fd_step) scale.
+    the family supplies it (a block stack when alpha_jacobian gives one), else
+    falls back to nested differencing of the generator itself with an outer
+    step of sqrt(fd_step) scale.
     """
 
     def h_eval(x: np.ndarray) -> np.ndarray:
@@ -76,44 +77,45 @@ def jacobian_log_det(
     family: TransformationFamily, alpha: float, x: np.ndarray, fd_step: float = 1e-6
 ) -> float:
     """log |det dS(alpha)(x)/dx|, raising SingularJacobianError when degenerate."""
-    x = np.asarray(x, dtype=float)
-    if family.alpha_jacobian is not None:
-        jac = np.asarray(family.alpha_jacobian(float(alpha), x), dtype=float)
-    else:
-        jac = VectorField(family.dim, lambda y: family.eval(float(alpha), y)).jacobian_at(x, fd_step)
-    return float(_checked_log_dets(family, [alpha], jac[None])[0])
+    return float(_log_dets(family, [alpha], x, fd_step)[0])
 
 
 def _checked_log_dets(family: TransformationFamily, alphas, jacs: np.ndarray) -> np.ndarray:
-    """log |det| of each Jacobian of a (k, dim, dim) stack, one per alpha.
+    """log |det| of each alpha's block-diagonal Jacobian, given as its blocks jacs[i] (..., b, b).
 
-    Raises SingularJacobianError at the first singular or orientation-reversing one.
+    A dense (k, dim, dim) stack is the one-block case.  Raises SingularJacobianError
+    at the first alpha with a singular or orientation-reversing block.
     """
-    sign, logdet = np.linalg.slogdet(jacs)
-    bad = np.flatnonzero((sign <= 0.0) | ~np.isfinite(logdet))
+    sign, logdet = (a.reshape(len(jacs), -1) for a in np.linalg.slogdet(jacs))
+    bad = np.flatnonzero(np.any((sign <= 0.0) | ~np.isfinite(logdet), axis=1))
     if bad.size:
         raise SingularJacobianError(
             f"Jacobian of {family.label or 'family'} at alpha={alphas[bad[0]]} "
             "is singular or orientation-reversing"
         )
-    return logdet
+    return logdet.sum(axis=1)
 
 
-def _log_dets(family: TransformationFamily, alphas, x: np.ndarray) -> np.ndarray:
-    """jacobian_log_det(family, alpha, x) at each alpha for one point x, raising as it does.
+def _log_dets(family: TransformationFamily, alphas, x: np.ndarray, fd_step: float = 1e-6):
+    """log |det dS(alpha)(x)/dx| at each alpha for one point x, raising SingularJacobianError.
 
-    A family with a sweep gives the Jacobians of as many alphas per sweep as
-    keep the (k, dim, dim) stack within _CHUNK_ROWS entries.
+    Jacobians (dense or block stacks) come from the sweep, else alpha_jacobian, else
+    central differences, for as many alphas at a time as a dense (k, dim, dim) stack
+    holds within _CHUNK_ROWS entries.
     """
     x = np.asarray(x, dtype=float)
-    if family.sweep is None:
-        return np.array([jacobian_log_det(family, a, x) for a in alphas])
     alphas = np.asarray(alphas, dtype=float)
-    per_sweep = max(1, _CHUNK_ROWS // family.dim**2)
+    per_chunk = max(1, _CHUNK_ROWS // family.dim**2)
     log_dets = []
-    for chunk in np.split(alphas, range(per_sweep, len(alphas), per_sweep)):
-        jacs = family.sweep(chunk, x[None], jacobian=True)[1][:, 0]
-        log_dets.append(_checked_log_dets(family, chunk, jacs))
+    for chunk in np.split(alphas, range(per_chunk, len(alphas), per_chunk)):
+        if family.sweep is not None:
+            jacs = family.sweep(chunk, x[None], jacobian=True)[1][:, 0]
+        elif family.alpha_jacobian is not None:
+            jacs = np.stack([family.alpha_jacobian(a, x) for a in chunk.tolist()])
+        else:
+            maps = [VectorField(family.dim, lambda y, a=a: family.eval(a, y)) for a in chunk.tolist()]
+            jacs = np.stack([s.jacobian_at(x, fd_step) for s in maps])
+        log_dets.append(_checked_log_dets(family, chunk, np.asarray(jacs, dtype=float)))
     return np.concatenate(log_dets)
 
 

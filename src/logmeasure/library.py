@@ -291,17 +291,12 @@ def sine_flow_family(
     )
 
 
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The (..., n * d, n * d) block-diagonal matrices of an (..., n, d, d) stack of blocks."""
-    *lead, n, d, _ = blocks.shape
-    out = np.zeros((*lead, n, d, n, d))
-    for j in range(n):
-        out[..., j, :, j, :] = blocks[..., j, :, :]
-    return out.reshape(*lead, n * d, n * d)
-
-
 def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> TransformationFamily:
-    """Lift a dim_q family to stacked path coordinates, one copy per time node."""
+    """Lift a dim_q family to stacked path coordinates, one copy per time node.
+
+    Its Jacobians are block diagonal: alpha_jacobian, the generator's jacobian
+    and the sweep give the (n_steps, dim_q, dim_q) blocks, never the dense matrix.
+    """
     if base.dim != lattice.dim_q:
         raise ValueError("base family must act on single-node coordinates")
     n, d = lattice.n_steps, lattice.dim_q
@@ -313,9 +308,8 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
         return np.asarray(base.eval(alpha, nodes)).reshape(xb.shape)
 
     def per_node_blocks(block, x: np.ndarray) -> np.ndarray:
-        """Block-diagonal matrix of block(x_j) over the time nodes x_j of x."""
-        x = np.asarray(x, dtype=float)
-        return _block_diagonal(np.stack([block(x[j * d : (j + 1) * d]) for j in range(n)]))
+        """The (n, d, d) stack of block(x_j) over the time nodes x_j of x."""
+        return np.stack([block(node) for node in np.asarray(x, dtype=float).reshape(n, d)])
 
     alpha_jacobian = None
     if base.alpha_jacobian is not None:
@@ -354,7 +348,7 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
             points = points.reshape(len(points), *xb.shape)
             if blocks is None:
                 return points
-            return points, _block_diagonal(blocks.reshape(*points.shape[:2], n, d, d))
+            return points, blocks.reshape(*points.shape[:2], n, d, d)
 
     return TransformationFamily(
         dim=dim,

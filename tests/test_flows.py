@@ -451,7 +451,7 @@ def _sine_case(name):
 
         def oracle(alpha, x):
             y, jac = sine_flow_rk4(alpha, np.reshape(x, (-1, 2)), 0.3, 1.5)
-            return y.reshape(np.shape(x)), block_diag(*(np.diag(j) for j in jac))
+            return y.reshape(np.shape(x)), np.stack([np.diag(j) for j in jac])
 
         return fam, points, oracle
     dim = {"sine_flow_1d": 1, "sine_flow_2d": 2}[name]
@@ -472,7 +472,9 @@ def test_sweep_is_bytewise_the_per_alpha_calls(name, n_points):
     xb = points[:n_points]
     swept, jacs = fam.sweep(_SWEEP_ALPHAS, xb, jacobian=True)
     assert swept.shape == (len(_SWEEP_ALPHAS), n_points, fam.dim)
-    assert jacs.shape == (len(_SWEEP_ALPHAS), n_points, fam.dim, fam.dim)
+    # a pointwise family's Jacobian is its stack of (n_steps, dim_q, dim_q) diagonal blocks
+    blocks = (5, 2, 2) if name == "pointwise_sine_flow" else (fam.dim, fam.dim)
+    assert jacs.shape == (len(_SWEEP_ALPHAS), n_points, *blocks)
     assert fam.sweep(_SWEEP_ALPHAS, xb).tobytes() == swept.tobytes()
     for i, alpha in enumerate(_SWEEP_ALPHAS):
         assert swept[i].tobytes() == fam.apply(alpha, xb).tobytes()
@@ -514,6 +516,114 @@ def test_log_dets_of_a_sweep_raise_at_the_first_singular_alpha():
         _log_dets(fam, [0.1, -1.0, -2.0], x)
     assert "alpha=-1.0 " in str(swept.value)
     assert str(swept.value) == str(per_alpha.value)
+
+
+# ---------------------------------------------------------------------------
+# block-diagonal Jacobians of path-lifted families
+
+
+def test_a_lift_raises_at_a_reversing_node_block_though_the_dense_det_is_positive():
+    # both node blocks reverse orientation at alpha -1 (the coarse RK4 of the test above),
+    # so the dense determinant of the two-node lift is positive: only the blocks show it
+    base = sine_flow_family(1, amplitude=10.0, wavenumber=1.0, steps_per_unit=4)
+    fam = pointwise_family(base, make_lattice(2, 1.0, 1))
+    x = np.array([3.0, 3.0])
+    assert base.alpha_jacobian(-1.0, x[:1])[0, 0] < 0.0
+    with pytest.raises(SingularJacobianError, match=r"alpha=-1\.0 "):
+        jacobian_log_det(fam, -1.0, x)
+    with pytest.raises(SingularJacobianError, match=r"alpha=-1\.0 "):
+        _log_dets(fam, [0.1, -1.0, -2.0], x)
+
+
+def _lift_case(name, n_steps):
+    """A dim_q family to lift node by node, its lattice and a path point."""
+    if name == "sine":
+        base, dim_q = sine_flow_family(1, amplitude=0.3, wavenumber=1.5), 1
+    elif name == "rotation":
+        base, dim_q = rotation_family(2), 2
+    else:  # non-diagonal 2 x 2 blocks with a non-zero log-det, and no analytic generator
+        base, dim_q = _linear_flow(np.array([[0.3, 0.7], [-0.2, 0.5]])), 2
+    lat = make_lattice(n_steps, 1.0, dim_q)
+    return base, lat, np.random.default_rng(n_steps).normal(size=lat.dim)
+
+
+_LIFT_CASES = [("sine", 64), ("sine", 256), ("rotation", 32), ("linear", 32)]
+
+
+@pytest.mark.parametrize("name, n_steps", _LIFT_CASES)
+def test_block_log_dets_match_the_dense_block_diagonal(name, n_steps):
+    base, lat, x = _lift_case(name, n_steps)
+    fam = pointwise_family(base, lat)
+    alphas = [0.2, -0.35, 0.5]
+    # a sweep's blocks are bitwise alpha_jacobian's (test_sweep_is_bytewise_the_per_alpha_calls)
+    if fam.sweep is not None:
+        blocks = fam.sweep(alphas, x[None], jacobian=True)[1][:, 0]
+    else:
+        blocks = np.stack([fam.alpha_jacobian(a, x) for a in alphas])
+    assert blocks.shape == (3, lat.n_steps, lat.dim_q, lat.dim_q)
+    signs, reference = np.array([np.linalg.slogdet(block_diag(*b)) for b in blocks]).T
+    assert np.all(signs == 1.0)
+    # a rotation's log-det is 0, so its entries are held to the rounding of n_steps blocks
+    tolerances = {"rtol": 1e-13, "atol": 1e-15 * n_steps}
+    np.testing.assert_allclose(_log_dets(fam, alphas, x), reference, **tolerances)
+    per_alpha = [jacobian_log_det(fam, a, x) for a in alphas]
+    np.testing.assert_allclose(per_alpha, reference, **tolerances)
+
+
+@pytest.mark.parametrize("name, n_steps", _LIFT_CASES)
+def test_lifted_generator_jacobians_are_the_dense_block_diagonal(name, n_steps):
+    base, lat, x = _lift_case(name, n_steps)
+    # the finite-difference generator of a lift without an analytic one: the central
+    # difference of the dense alpha Jacobians, and its trace as the divergence
+    fam = pointwise_family(replace(base, generator_field=None), lat)
+    h = generator(fam)
+    step = 1e-5 * (1.0 + np.linalg.norm(x))
+    hi, lo = (block_diag(*fam.alpha_jacobian(a, x)) for a in (step, -step))
+    dense = -(hi - lo) / (2.0 * step)
+    np.testing.assert_array_equal(h.jacobian_at(x), dense)
+    np.testing.assert_array_equal(h.divergence_batch(x), [np.trace(dense)])
+    if base.generator_field is not None:
+        analytic = family_generator(pointwise_family(base, lat))
+        nodes = x.reshape(lat.n_steps, lat.dim_q)
+        dense = block_diag(*(base.generator_field.jacobian_at(node) for node in nodes))
+        np.testing.assert_array_equal(analytic.jacobian_at(x), dense)
+        np.testing.assert_allclose(h.divergence_batch(x), analytic.divergence_batch(x), atol=1e-6)
+
+
+def test_log_dets_of_a_long_lifted_path_hold_no_dense_jacobian():
+    lat = make_lattice(1024, 1.0, 1)
+    fam = pointwise_family(sine_flow_family(1), lat)
+    x = np.random.default_rng(0).normal(size=lat.dim)
+    alphas = np.linspace(0.0, 0.5, 6)[1:]
+    tracemalloc.start()
+    try:
+        log_dets = _log_dets(fam, alphas, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(log_dets))
+    # one dense (1024, 1024) Jacobian alone is 8 MiB
+    assert peak < 2**20
+
+
+def test_jacobian_log_det_of_a_lift_takes_one_base_sweep():
+    base = sine_flow_family(1)
+    calls = {"sweep": 0, "alpha_jacobian": 0}
+
+    def counted(name):
+        inner = getattr(base, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return call
+
+    counted_base = replace(base, sweep=counted("sweep"), alpha_jacobian=counted("alpha_jacobian"))
+    fam = pointwise_family(counted_base, make_lattice(64, 1.0, 1))
+    x = np.random.default_rng(1).normal(size=64)
+    jacobian_log_det(fam, 0.3, x)
+    assert calls == {"sweep": 1, "alpha_jacobian": 0}
 
 
 def test_a_large_sweep_holds_its_temporaries_in_blocks():
