@@ -13,9 +13,9 @@ output files.  A run writes one JSON result record and one CSV table (its
 columns are the rows' keys, documented in ``docs/csv_schema.json``), prints
 one line per declared assertion, and exits 0 only if every assertion passed
 (1 otherwise).  Identical config + seed + workers reproduces every numeric
-column bitwise; wall time and the number of threads that evaluate batch
-parts, Monte Carlo and Gauss-Hermite alike (``mc_threads``), live only in
-the JSON record.
+column bitwise; wall time and the number of threads that evaluate the
+batches of a call of more than one batch, Monte Carlo and Gauss-Hermite
+alike (``mc_threads``), live only in the JSON record.
 """
 
 from __future__ import annotations

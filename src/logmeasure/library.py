@@ -311,12 +311,6 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
         """The (n, d, d) stack of block(x_j) over the time nodes x_j of x."""
         return np.stack([block(node) for node in np.asarray(x, dtype=float).reshape(n, d)])
 
-    alpha_jacobian = None
-    if base.alpha_jacobian is not None:
-
-        def alpha_jacobian(alpha: float, x: np.ndarray) -> np.ndarray:
-            return per_node_blocks(lambda y: base.alpha_jacobian(alpha, y), x)
-
     generator = None
     if base.generator_field is not None:
         base_gen = base.generator_field
@@ -349,6 +343,14 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
             if blocks is None:
                 return points
             return points, blocks.reshape(*points.shape[:2], n, d, d)
+
+    alpha_jacobian = None
+    if base.alpha_jacobian is not None:
+
+        def alpha_jacobian(alpha: float, x: np.ndarray) -> np.ndarray:
+            if sweep is not None:  # one base sweep over every node, not one per node
+                return sweep([alpha], x, jacobian=True)[1][0, 0]
+            return per_node_blocks(lambda y: base.alpha_jacobian(alpha, y), x)
 
     return TransformationFamily(
         dim=dim,

@@ -16,26 +16,25 @@ primary consistency check (ibp_residual).
 Precision is the primary parameterization; covariance is derived on demand.
 
 Every integral in the package runs on one engine: batches of at most
-_CHUNK_ROWS points, Monte Carlo draws laid out by _mc_batches or
-Gauss-Hermite tensor-rule nodes with their weights, and one reducer of the
-columns a row function returns for each batch (_integrate_columns);
-sample() fills its output from the same Monte Carlo batches.  Monte Carlo
-work is split across `workers` deterministic RNG streams derived from
-SeedSequence(seed).spawn(workers), so results are bitwise reproducible for a
-fixed (seed, workers) pair.
+_BATCH_ROWS points, Monte Carlo draws laid out by _mc_batches or
+Gauss-Hermite tensor-rule nodes with their weights (_gh_batches), and one
+reducer of the columns a row function returns for each batch
+(_integrate_columns); sample() fills its output from the same Monte Carlo
+batches.  Monte Carlo work is split across `workers` deterministic RNG
+streams derived from SeedSequence(seed).spawn(workers), so results are
+bitwise reproducible for a fixed (seed, workers) pair.
 
-Both rules run on two threads: each batch is cut into parts of at most
-_PART_ROWS rows, and a pool of two threads builds each part's points (a
-Monte Carlo draw mapped onto the measure, or the Gauss-Hermite nodes and
-weights of its index range) and evaluates the row function on them, with
-numpy's OpenBLAS held to one thread for the call.  A part's temporaries stay
-a few MB even at dim 64, and only a few parts are in flight at once.  The
-parts of one stream draw in order and the reducer sees the same whole
-batches in the same order as a sequential loop, so every value and standard
-error is bitwise independent of the threads.  Where the OpenBLAS thread
-setter cannot be found, the pool has one thread.  Row functions (and the
-phi, h, eta, f0 and family callbacks they call) must therefore be safe to
-call from two threads at once.  sample() stays sequential.
+Both rules run on two threads: a pool of two threads builds each batch's
+points (a Monte Carlo draw mapped onto the measure, or the Gauss-Hermite
+nodes and weights of its index range) and evaluates the row function on
+them, with numpy's OpenBLAS held to one thread for the call.  A batch's
+temporaries stay a few MB even at dim 64, and only a few batches are in
+flight at once.  The batches of one stream draw in order and the reducer
+merges the batches in order, so every value and standard error is bitwise
+independent of the threads.  A call of one batch, or one where the OpenBLAS
+thread setter cannot be found, runs on the calling thread.  Row functions
+(and the phi, h, eta, f0 and family callbacks they call) must therefore be
+safe to call from two threads at once.  sample() stays sequential.
 """
 
 from __future__ import annotations
@@ -46,11 +45,12 @@ import glob
 import os
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -61,12 +61,8 @@ from .lattice import TimeLattice, cm_gram
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _MAX_GH_DIM = 6
-_CHUNK_ROWS = 131072
-_PART_ROWS = 8192  # the pool evaluates every batch in parts of at most this many rows
-_PART_ALIGN = 1024  # no part is shorter than this unless its batch is
-
-# (rows, [(start, stop, points)]) per batch: points() builds a part's rows start..stop - 1
-_Batches = Iterator[tuple[int, list[tuple[int, int, Callable[[], tuple]]]]]
+_CHUNK_ROWS = 131072  # the element cap of flows' and library's blocks
+_BATCH_ROWS = 8192  # the rows of every integration batch
 
 
 class QuadratureKind(str, Enum):
@@ -216,12 +212,38 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.hermite.hermgauss(order)
 
 
-def _mc_batches(q: QuadratureSpec) -> Iterator[tuple[np.random.Generator, int]]:
-    """(stream generator, rows) of every Monte Carlo batch: the worker streams in
-    order, each cut into batches of at most _CHUNK_ROWS rows (each row counts 1/n)."""
+# a batch's thunk builds its points and their weights (None for Monte Carlo)
+_Batch = Callable[[], tuple[np.ndarray, Optional[np.ndarray]]]
+
+
+def _draw(
+    m: GaussianMeasure, rng: np.random.Generator, rows: int, after: Optional[threading.Event],
+    drawn: threading.Event,
+) -> tuple[np.ndarray, None]:
+    """Draw a batch once the batch before it in its stream has drawn, and map it onto m."""
+    try:
+        if after is not None:
+            after.wait()
+        z = rng.standard_normal((rows, m.dim))
+    finally:
+        drawn.set()  # also when the draw failed: the stream's next batch must not wait forever
+    # the standard draws are a temporary: row_fn runs on the mapped points alone
+    return _transform(m, z), None
+
+
+def _mc_batches(m: GaussianMeasure, q: QuadratureSpec) -> Iterator[_Batch]:
+    """Every Monte Carlo batch: the worker streams in order, each cut into the fewest
+    near-equal batches of at most _BATCH_ROWS rows (each row counts 1/n).
+
+    A batch draws only after the batch before it in its stream has drawn, so it
+    draws what a sequential loop would.  A short tail batch would map its rows by
+    a product that rounds differently, and move sample()'s bytes.
+    """
     for rng, share in zip(_worker_rngs(q.seed, q.workers), _worker_shares(q.n_samples, q.workers)):
-        for done in range(0, share, _CHUNK_ROWS):
-            yield rng, min(_CHUNK_ROWS, share - done)
+        drawn, count = None, -(-share // _BATCH_ROWS)
+        for i in range(count):
+            after, drawn = drawn, threading.Event()
+            yield partial(_draw, m, rng, share // count + (i < share % count), after, drawn)
 
 
 def sample(m: GaussianMeasure, n: int, seed: int, workers: int = 1) -> np.ndarray:
@@ -230,9 +252,10 @@ def sample(m: GaussianMeasure, n: int, seed: int, workers: int = 1) -> np.ndarra
         raise ValueError("n must be positive")
     out = np.empty((n, m.dim))
     pos = 0
-    for rng, rows in _mc_batches(QuadratureSpec(QuadratureKind.MONTE_CARLO, n, seed, workers)):
-        out[pos : pos + rows] = _transform(m, rng.standard_normal((rows, m.dim)))
-        pos += rows
+    for draw in _mc_batches(m, QuadratureSpec(QuadratureKind.MONTE_CARLO, n, seed, workers)):
+        x, _ = draw()
+        out[pos : pos + len(x)] = x
+        pos += len(x)
     return out
 
 
@@ -251,7 +274,7 @@ def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], Non
 
 
 def _mc_threads() -> int:
-    """Threads that evaluate batch parts, Monte Carlo or Gauss-Hermite: two where OpenBLAS can be
+    """Threads that evaluate batches, Monte Carlo or Gauss-Hermite: two where OpenBLAS can be
     held to one thread."""
     return 1 if _openblas_threads() is None else 2
 
@@ -270,49 +293,6 @@ def _one_blas_thread() -> Iterator[None]:
         yield
     finally:
         put(before)
-
-
-def _part_bounds(rows: int) -> list[tuple[int, int]]:
-    """A batch's parts as (start, stop) row ranges of _PART_ROWS rows, the last one shorter.
-
-    A tail under _PART_ALIGN rows shares the rows of the part before it, cut at
-    half of _PART_ROWS: a one-row part would take numpy's matrix-vector product,
-    which rounds differently from the matrix product of its batch.
-    """
-    cuts = list(range(0, rows, _PART_ROWS))
-    if len(cuts) > 1 and rows - cuts[-1] < _PART_ALIGN:
-        cuts[-1] -= _PART_ROWS // 2
-    return list(zip(cuts, cuts[1:] + [rows]))
-
-
-def _draw_part(
-    m: GaussianMeasure, rng: np.random.Generator, rows: int, after: Optional[threading.Event],
-    drawn: threading.Event,
-) -> tuple[np.ndarray, None]:
-    """Draw a part once the part before it in its stream has drawn, and map it onto m."""
-    try:
-        if after is not None:
-            after.wait()
-        z = rng.standard_normal((rows, m.dim))
-    finally:
-        drawn.set()  # also when the draw failed: the stream's next part must not wait forever
-    # the standard draws are a temporary: row_fn runs on the mapped points alone
-    return _transform(m, z), None
-
-
-def _mc_parts(m: GaussianMeasure, q: QuadratureSpec) -> _Batches:
-    """The parts of every Monte Carlo batch of _mc_batches.
-
-    A part draws only after the part before it in the same stream has drawn,
-    so the concatenated parts are the batch a sequential loop would draw.
-    """
-    drawn: dict[np.random.Generator, threading.Event] = {}
-    for rng, rows in _mc_batches(q):
-        parts = []
-        for start, stop in _part_bounds(rows):
-            after, drawn[rng] = drawn.get(rng), threading.Event()
-            parts.append((start, stop, partial(_draw_part, m, rng, stop - start, after, drawn[rng])))
-        yield rows, parts
 
 
 def _gh_points(
@@ -340,26 +320,19 @@ def _gh_points(
     return _transform(m, z), weights / np.pi ** (m.dim / 2.0)
 
 
-def _gh_parts(m: GaussianMeasure, q: QuadratureSpec) -> _Batches:
-    """The parts of every batch of the Gauss-Hermite tensor rule.
-
-    Batches of at most _CHUNK_ROWS rows are consecutive index ranges of the
-    rule in C order, with weights that sum to 1 over the whole rule; each part
-    builds its own nodes and weights, so no more than a few parts of the
-    order**dim nodes are ever held.
-    """
+def _gh_batches(m: GaussianMeasure, q: QuadratureSpec) -> Iterator[_Batch]:
+    """Every batch of the Gauss-Hermite tensor rule: consecutive index ranges of at most
+    _BATCH_ROWS nodes in C order, with weights that sum to 1 over the whole rule.  Each
+    batch builds its own nodes and weights, so only a few batches of the order**dim nodes
+    are ever held."""
     if m.dim > _MAX_GH_DIM:
         raise ValueError(
             f"gauss_hermite quadrature is guarded to dim <= {_MAX_GH_DIM}, got dim {m.dim}"
         )
     xi, w = _hermite_rule(q.n_samples)
     nodes, n_nodes = np.sqrt(2.0) * xi, len(xi) ** m.dim
-    for first in range(0, n_nodes, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, n_nodes - first)
-        yield rows, [
-            (start, stop, partial(_gh_points, m, nodes, w, first + start, first + stop))
-            for start, stop in _part_bounds(rows)
-        ]
+    for first in range(0, n_nodes, _BATCH_ROWS):
+        yield partial(_gh_points, m, nodes, w, first, min(first + _BATCH_ROWS, n_nodes))
 
 
 def _eval_rows(row_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, n_cols: int) -> np.ndarray:
@@ -396,74 +369,52 @@ class _ColumnReducer:
         self.total = merged
 
 
-def _run_parts(
-    batches: _Batches, weighted: bool, row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int,
+def _run_batches(
+    batches: Iterator[_Batch], row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int,
     acc: _ColumnReducer,
 ) -> None:
-    """Reduce each batch's (rows, n_cols) block into acc, in batch order, from its parts.
+    """Reduce each batch's (rows, n_cols) block into acc, in batch order.
 
-    points() returns a part's points and their weights (None for Monte
-    Carlo).  In a pool thread each part builds its points, evaluates row_fn
-    on them and writes its rows into its batch's block, held one contiguous
-    row per column as the reducer sums them.  The main thread joins the parts
-    in order and hands a batch to acc when its last part is joined, so acc
-    sees whole batches in the order a sequential loop would.  At most one
-    part more than the pool has threads is submitted ahead of the join, so
-    memory is bounded by a few parts; once a part fails, no part calls row_fn
-    again.
+    In a pool thread each batch builds its points and evaluates row_fn on
+    them; the calling thread merges the blocks into acc in order, so acc sees
+    the batches of a sequential loop.  At most one batch more than the pool
+    has threads is submitted ahead of the merge, so memory is bounded by a few
+    batches; once a batch fails, no batch calls row_fn again.  A lone batch,
+    or a pool of one thread, runs on the calling thread.
     """
-    failed = threading.Event()
-
-    def run(points: Callable, block: np.ndarray, weights: Optional[np.ndarray], start: int, stop: int) -> None:
-        try:
-            x, w = points()  # even after a failure: the next part of a stream waits on this draw
-            if failed.is_set():
-                return  # the call raises at the failed part's join
-            block[:, start:stop] = _eval_rows(row_fn, x, n_cols).T
-            if weights is not None:
-                weights[start:stop] = w
-        except BaseException:
-            failed.set()
-            raise
-
-    def join(future: Future, batch: Optional[tuple[np.ndarray, Optional[np.ndarray]]]) -> None:
-        future.result()
-        if batch is not None:
-            acc.add(batch[0].T, batch[1])
-
+    head = list(islice(batches, 2))
     with _one_blas_thread():
         threads = _mc_threads()
-        pool = ThreadPoolExecutor(threads, thread_name_prefix="logmeasure-parts")
+        if len(head) < 2 or threads == 1:
+            for points in chain(head, batches):
+                x, weights = points()
+                acc.add(_eval_rows(row_fn, x, n_cols), weights)
+            return
+        failed = threading.Event()
+
+        def run(points: _Batch) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
+            try:
+                x, weights = points()  # even after a failure: the next batch of a stream waits on this draw
+                if not failed.is_set():  # else None: the call raises at the failed batch's merge
+                    return _eval_rows(row_fn, x, n_cols), weights
+            except BaseException:
+                failed.set()
+                raise
+
+        pool = ThreadPoolExecutor(threads, thread_name_prefix="logmeasure-batches")
         try:
-            pending: deque[tuple[Future, Optional[tuple[np.ndarray, Optional[np.ndarray]]]]] = deque()
-            for rows, parts in batches:
-                block, weights = np.empty((n_cols, rows)), np.empty(rows) if weighted else None
-                for start, stop, points in parts:
-                    # the part runs in the caller's context, so np.errstate and the like carry over
-                    ctx = contextvars.copy_context()
-                    future = pool.submit(ctx.run, run, points, block, weights, start, stop)
-                    pending.append((future, (block, weights) if stop == rows else None))
-                    if len(pending) > threads:
-                        join(*pending.popleft())
+            # submitted lazily, each batch in the caller's context, so np.errstate and the like carry over
+            futures = (pool.submit(contextvars.copy_context().run, run, points) for points in chain(head, batches))
+            pending = deque(islice(futures, threads + 1))
             while pending:
-                join(*pending.popleft())
+                block = pending.popleft().result()
+                if block is not None:
+                    acc.add(*block)
+                pending.extend(islice(futures, 1))
         finally:
-            # pending parts run out rather than being cancelled: a running part may wait on the
-            # draw of a part queued before it, which a cancellation would never let happen
+            # pending batches run out rather than being cancelled: a running batch may wait on the
+            # draw of a batch queued before it, which a cancellation would never let happen
             pool.shutdown(wait=True)
-
-
-def _mc_pipeline(
-    m: GaussianMeasure, q: QuadratureSpec, row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int,
-    acc: _ColumnReducer,
-) -> None:
-    """Reduce each Monte Carlo batch's (rows, n_cols) block into acc, in stream and batch order.
-
-    Every batch of _mc_batches is cut into parts by _part_bounds; _run_parts
-    draws each part from its stream, maps it onto m and evaluates row_fn on
-    it in a pool thread.
-    """
-    _run_parts(_mc_parts(m, q), False, row_fn, n_cols, acc)
 
 
 def _integrate_columns(
@@ -476,19 +427,18 @@ def _integrate_columns(
     (count, mean, M2) merged by the Chan-Golub-LeVeque update, which keeps
     its digits when the column's mean dwarfs its spread.  Gauss-Hermite
     values are weighted sums and carry std_error None.  Both rules evaluate
-    their batches in parts on two threads (_run_parts; _mc_pipeline for
-    Monte Carlo) and reduce whole batches in order.  A part with a
-    non-finite row raises ValueError rather than returning a NaN estimate,
-    and so does a Monte Carlo spec of fewer than 2 samples, whose standard
-    error is undefined.
+    their batches of at most _BATCH_ROWS rows on two threads and reduce them
+    in order (_run_batches).  A batch with a non-finite row raises ValueError
+    rather than returning a NaN estimate, and so does a Monte Carlo spec of
+    fewer than 2 samples, whose standard error is undefined.
     """
     acc = _ColumnReducer(n_cols)
     if q.kind is QuadratureKind.GAUSS_HERMITE:
-        _run_parts(_gh_parts(m, q), True, row_fn, n_cols, acc)
+        _run_batches(_gh_batches(m, q), row_fn, n_cols, acc)
         return [Estimate(float(v)) for v in acc.sums]
     if q.n_samples < 2:
         raise ValueError("a Monte Carlo estimate needs at least 2 samples for its standard error")
-    _mc_pipeline(m, q, row_fn, n_cols, acc)
+    _run_batches(_mc_batches(m, q), row_fn, n_cols, acc)
     ses = np.sqrt(acc.m2 / acc.total / (acc.total - 1))
     return [Estimate(float(v), float(se)) for v, se in zip(acc.sums / acc.total, ses)]
 

@@ -606,7 +606,9 @@ def test_log_dets_of_a_long_lifted_path_hold_no_dense_jacobian():
     assert peak < 2**20
 
 
-def test_jacobian_log_det_of_a_lift_takes_one_base_sweep():
+def _counted_sine_lift(n_steps):
+    """The pointwise lift of sine_flow_family(1) over n_steps nodes, with its base's sweep
+    and alpha_jacobian calls counted; returns (base, lift, counts)."""
     base = sine_flow_family(1)
     calls = {"sweep": 0, "alpha_jacobian": 0}
 
@@ -620,10 +622,23 @@ def test_jacobian_log_det_of_a_lift_takes_one_base_sweep():
         return call
 
     counted_base = replace(base, sweep=counted("sweep"), alpha_jacobian=counted("alpha_jacobian"))
-    fam = pointwise_family(counted_base, make_lattice(64, 1.0, 1))
+    return base, pointwise_family(counted_base, make_lattice(n_steps, 1.0, 1)), calls
+
+
+def test_jacobian_log_det_of_a_lift_takes_one_base_sweep():
+    _, fam, calls = _counted_sine_lift(64)
     x = np.random.default_rng(1).normal(size=64)
     jacobian_log_det(fam, 0.3, x)
     assert calls == {"sweep": 1, "alpha_jacobian": 0}
+
+
+def test_alpha_jacobian_of_a_lift_takes_one_base_sweep():
+    base, fam, calls = _counted_sine_lift(64)
+    x = np.random.default_rng(2).normal(size=64)
+    blocks = fam.alpha_jacobian(0.3, x)
+    assert calls == {"sweep": 1, "alpha_jacobian": 0}
+    per_node = np.stack([base.alpha_jacobian(0.3, node) for node in x.reshape(64, 1)])
+    assert blocks.shape == per_node.shape and blocks.tobytes() == per_node.tobytes()
 
 
 def test_a_large_sweep_holds_its_temporaries_in_blocks():

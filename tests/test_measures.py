@@ -36,7 +36,7 @@ from logmeasure import (
 from logmeasure import measures
 from logmeasure.lattice import cm_gram
 from logmeasure.library import polynomial_pairs
-from logmeasure.measures import _CHUNK_ROWS, _integrate_columns, _transform, ibp_terms
+from logmeasure.measures import _BATCH_ROWS, _CHUNK_ROWS, _integrate_columns, _transform, ibp_terms
 
 from _oracles import shift_log_derivative_fd
 
@@ -241,7 +241,7 @@ def test_gauss_hermite_rule_streams_in_chunks():
     weights = np.prod([g.reshape(-1) for g in np.meshgrid(*([w] * dim), indexing="ij")], axis=0)
     x = m.mean + solve_triangular(m.chol_lower, z.T, lower=True, trans="T").T
     ref = weights @ f(x) / np.pi ** (dim / 2.0)
-    assert max(batches) <= _CHUNK_ROWS and sum(batches) == order**dim
+    assert max(batches) <= _BATCH_ROWS and sum(batches) == order**dim
     assert est.value == pytest.approx(ref, rel=1e-13)
 
 
@@ -440,9 +440,10 @@ def test_ibp_monte_carlo_evaluates_the_field_once_per_chunk(monkeypatch):
     n = 2 * _CHUNK_ROWS + 5
     reduced = _reduced_batches(monkeypatch)
     ibp_residual(standard_normal(dim), phi, counted, QuadratureSpec("monte_carlo", n, seed=1))
-    # h sees each sample once, in parts of the reducer's batches (twice would sum to 2n)
-    assert sum(batches) == n and max(batches) <= _CHUNK_ROWS
-    assert reduced == [_CHUNK_ROWS, _CHUNK_ROWS, 5]
+    # h sees each sample once, one call per reducer batch (twice would sum to 2n)
+    assert sum(batches) == n and max(batches) <= _BATCH_ROWS
+    assert reduced == [7944] * 30 + [7943] * 3  # the fewest near-equal batches of at most 8192 rows
+    assert sorted(batches) == sorted(reduced)
 
 
 def test_ibp_terms_evaluate_the_field_once_per_chunk_and_sum_to_the_residual(monkeypatch):
@@ -459,8 +460,8 @@ def test_ibp_terms_evaluate_the_field_once_per_chunk_and_sum_to_the_residual(mon
     mc = QuadratureSpec("monte_carlo", 2 * _CHUNK_ROWS + 5, seed=1)
     reduced = _reduced_batches(monkeypatch)
     terms = ibp_terms(m, phi, counted, mc)
-    assert sum(batches) == mc.n_samples and max(batches) <= _CHUNK_ROWS
-    assert reduced == [_CHUNK_ROWS, _CHUNK_ROWS, 5]
+    assert sum(batches) == mc.n_samples and max(batches) <= _BATCH_ROWS
+    assert reduced == _batch_sizes(mc) and sorted(batches) == sorted(reduced)
     scale = max(abs(t.value) for t in terms)
     assert sum(t.value for t in terms) == pytest.approx(ibp_residual(m, phi, h, mc).value, abs=1e-12 * scale)
 
@@ -478,14 +479,22 @@ def test_ibp_monte_carlo_is_deterministic():
 # the two-thread Monte Carlo pipeline against a sequential reference reducer
 
 
+def _batch_sizes(q):
+    """Rows of every Monte Carlo batch: each worker stream's share cut into the fewest
+    near-equal batches of at most _BATCH_ROWS rows."""
+    base, rem = divmod(q.n_samples, q.workers)
+    sizes = []
+    for share in [base + (w < rem) for w in range(q.workers)]:
+        count = -(-share // _BATCH_ROWS)
+        sizes += [share // count + (i < share % count) for i in range(count)]
+    return sizes
+
+
 def _sequential_reference(m, q, row_fn, n_cols):
     """(value, std_error) per column from a plain loop: sample()'s rows cut into the
     stream-and-batch layout, one row_fn call per batch, merged in order."""
     x = sample(m, q.n_samples, q.seed, q.workers)
-    base, rem = divmod(q.n_samples, q.workers)
-    sizes = []
-    for share in [base + (w < rem) for w in range(q.workers)]:
-        sizes += [min(_CHUNK_ROWS, share - done) for done in range(0, share, _CHUNK_ROWS)]
+    sizes = _batch_sizes(q)
     sums, total, mean, m2 = np.zeros(n_cols), 0, np.zeros(n_cols), np.zeros(n_cols)
     pos = 0
     for c in sizes:
@@ -504,20 +513,27 @@ def _sequential_reference(m, q, row_fn, n_cols):
 
 
 def _capture_pipeline(monkeypatch):
-    """Record (m, q, row_fn, n_cols) of every Monte Carlo pipeline run; returns the list."""
+    """Record [m, q, row_fn, n_cols, sizes] of every Monte Carlo run, where sizes are the
+    row counts of its row_fn calls; returns the list."""
     seen = []
-    run = measures._mc_pipeline
+    batches, run = measures._mc_batches, measures._run_batches
 
-    def spy(m, q, row_fn, n_cols, acc):
-        seen.append((m, q, row_fn, n_cols))
-        return run(m, q, row_fn, n_cols, acc)
+    def spy_batches(m, q):
+        seen.append([m, q])
+        return batches(m, q)
 
-    monkeypatch.setattr(measures, "_mc_pipeline", spy)
+    def spy_run(points, row_fn, n_cols, acc):
+        sizes = []
+        seen[-1] += [row_fn, n_cols, sizes]
+        return run(points, _recorded_rows(row_fn, sizes), n_cols, acc)
+
+    monkeypatch.setattr(measures, "_mc_batches", spy_batches)
+    monkeypatch.setattr(measures, "_run_batches", spy_run)
     return seen
 
 
 def _estimates(ests):
-    return [(e.value.hex(), e.std_error.hex()) for e in ests]
+    return [(e.value.hex(), None if e.std_error is None else e.std_error.hex()) for e in ests]
 
 
 def _pipeline_call(name, q):
@@ -539,7 +555,7 @@ def _pipeline_call(name, q):
     return _estimates(feynman_mc(p, probes, make_lattice(8, 0.5, 1), q))
 
 
-@pytest.mark.parametrize("n", [2, 2047, 2048, 2 * _CHUNK_ROWS + 5, 300001])
+@pytest.mark.parametrize("n", [2, 2047, 2048, 8191, 8192, 8193, 3 * 8192 + 1, 2 * _CHUNK_ROWS + 5, 300001])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
     "name", ["ibp_residual", "ibp_terms", "proposition1_check", "expectation", "feynman_mc"]
@@ -547,16 +563,18 @@ def _pipeline_call(name, q):
 def test_pipeline_is_bitwise_the_sequential_reducer(monkeypatch, name, workers, n):
     seen = _capture_pipeline(monkeypatch)
     got = _pipeline_call(name, QuadratureSpec("monte_carlo", n, seed=7, workers=workers))
-    (m, q, row_fn, n_cols), = seen
+    (m, q, row_fn, n_cols, sizes), = seen
     ref = _sequential_reference(m, q, row_fn, n_cols)
     if name == "proposition1_check":
         ref = [ref[0][0], ref[1][0], ref[2]]
     assert got == ref
+    _assert_cache_sized(sizes, _batch_sizes(q))
+    assert sorted(sizes) == sorted(_batch_sizes(q))  # one row_fn call per batch
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(
-    n=st.integers(min_value=2, max_value=2 * _CHUNK_ROWS + 4096),
+    n=st.integers(min_value=2, max_value=32 * _BATCH_ROWS + 4096),
     workers=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -591,9 +609,9 @@ def _hook_first_draws(monkeypatch, hook):
 
 
 def test_parts_of_one_stream_draw_in_order_when_the_first_draw_is_slow(monkeypatch):
-    # five streams of one split batch each; a second part that drew before the first would move the values
+    # five streams of two batches each; a second batch that drew before the first would move the values
     m = wiener_measure(make_lattice(3, 1.0, 1))
-    q = QuadratureSpec("monte_carlo", 5 * 3048, seed=3, workers=5)
+    q = QuadratureSpec("monte_carlo", 5 * (_BATCH_ROWS + 3048), seed=3, workers=5)
     rows = lambda x: x * x
     ref = _sequential_reference(m, q, rows, 3)
     _hook_first_draws(monkeypatch, lambda: time.sleep(0.02))
@@ -661,28 +679,38 @@ def _finishes(fn, timeout=60.0):
     return out.get("error")
 
 
-@pytest.mark.parametrize("failure", ["raises", "non_finite"])
-def test_a_failing_part_stops_the_pipeline_promptly(failure):
-    # 4 batches of two parts; the second part evaluated fails
+def _calls_until_a_failure(m, q, first_row, failure):
+    """Row counts of the row_fn calls of an integral whose batch starting at first_row
+    fails, under a short switch interval; the failure must reach the caller."""
     calls = []
     lock = threading.Lock()
 
     def rows(x):
         with lock:
             calls.append(len(x))
-            second = len(calls) == 2
         out = x[:, :1].copy()
-        if second and failure == "raises":
-            raise RuntimeError("part failed")
-        if second:
+        if np.array_equal(x[0], first_row):
+            if failure == "raises":
+                raise RuntimeError("batch failed")
             out[0] = np.nan
         return out
 
-    mc = QuadratureSpec("monte_carlo", 4 * _CHUNK_ROWS, seed=1)
-    error = _finishes(lambda: _integrate_columns(standard_normal(2), mc, rows, 1))
-    expected = RuntimeError if failure == "raises" else ValueError
-    assert isinstance(error, expected)
-    assert len(calls) <= 4  # its batch and at most the one queued behind it, not all 8 parts
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        error = _finishes(lambda: _integrate_columns(m, q, rows, 1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert isinstance(error, RuntimeError if failure == "raises" else ValueError)
+    return calls
+
+
+@pytest.mark.parametrize("failure", ["raises", "non_finite"])
+def test_a_failing_part_stops_the_pipeline_promptly(failure):
+    # 8 batches; batch 2 in stream order fails, found by its first row
+    m, mc = standard_normal(2), QuadratureSpec("monte_carlo", 8 * _BATCH_ROWS, seed=1)
+    calls = _calls_until_a_failure(m, mc, sample(m, mc.n_samples, mc.seed)[_BATCH_ROWS], failure)
+    assert len(calls) <= 4  # batches 1 to 4: batch 5 is submitted only after batch 2's merge
 
 
 def test_a_failed_draw_cannot_deadlock_the_part_waiting_on_its_stream(monkeypatch):
@@ -696,20 +724,21 @@ def test_a_failed_draw_cannot_deadlock_the_part_waiting_on_its_stream(monkeypatc
 
 
 def test_the_callers_floating_point_state_reaches_the_parts():
-    # arctan(1 / 0) is finite, but the division warns, and pytest turns the warning into an error
+    # arctan(1 / 0) is finite, but the division warns, and pytest turns the warning into an error;
+    # 20000 samples are three batches, so the pool evaluates them
     f = lambda x: np.arctan(1.0 / (0.0 * x[:, 0]))
-    mc = QuadratureSpec("monte_carlo", 5000, seed=1)
+    mc = QuadratureSpec("monte_carlo", 20_000, seed=1)
     with np.errstate(divide="ignore"):
         assert expectation(standard_normal(1), f, mc).value == pytest.approx(0.0, abs=0.1)
 
 
 # ---------------------------------------------------------------------------
-# cache-sized parts: both rules evaluated on the pool, bitwise the whole-batch loops
+# cache-sized batches: both rules evaluated on the pool, bitwise the sequential loops
 
 
 def _gauss_hermite_reference(m, order, row_fn, n_cols):
     """Column values of the tensor rule from a plain loop: every node by meshgrid, the
-    weight products taken axis by axis, one row_fn call per _CHUNK_ROWS batch."""
+    weight products taken axis by axis, one row_fn call per _BATCH_ROWS batch."""
     xi, w = np.polynomial.hermite.hermgauss(order)
     idx = [g.reshape(-1) for g in np.meshgrid(*([np.arange(order)] * m.dim), indexing="ij")]
     z = np.sqrt(2.0) * np.stack([xi[i] for i in idx], axis=1)
@@ -718,10 +747,10 @@ def _gauss_hermite_reference(m, order, row_fn, n_cols):
         weights = weights * w[i]
     weights = weights / np.pi ** (m.dim / 2.0)
     sums = np.zeros(n_cols)
-    for start in range(0, len(z), _CHUNK_ROWS):
-        x = _transform(m, z[start : start + _CHUNK_ROWS])
+    for start in range(0, len(z), _BATCH_ROWS):
+        x = _transform(m, z[start : start + _BATCH_ROWS])
         cols = np.ascontiguousarray(np.asarray(row_fn(x), dtype=float).reshape(len(x), n_cols).T)
-        sums += (cols * weights[start : start + _CHUNK_ROWS]).sum(axis=1)
+        sums += (cols * weights[start : start + _BATCH_ROWS]).sum(axis=1)
     return [v.hex() for v in sums]
 
 
@@ -736,12 +765,11 @@ def _recorded_rows(row_fn, sizes):
 
 
 def _assert_cache_sized(sizes, batches):
-    """Every call is at most _PART_ROWS rows, and none is under _PART_ALIGN rows unless its batch is."""
-    assert sum(sizes) == sum(batches) and max(sizes) <= measures._PART_ROWS
-    assert min(sizes) >= min(measures._PART_ALIGN, min(batches))
+    """Every call is at most _BATCH_ROWS rows."""
+    assert sum(sizes) == sum(batches) and max(sizes) <= _BATCH_ROWS
 
 
-# order**dim: 20, 8281 (a tail of 89 rows), 9261, 10000, 16807 (a tail of 423) and 262144 (two batches)
+# order**dim: 20, 8281 (a tail of 89 rows), 9261, 10000, 16807 (a tail of 423) and 262144 (32 batches)
 @pytest.mark.parametrize("dim, order", [(1, 20), (2, 91), (3, 21), (4, 10), (5, 7), (6, 8)])
 @pytest.mark.parametrize("shifted", [False, True], ids=["standard", "shifted_wiener"])
 def test_gauss_hermite_parts_are_bitwise_the_whole_batch_rule(dim, order, shifted):
@@ -758,23 +786,7 @@ def test_gauss_hermite_parts_are_bitwise_the_whole_batch_rule(dim, order, shifte
     assert [e.value.hex() for e in got] == _gauss_hermite_reference(m, order, f, 3)
     assert all(e.std_error is None for e in got)
     n_nodes = order**dim
-    _assert_cache_sized(sizes, [min(_CHUNK_ROWS, n_nodes - s) for s in range(0, n_nodes, _CHUNK_ROWS)])
-
-
-@pytest.mark.parametrize("n", [8191, 8192, 8193, 3 * 8192 + 1])
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("name", ["ibp_terms", "proposition1_check", "feynman_mc"])
-def test_pipeline_is_bitwise_the_sequential_reducer_at_part_boundaries(monkeypatch, name, workers, n):
-    seen = _capture_pipeline(monkeypatch)
-    got = _pipeline_call(name, QuadratureSpec("monte_carlo", n, seed=11, workers=workers))
-    (m, q, row_fn, n_cols), = seen
-    ref = _sequential_reference(m, q, row_fn, n_cols)
-    if name == "proposition1_check":
-        ref = [ref[0][0], ref[1][0], ref[2]]
-    assert got == ref
-    sizes = []
-    measures._mc_pipeline(m, q, _recorded_rows(row_fn, sizes), n_cols, measures._ColumnReducer(n_cols))
-    _assert_cache_sized(sizes, [rows for _, rows in measures._mc_batches(q)])
+    _assert_cache_sized(sizes, [min(_BATCH_ROWS, n_nodes - s) for s in range(0, n_nodes, _BATCH_ROWS)])
 
 
 def _traced_peak_mib(fn):
@@ -815,7 +827,7 @@ def test_gauss_hermite_holds_blas_to_one_thread_and_restores_it():
     def broken(x):
         raise RuntimeError("row function failed")
 
-    gh = QuadratureSpec("gauss_hermite", 12)  # 12**4 = 20736 nodes, three parts
+    gh = QuadratureSpec("gauss_hermite", 12)  # 12**4 = 20736 nodes, three batches
     put(2)
     try:
         expectation(standard_normal(4), rows, gh)
@@ -829,30 +841,57 @@ def test_gauss_hermite_holds_blas_to_one_thread_and_restores_it():
 
 @pytest.mark.parametrize("failure", ["raises", "non_finite"])
 def test_a_failing_gauss_hermite_part_stops_the_rule_promptly(failure):
-    # the dim-6, order-8 rule is 32 parts; the second part evaluated fails
-    calls = []
-    lock = threading.Lock()
-
-    def rows(x):
-        with lock:
-            calls.append(len(x))
-            second = len(calls) == 2
-        out = x[:, :1].copy()
-        if second and failure == "raises":
-            raise RuntimeError("part failed")
-        if second:
-            out[0] = np.nan
-        return out
-
-    gh = QuadratureSpec("gauss_hermite", 8)
-    error = _finishes(lambda: _integrate_columns(standard_normal(6), gh, rows, 1))
-    expected = RuntimeError if failure == "raises" else ValueError
-    assert isinstance(error, expected)
-    assert len(calls) <= 4  # the failing part and the few submitted ahead of its join, not all 32
+    # the dim-6, order-8 rule is 32 batches; batch 2 fails, found by its first node, rule index 8192
+    xi = np.polynomial.hermite.hermgauss(8)[0]
+    first_row = np.sqrt(2.0) * xi[list(np.unravel_index(_BATCH_ROWS, (8,) * 6))]
+    calls = _calls_until_a_failure(standard_normal(6), QuadratureSpec("gauss_hermite", 8), first_row, failure)
+    assert len(calls) <= 4  # batches 1 to 4: batch 5 is submitted only after batch 2's merge
 
 
 def test_the_callers_floating_point_state_reaches_the_gauss_hermite_parts():
-    # 40**3 = 64000 nodes in eight parts; the division by zero warns in every one of them
+    # 40**3 = 64000 nodes in eight batches; the division by zero warns in every one of them
     f = lambda x: np.arctan(1.0 / (0.0 * x[:, 0]))
     with np.errstate(divide="ignore"):
         assert np.isfinite(expectation(standard_normal(3), f, QuadratureSpec("gauss_hermite", 40)).value)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
+def test_a_call_of_one_batch_runs_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(measures, "ThreadPoolExecutor", _no_pool)
+    blas = measures._openblas_threads()
+    m = wiener_measure(make_lattice(2, 1.0, 1))
+    seen = []
+
+    def f(x):
+        return np.stack([np.cos(x).sum(axis=1), x[:, 0] ** 2], axis=1)
+
+    def rows(x):
+        seen.append((threading.get_ident(), blas[0]() if blas else 1))
+        return f(x)
+
+    gh = _integrate_columns(m, QuadratureSpec("gauss_hermite", 6), rows, 2)  # 36 nodes
+    assert [e.value.hex() for e in gh] == _gauss_hermite_reference(m, 6, f, 2)
+    mc = QuadratureSpec("monte_carlo", 5000, seed=3)
+    assert _estimates(_integrate_columns(m, mc, rows, 2)) == _sequential_reference(m, mc, f, 2)
+    # both ran on this thread, with OpenBLAS held to one thread
+    assert seen == [(threading.get_ident(), 1)] * 2
+
+
+@pytest.mark.parametrize(
+    "quad",
+    [QuadratureSpec("monte_carlo", 30_000, seed=2), QuadratureSpec("monte_carlo", 30_000, seed=2, workers=3),
+     QuadratureSpec("gauss_hermite", 30)],
+    ids=["monte_carlo_1", "monte_carlo_3", "gauss_hermite"],
+)
+def test_without_the_blas_thread_setter_one_thread_gives_the_same_bits(monkeypatch, quad):
+    # 30000 samples or 30**3 = 27000 nodes: four batches, or two per stream
+    m = GaussianMeasure(3, np.linspace(-0.5, 0.5, 3), wiener_measure(make_lattice(3, 1.0, 1)).precision)
+    rows = lambda x: np.stack([np.sin(x[:, 0]) * x[:, 1], np.exp(0.2 * x[:, 2])], axis=1)
+    two = _estimates(_integrate_columns(m, quad, rows, 2))
+    monkeypatch.setattr(measures, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(measures, "ThreadPoolExecutor", _no_pool)
+    assert measures._mc_threads() == 1
+    assert _estimates(_integrate_columns(m, quad, rows, 2)) == two
