@@ -29,6 +29,7 @@ pushforward non-invariance of the weighted measure via the density ODE.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -218,10 +219,12 @@ class SpaceGrid:
 
     def points(self) -> Array:
         """All grid points as a (n_points^dim_q, dim_q) array, row-major in axes."""
-        if self.dim_q == 1:
-            return self.axis.reshape(-1, 1)
-        xx, yy = np.meshgrid(self.axis, self.axis, indexing="ij")
-        return np.stack([xx.reshape(-1), yy.reshape(-1)], axis=1)
+        return _mesh(self.axis, self.dim_q)
+
+
+def _mesh(axis: Array, dim_q: int) -> Array:
+    """Every point of the product grid axis^dim_q as a (len(axis)^dim_q, dim_q) array, row-major."""
+    return np.stack([g.reshape(-1) for g in np.meshgrid(*(axis,) * dim_q, indexing="ij")], axis=1)
 
 
 def _check_lattice(p: SchrodingerProblem, lattice: TimeLattice, grid: Optional[SpaceGrid] = None) -> None:
@@ -252,43 +255,30 @@ class PropagatorResult:
     seed: int = 0
 
 
-def _second_difference(n_interior: int, h: float) -> sp.spmatrix:
-    main = np.full(n_interior, -2.0)
-    off = np.ones(n_interior - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
-
-
-def _first_difference(n_interior: int, h: float) -> sp.spmatrix:
-    off = np.ones(n_interior - 1)
-    return sp.diags([-off, off], [-1, 1], format="csr") / (2.0 * h)
-
-
 def _spatial_operator(
     p: SchrodingerProblem, grid: SpaceGrid, mode: WLogDerivativeMode
 ) -> tuple[sp.spmatrix, Array]:
-    """Generator of the semigroup on interior points, plus the interior mesh."""
+    """Generator of the semigroup on interior points, plus the interior mesh.
+
+    (1/2) Delta_C = (1/2) sum_{a<=b} (2 - delta_ab) C_ab d_a d_b; a term is the Kronecker
+    product over the axes of the stencil for the number of times each axis is differentiated.
+    """
     c_matrix = np.linalg.inv(p.kinetic_matrix)
-    n_int = grid.n_points - 2
-    interior_axis = grid.axis[1:-1]
-    d2 = _second_difference(n_int, grid.spacing)
-    if p.dim_q == 1:
-        lap = 0.5 * c_matrix[0, 0] * d2
-        points = interior_axis.reshape(-1, 1)
-    else:
-        d1 = _first_difference(n_int, grid.spacing)
-        eye = sp.identity(n_int, format="csr")
-        lap = 0.5 * (
-            c_matrix[0, 0] * sp.kron(d2, eye)
-            + c_matrix[1, 1] * sp.kron(eye, d2)
-            + 2.0 * c_matrix[0, 1] * sp.kron(d1, d1)
-        )
-        xx, yy = np.meshgrid(interior_axis, interior_axis, indexing="ij")
-        points = np.stack([xx.reshape(-1), yy.reshape(-1)], axis=1)
+    n_int, h, d = grid.n_points - 2, grid.spacing, p.dim_q
+    off = np.ones(n_int - 1)
+    stencils = (  # identity, central first difference, second difference
+        sp.identity(n_int, format="csr"),
+        sp.diags([-off, off], [-1, 1], format="csr") / (2.0 * h),
+        sp.diags([off, np.full(n_int, -2.0), off], [-1, 0, 1], format="csr") / h**2,
+    )
+    lap = 0.5 * sum(
+        (2 - (a == b)) * c_matrix[a, b]
+        * functools.reduce(sp.kron, [stencils[(k == a) + (k == b)] for k in range(d)])
+        for a in range(d) for b in range(a, d)
+    )
+    points = _mesh(grid.axis[1:-1], d)
     eta_diag = sp.diags(p.eta_values(points))
-    if mode is WLogDerivativeMode.EUCLIDEAN:
-        op = lap - eta_diag
-    else:
-        op = 1j * (lap + eta_diag)
+    op = lap - eta_diag if mode is WLogDerivativeMode.EUCLIDEAN else 1j * (lap + eta_diag)
     return op.tocsc(), points
 
 
@@ -329,11 +319,7 @@ def pde_solve(
         raise ValueError("velocity-coupled eta has no PDE form here")
 
     op, points = _spatial_operator(p, grid, mode)
-    u = np.asarray(p.f0.evaluator(points))
-    if mode is WLogDerivativeMode.REAL_TIME:
-        u = u.astype(complex)
-    else:
-        u = u.astype(float)
+    u = np.asarray(p.f0.evaluator(points)).astype(op.dtype)
     # SymmetricMode prefers diagonal pivots; the default pivot threshold still
     # pivots off the diagonal when an indefinite eta needs it.
     eye = sp.identity(op.shape[0], format="csc")
@@ -345,13 +331,8 @@ def pde_solve(
     for _ in range(lattice.n_steps):
         u = 2.0 * backward.solve(u) - u
 
-    n = grid.n_points
-    if p.dim_q == 1:
-        full = np.zeros(n, dtype=u.dtype)
-        full[1:-1] = u
-    else:
-        full = np.zeros((n, n), dtype=u.dtype)
-        full[1:-1, 1:-1] = u.reshape(n - 2, n - 2)
+    full = np.zeros((grid.n_points,) * p.dim_q, dtype=u.dtype)
+    full[(slice(1, -1),) * p.dim_q] = u.reshape((grid.n_points - 2,) * p.dim_q)
     fraction = _boundary_mass_fraction(full, p.dim_q)
     if fraction > 1e-6:
         warnings.warn(
@@ -359,11 +340,7 @@ def pde_solve(
             stacklevel=2,
         )
     return PropagatorResult(
-        values=full,
-        method=PropagatorMethod.PDE,
-        error_estimate=fraction,
-        wall_time=time.perf_counter() - start,
-        seed=0,
+        full, PropagatorMethod.PDE, error_estimate=fraction, wall_time=time.perf_counter() - start
     )
 
 

@@ -126,8 +126,6 @@ def difference_matrix(lattice: TimeLattice) -> np.ndarray:
     """
     n = lattice.n_steps
     d1 = (np.eye(n) - np.eye(n, k=-1)) / lattice.dt
-    if lattice.dim_q == 1:
-        return d1
     return np.kron(d1, np.eye(lattice.dim_q))
 
 

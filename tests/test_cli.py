@@ -5,6 +5,7 @@ import glob
 import json
 import os
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
@@ -341,6 +342,128 @@ def test_solve_and_compare_configs_run_green(tmp_path, capsys):
     assert all(r["pass"] == "true" for r in compare_rows)
 
 
+def _shipped(config_name):
+    with open(os.path.join(CONFIG_DIR, config_name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _run_shipped(tmp_path, capsys, config_name, *assignments):
+    """Run a shipped config with --set assignments; returns stdout, the CSV rows and the record."""
+    args = ["run", os.path.join(CONFIG_DIR, config_name), "--out", str(tmp_path)]
+    for assignment in assignments:
+        args += ["--set", assignment]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    prefix = _shipped(config_name)["output_path"]
+    return out, _read_rows(tmp_path / f"{prefix}.csv"), json.loads((tmp_path / f"{prefix}.json").read_text())
+
+
+def _shipped_pde_values(dim_q, grid, n_steps):
+    """pde_solve's grid values for solve_pde.json's problem in dim_q."""
+    problem = cli._build_problem({**_shipped("solve_pde.json")["parameters"]["problem"], "dim_q": dim_q})
+    lattice = cli.make_lattice(n_steps, problem.t_final, dim_q)
+    return feynman.pde_solve(problem, grid, lattice, feynman.WLogDerivativeMode.EUCLIDEAN).values
+
+
+@pytest.mark.parametrize(
+    "method, assignments",
+    [
+        ("mc", ["parameters.n_samples=4000", "parameters.n_steps=8"]),
+        ("exact_gaussian", []),
+        ("oscillatory", ["parameters.mode=real_time", "parameters.n_steps=2"]),
+    ],
+)
+def test_solve_reports_finite_values_for_every_path_method(tmp_path, capsys, method, assignments):
+    out, rows, record = _run_shipped(
+        tmp_path, capsys, "solve_pde.json", f"parameters.method={method}", *assignments
+    )
+    assert "[PASS] values_finite: all computed values finite" in out
+    assert [a["name"] for a in record["assertions"]] == ["values_finite"]
+    assert [r["method"] for r in rows] == [method] * 3
+    params = record["config"]["parameters"]
+    problem = cli._build_problem(params["problem"])
+    lattice = cli.make_lattice(params["n_steps"], problem.t_final, 1)
+    points = np.array([[-1.0], [0.0], [1.0]])
+    if method == "mc":
+        assert all(float(r["std_error"]) > 0.0 for r in rows)
+        mc = measures.QuadratureSpec("monte_carlo", 4000, seed=0, workers=1)
+        expected = [e.value for e in feynman.feynman_mc(problem, points, lattice, mc)]
+    elif method == "exact_gaussian":
+        expected = feynman.exact_gaussian_propagator(problem, points, lattice)
+    else:
+        expected = feynman.oscillatory_check(problem, points, lattice)
+    assert [complex(float(r["value_real"]), float(r["value_imag"])) for r in rows] == list(expected)
+
+
+def test_solve_reads_a_2d_pde_at_off_node_probes_bilinearly(tmp_path, capsys):
+    grid = feynman.SpaceGrid(2, 8.0, 41)
+    node = [float(grid.axis[21]), float(grid.axis[22])]
+    probes = [[0.3, -0.7], [1.1, 0.45], [-2.05, 0.8], [7.9, -7.95], node]
+    out, rows, _ = _run_shipped(
+        tmp_path, capsys, "solve_pde.json", "parameters.problem.dim_q=2", "parameters.n_steps=16",
+        'parameters.grid={"extent": 8.0, "n_points": 41}', f"parameters.probes={probes}",
+    )
+    assert "[PASS] boundary_mass_small" in out
+    assert [[float(r["q0"]), float(r["q1"])] for r in rows] == probes
+    values = _shipped_pde_values(2, grid, 16)
+    got = np.array([float(r["value_real"]) for r in rows])
+    for (x, y), value in zip(probes[:-1], got):
+        i, j = int((x + 8.0) // grid.spacing), int((y + 8.0) // grid.spacing)
+        fx, fy = (x - grid.axis[i]) / grid.spacing, (y - grid.axis[j]) / grid.spacing
+        cell = values[i : i + 2, j : j + 2]
+        bilinear = ((1 - fx) * (1 - fy) * cell[0, 0] + (1 - fx) * fy * cell[0, 1]
+                    + fx * (1 - fy) * cell[1, 0] + fx * fy * cell[1, 1])
+        # rounding is relative to the cell's values: near the box corner u falls steeply per cell
+        assert abs(value - bilinear) <= 1e-15 * np.abs(cell).max()
+    assert got[-1] == values[21, 22]
+    assert all(float(r["value_imag"]) == 0.0 for r in rows)
+
+
+def test_solve_reads_a_1d_pde_at_off_node_probes_as_np_interp_does(tmp_path, capsys):
+    grid = feynman.SpaceGrid(1, 8.0, 257)
+    rng = np.random.default_rng(3)
+    # off-node probes where u is at least 1e-3 of its peak, across the whole box, then 33 grid nodes
+    bulk, box, nodes = rng.uniform(-3.0, 3.0, 40), rng.uniform(-8.0, 8.0, 200), grid.axis[80:177:3]
+    probes = np.concatenate([bulk, box, nodes])
+    assignment = f"parameters.probes={[[q] for q in probes.tolist()]}"
+    _, rows, _ = _run_shipped(tmp_path, capsys, "solve_pde.json", assignment)
+    got = np.array([float(r["value_real"]) for r in rows])
+    values = _shipped_pde_values(1, grid, 64)
+    ref = np.interp(probes, grid.axis, values)
+    assert np.max(np.abs(got - ref)[:40] / np.abs(ref[:40])) <= 4.5e-16
+    # near the box edge u falls steeply from node to node, and np.interp's rounding relative to u
+    # grows there; relative to the cell's larger value the two agree to rounding
+    i = np.clip(np.searchsorted(grid.axis, box, side="right") - 1, 0, grid.n_points - 2)
+    cell_scale = np.maximum(np.abs(values[i]), np.abs(values[i + 1]))
+    assert np.all(np.abs(got - ref)[40:240] <= 4.5e-16 * cell_scale)
+    assert got[240:].tobytes() == ref[240:].tobytes()
+
+
+def test_anomaly_scan_lifts_a_pointwise_family_onto_the_path(tmp_path, capsys):
+    # the pointwise lift of the 1-D scaling is the scaling of the whole path: trace n_steps * dim_q
+    _, rows, record = _run_shipped(
+        tmp_path, capsys, "anomaly_scan.json", "parameters.family.pointwise=true", "parameters.n_paths=2"
+    )
+    assert record["passed"]
+    _, whole, _ = _run_shipped(tmp_path / "whole", capsys, "anomaly_scan.json", "parameters.n_paths=2")
+    assert {r["trace_term"] for r in rows} == {"16.0"}
+    assert len(rows) == len(whole) == 3 * 2 * 5
+    for lifted, direct in zip(rows, whole):
+        for key in ("eta_term_real", "log_det", "trace_integral", "density_deviation"):
+            assert float(lifted[key]) == pytest.approx(float(direct[key]), rel=1e-9, abs=1e-12), key
+
+
+def test_oscillatory_check_without_a_reference_reports_values_alone(tmp_path, capsys):
+    out, rows, record = _run_shipped(tmp_path, capsys, "oscillatory_check.json", "parameters.reference=none")
+    assert "[PASS] oscillatory_matches_reference: 3/3 points within tolerance of none\n" in out
+    assert record["assertions"][0]["tolerance"] is None
+    assert all(r["ref_real"] == r["ref_imag"] == r["abs_error"] == "" and r["pass"] == "true" for r in rows)
+    _, checked, _ = _run_shipped(tmp_path / "checked", capsys, "oscillatory_check.json")
+    assert [(r["value_real"], r["value_imag"]) for r in rows] == [
+        (r["value_real"], r["value_imag"]) for r in checked
+    ]
+
+
 def test_duplicate_lagrangian_labels_exit_2_without_outputs(tmp_path, capsys):
     config_path = os.path.join(CONFIG_DIR, "anomaly_scan.json")
     lagrangians = '[{"name": "harmonic"}, {"name": "harmonic"}]'
@@ -503,6 +626,8 @@ def _run_rejected(tmp_path, capsys, monkeypatch, config):
          "quadrature: Additional properties are not allowed ('order' was unexpected)"),
         ("prop1_check.json", {"quadrature": {"kind": "gauss_hermite", "order": 8, "n_samples": 10}},
          "quadrature: Additional properties are not allowed ('n_samples' was unexpected)"),
+        ("theorem1_check.json", {"quadrature": {"kind": "monte_carlo", "n_samples": 200000}},
+         "quadrature/kind: 'gauss_hermite' was expected"),
     ],
     ids=["standard_needs_dim", "wiener_needs_lattice", "gauss_hermite_needs_order",
          "monte_carlo_needs_n_samples", "solve_pde_needs_grid", "solve_mc_needs_n_samples",
@@ -511,7 +636,8 @@ def _run_rejected(tmp_path, capsys, monkeypatch, config):
          "oscillatory_pde_reference_needs_grid", "closed_form_free_needs_free",
          "closed_form_free_needs_a_bump", "constant_takes_no_sigma", "bump_takes_no_value",
          "wiener_takes_no_dim", "standard_takes_no_lattice", "standard_takes_no_kinetic_scale",
-         "monte_carlo_takes_no_order", "gauss_hermite_takes_no_n_samples"],
+         "monte_carlo_takes_no_order", "gauss_hermite_takes_no_n_samples",
+         "theorem1_needs_gauss_hermite"],
 )
 def test_every_schema_rule_exits_2_before_any_computation(
     tmp_path, capsys, monkeypatch, config_name, edits, message

@@ -240,6 +240,50 @@ def test_pde_steps_match_the_two_matrix_crank_nicolson_loop(lagrangian, grid, n_
     assert np.max(np.abs(interior - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _explicit_operator(p, grid, mode):
+    """The operator and interior mesh from per-dimension stencils: 0.5 c00 d2 in 1-D, and
+    the three Kronecker terms c00 d2 x I + c11 I x d2 + 2 c01 d1 x d1 in 2-D."""
+    c = np.linalg.inv(p.kinetic_matrix)
+    n, h = grid.n_points - 2, grid.spacing
+    off = np.ones(n - 1)
+    d2 = sp.diags([off, np.full(n, -2.0), off], [-1, 0, 1], format="csr") / h**2
+    d1 = sp.diags([-off, off], [-1, 1], format="csr") / (2.0 * h)
+    eye = sp.identity(n, format="csr")
+    axis = grid.axis[1:-1]
+    if p.dim_q == 1:
+        lap = 0.5 * c[0, 0] * d2
+        points = axis.reshape(-1, 1)
+    else:
+        lap = 0.5 * (c[0, 0] * sp.kron(d2, eye) + c[1, 1] * sp.kron(eye, d2) + 2.0 * c[0, 1] * sp.kron(d1, d1))
+        xx, yy = np.meshgrid(axis, axis, indexing="ij")
+        points = np.stack([xx.reshape(-1), yy.reshape(-1)], axis=1)
+    eta = sp.diags(p.eta_values(points))
+    return (lap - eta if mode is EUCLID else 1j * (lap + eta)).tocsc(), points
+
+
+@pytest.mark.parametrize("mode", [EUCLID, REAL], ids=["euclidean", "real_time"])
+@pytest.mark.parametrize(
+    "lagrangian, grid",
+    [
+        (lambda: harmonic_lagrangian(1, omega=0.7, kinetic_scale=1.7), SpaceGrid(1, 5.0, 41)),
+        (lambda: replace(harmonic_lagrangian(2, omega=0.7), kinetic_matrix=_MIXED_KINETIC), SpaceGrid(2, 4.0, 17)),
+    ],
+    ids=["1d", "2d_mixed_kinetic"],
+)
+def test_spatial_operator_is_bitwise_the_explicit_stencils(lagrangian, grid, mode):
+    lag = lagrangian()
+    p = SchrodingerProblem(lag.dim_q, lag, gaussian_bump(lag.dim_q), 0.5)
+    op, points = _spatial_operator(p, grid, mode)
+    ref, ref_points = _explicit_operator(p, grid, mode)
+    assert op.format == "csc" and op.dtype == ref.dtype
+    for name in ("data", "indices", "indptr"):
+        assert getattr(op, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert points.tobytes() == ref_points.tobytes()
+    axis = grid.axis
+    every = axis.reshape(-1, 1) if lag.dim_q == 1 else np.array([[x, y] for x in axis for y in axis])
+    assert grid.points().tobytes() == every.tobytes()
+
+
 def test_pde_factors_once_with_a_symmetric_ordering_that_halves_the_fill(monkeypatch):
     p = SchrodingerProblem(2, harmonic_lagrangian(2), gaussian_bump(2, sigma=1.0), 0.5)
     grid = SpaceGrid(2, 8.0, 129)

@@ -108,6 +108,16 @@ def test_generator_of_identity_family_is_zero():
     np.testing.assert_allclose(h.eval_at(np.array([1.0, 2.0, 3.0])), np.zeros(3), atol=1e-10)
 
 
+def test_fd_generator_jacobian_without_alpha_jacobian_is_nested_differencing():
+    # S(alpha) x = x + alpha sin x has no alpha_jacobian: h = -sin x and h' = -diag(cos x)
+    fam = TransformationFamily(dim=3, eval=lambda alpha, x: x + alpha * np.sin(x), label="sine")
+    h = generator(fam)
+    pts = np.random.default_rng(4).normal(size=(6, 3))
+    for x in pts:
+        np.testing.assert_allclose(h.jacobian_at(x), -np.diag(np.cos(x)), rtol=0, atol=1e-4)
+    np.testing.assert_allclose(h.divergence_batch(pts), -np.cos(pts).sum(axis=1), rtol=0, atol=1e-4)
+
+
 def test_velocity_is_negated_generator():
     fam = scaling_family(2)
     x = np.array([0.5, 1.5])

@@ -848,6 +848,42 @@ def test_a_failing_gauss_hermite_part_stops_the_rule_promptly(failure):
     assert len(calls) <= 4  # batches 1 to 4: batch 5 is submitted only after batch 2's merge
 
 
+def test_at_most_one_batch_more_than_the_pool_has_threads_is_submitted_ahead():
+    threads = measures._mc_threads()
+    if threads == 1:
+        pytest.skip("without the BLAS thread setter every batch runs on the calling thread")
+    started, lock = [], threading.Lock()
+    started_at_first_merge = []
+
+    def batch(i):
+        def points():
+            with lock:
+                started.append(i)
+            return np.full((4, 1), float(i)), None
+
+        return points
+
+    def rows(x):
+        if x[0, 0] == 0.0:
+            # hold batch 0 until the other thread has drawn what it was given, then give it time for more
+            deadline = time.monotonic() + 10.0
+            while len(started) < threads + 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.2)
+        return x
+
+    class Reducer(measures._ColumnReducer):
+        def add(self, cols, weights):
+            if not started_at_first_merge:
+                started_at_first_merge.append(len(started))
+            super().add(cols, weights)
+
+    acc = Reducer(1)
+    assert _finishes(lambda: measures._run_batches(iter([batch(i) for i in range(32)]), rows, 1, acc)) is None
+    assert started_at_first_merge[0] <= threads + 1
+    assert sorted(started) == list(range(32)) and acc.total == 32 * 4
+
+
 def test_the_callers_floating_point_state_reaches_the_gauss_hermite_parts():
     # 40**3 = 64000 nodes in eight batches; the division by zero warns in every one of them
     f = lambda x: np.arctan(1.0 / (0.0 * x[:, 0]))
