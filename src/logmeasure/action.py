@@ -139,52 +139,71 @@ class DiscreteAction:
         q0 = np.asarray(q0, dtype=float).reshape(self.lattice.dim_q)
         object.__setattr__(self, "q_offset", q0)
 
-    def _slices(self, x: Array, velocities: bool) -> tuple[Array, Array]:
-        """Positions psi_{j-1} (psi_{-1} = 0, no q_offset) and velocities (psi_j - psi_{j-1}) / dt
-        of flat paths (rows, dim), real or complex, each as (rows * n_steps, dim_q).
+    def _positions(self, x: Array, q: Optional[Array] = None, out: Optional[Array] = None) -> Array:
+        """Left-endpoint positions psi_{j-1} + q (psi_{-1} = 0) of flat paths (rows, dim), real
+        or complex, as (rows * n_steps, dim_q), written into out when it is given.
 
-        Without velocities the second array is a read-only zero view of the same shape.
+        With q None the positions are psi_{j-1} exactly: adding a zero offset would turn a
+        -0.0 into +0.0.
         """
         lat = self.lattice
         paths = x.reshape(len(x), lat.n_steps, lat.dim_q)
-        left = np.empty_like(paths)
-        left[:, 0] = 0
-        left[:, 1:] = paths[:, :-1]
+        left = np.empty(paths.shape, paths.dtype) if out is None else out.reshape(paths.shape)
+        if q is None:
+            left[:, 0] = 0
+            left[:, 1:] = paths[:, :-1]
+        else:
+            left[:, 0] = 0 + q
+            np.add(paths[:, :-1], q, out=left[:, 1:])
+        return left.reshape(-1, lat.dim_q)
+
+    def _velocities(self, x: Array, needed: bool) -> Array:
+        """Velocities (psi_j - psi_{j-1}) / dt of flat paths, shaped as _positions; a read-only
+        zero view of that shape when no term needs them."""
+        lat = self.lattice
         shape = (len(x) * lat.n_steps, lat.dim_q)
-        if not velocities:
-            return left.reshape(shape), np.broadcast_to(np.zeros((), dtype=left.dtype), shape)
-        return left.reshape(shape), ((paths - left) / lat.dt).reshape(shape)
+        if not needed:
+            return np.broadcast_to(np.zeros((), dtype=x.dtype), shape)
+        paths = x.reshape(len(x), lat.n_steps, lat.dim_q)
+        v = np.empty(paths.shape, paths.dtype)
+        v[:, 0] = paths[:, 0]
+        np.subtract(paths[:, 1:], paths[:, :-1], out=v[:, 1:])
+        v /= lat.dt
+        return v.reshape(shape)
 
     def _action_rows(self, x: Array, kinetic: bool, offsets: Optional[Array] = None) -> Array:
         """A(psi) per row of a batch of flat paths; the eta part alone unless kinetic.
 
-        offsets, a (k, dim_q) array, stands in for q_offset: the batch is laid
-        out once and the result has one column per offset, shape (rows, k).
+        offsets, a (k, dim_q) array, stands in for q_offset: the velocities are
+        built once, the positions of each offset overwrite one buffer, and the
+        result has one column per offset, shape (rows, k).
         """
         lag = self.lagrangian
-        left, V = self._slices(x, kinetic or lag.velocity_coupled)
+        V = self._velocities(x, kinetic or lag.velocity_coupled)
         kin = 0.5 * np.einsum("ij,ij->i", V, V @ lag.kinetic_matrix) if kinetic else None
-        cols = []
-        for q in self.q_offset[None] if offsets is None else offsets:
-            rows = np.asarray(lag.eta(left + q, V))
+        positions = np.empty(x.shape, x.dtype)
+
+        def column(q: Array) -> Array:
+            rows = np.asarray(lag.eta(self._positions(x, q, positions), V))
             if kinetic:
                 rows = rows + kin
-            cols.append(rows.reshape(len(x), -1).sum(axis=1) * self.lattice.dt)
-        return cols[0] if offsets is None else np.stack(cols, axis=1)
+            return rows.reshape(len(x), -1).sum(axis=1) * self.lattice.dt
+
+        if offsets is None:
+            return column(self.q_offset)
+        return np.stack([column(q) for q in offsets], axis=1)
 
     def _variation_rows(self, x: Array, k: Array, kinetic: bool) -> Array:
         """d/ds A(psi + s k)|_0 per row pair of two path batches; eta part alone unless kinetic."""
         lag = self.lagrangian
         v_part = kinetic or lag.eta_d2 is not None  # every velocity_coupled eta has eta_d2
-        left, V = self._slices(x, v_part)
-        kQ, kV = self._slices(k, v_part)
-        Q = left + self.q_offset
-        rows = np.einsum("ij,ij->i", np.asarray(lag.eta_d1(Q, V)), kQ)
+        Q, V = self._positions(x, self.q_offset), self._velocities(x, v_part)
+        rows = np.einsum("ij,ij->i", np.asarray(lag.eta_d1(Q, V)), self._positions(k))
         if v_part:
             v_grad = lag.eta_velocity_gradient(Q, V)
             if kinetic:
                 v_grad = v_grad + V @ lag.kinetic_matrix
-            rows = rows + np.einsum("ij,ij->i", v_grad, kV)
+            rows = rows + np.einsum("ij,ij->i", v_grad, self._velocities(k, True))
         return rows.reshape(len(x), -1).sum(axis=1) * self.lattice.dt
 
     def _row(self, path: Path) -> Array:

@@ -864,6 +864,12 @@ def _write_outputs(
     return json_path, csv_path
 
 
+@functools.cache
+def _jsonschema_version() -> str:
+    """The installed jsonschema's version, read from its package metadata once per process."""
+    return importlib.metadata.version("jsonschema")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = _load_config(args.config, args.set or [], args.seed, args.workers)
@@ -893,7 +899,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "logmeasure": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "jsonschema": importlib.metadata.version("jsonschema"),
+            "jsonschema": _jsonschema_version(),
             "python": platform.python_version(),
         },
         "wall_time_s": wall_time,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
 from .action import DiscreteAction, Lagrangian, WLogDerivativeMode
@@ -266,16 +267,17 @@ def _spatial_operator(
     c_matrix = np.linalg.inv(p.kinetic_matrix)
     n_int, h, d = grid.n_points - 2, grid.spacing, p.dim_q
     off = np.ones(n_int - 1)
-    stencils = (  # identity, central first difference, second difference
-        sp.identity(n_int, format="csr"),
-        sp.diags([-off, off], [-1, 1], format="csr") / (2.0 * h),
-        sp.diags([off, np.full(n_int, -2.0), off], [-1, 0, 1], format="csr") / h**2,
+    stencil_makers = (  # identity, central first difference, second difference
+        lambda: sp.identity(n_int, format="csr"),
+        lambda: sp.diags([-off, off], [-1, 1], format="csr") / (2.0 * h),
+        lambda: sp.diags([off, np.full(n_int, -2.0), off], [-1, 0, 1], format="csr") / h**2,
     )
-    lap = 0.5 * sum(
-        (2 - (a == b)) * c_matrix[a, b]
-        * functools.reduce(sp.kron, [stencils[(k == a) + (k == b)] for k in range(d)])
-        for a in range(d) for b in range(a, d)
-    )
+    terms = {(a, b): [(k == a) + (k == b) for k in range(d)] for a in range(d) for b in range(a, d)}
+    stencils = {order: stencil_makers[order]() for order in set().union(*terms.values())}  # only those used
+    lap = 0.5 * functools.reduce(operator.add, (
+        (2 - (a == b)) * c_matrix[a, b] * functools.reduce(sp.kron, [stencils[order] for order in orders])
+        for (a, b), orders in terms.items()
+    ))
     points = _mesh(grid.axis[1:-1], d)
     eta_diag = sp.diags(p.eta_values(points))
     op = lap - eta_diag if mode is WLogDerivativeMode.EUCLIDEAN else 1j * (lap + eta_diag)
@@ -433,24 +435,30 @@ def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLatti
             band[r - c, :, c] = diag[:, r, c]
         for c in range(d):
             band[d + r - c, :-1, c] = sub[r, c]
-    try:
-        chol = cholesky_banded(band.reshape(2 * d, n * d), lower=True)
-    except np.linalg.LinAlgError as exc:
+    # LAPACK's banded Cholesky and solve, called as cholesky_banded and cho_solve_banded call them
+    if not np.isfinite(band).all():
+        raise ValueError("the path precision has a non-finite entry")
+    chol, info = dpbtrf(band.reshape(2 * d, n * d), lower=1)
+    if info > 0:
         raise ValueError(
             "the damped Gaussian path integral diverges for this eta and lattice:"
-            f" the path precision is not positive definite ({exc})"
-        ) from exc
+            f" the path precision is not positive definite ({info}-th leading minor not positive definite)"
+        )
+
+    def solve(rhs: Array) -> Array:
+        if not np.isfinite(rhs).all():
+            raise ValueError("the right-hand side of the path precision's solve has a non-finite entry")
+        return dpbtrs(chol, rhs, lower=1)[0]
 
     # det Dtilde = 1, so log det gram = n log det B - n d log dt (see cm_gram)
     log_det_gram = n * (np.linalg.slogdet(b_mat)[1] - d * np.log(dt))
     log_det_ratio = log_det_gram - 2.0 * np.sum(np.log(chol[0]))
-    factor = (chol, True)
     last = slice((n - 1) * d, n * d)
     poly2_cov = 0.0
     if np.any(data.poly2):
         cols = np.zeros((n * d, d))
         cols[last, :] = np.eye(d)
-        poly2_cov = float(np.sum(data.poly2 * cho_solve_banded(factor, cols)[last, :]))
+        poly2_cov = float(np.sum(data.poly2 * solve(cols)[last, :]))
 
     values = np.empty(len(points), dtype=complex)
     for i, q in enumerate(points):
@@ -461,7 +469,7 @@ def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLatti
             + data.lin @ q
             + data.const
         )
-        mu = cho_solve_banded(factor, rhs)
+        mu = solve(rhs)
         mean_last = mu[last] + q
         poly_expect = data.poly0 + data.poly1 @ mean_last + mean_last @ data.poly2 @ mean_last
         values[i] = np.exp(0.5 * log_det_ratio + const + 0.5 * rhs @ mu) * (poly_expect + poly2_cov)

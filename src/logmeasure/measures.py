@@ -26,15 +26,19 @@ bitwise reproducible for a fixed (seed, workers) pair.
 
 Both rules run on two threads: a pool of two threads builds each batch's
 points (a Monte Carlo draw mapped onto the measure, or the Gauss-Hermite
-nodes and weights of its index range) and evaluates the row function on
-them, with numpy's OpenBLAS held to one thread for the call.  A batch's
-temporaries stay a few MB even at dim 64, and only a few batches are in
-flight at once.  The batches of one stream draw in order and the reducer
-merges the batches in order, so every value and standard error is bitwise
-independent of the threads.  A call of one batch, or one where the OpenBLAS
-thread setter cannot be found, runs on the calling thread.  Row functions
-(and the phi, h, eta, f0 and family callbacks they call) must therefore be
-safe to call from two threads at once.  sample() stays sequential.
+nodes and weights of its index range), evaluates the row function on them
+and reduces the block to its column sums (and, unweighted, its means and
+M2 terms), with numpy's OpenBLAS held to one thread for the call.  A
+batch's temporaries stay a few MB even at dim 64, and only a few batches
+are in flight at once.  The Monte Carlo batches of the worker streams are
+submitted round robin, so the two threads draw from two streams at once;
+the batches of one stream still draw in order.  The calling thread merges
+the batch summaries in stream-major order, holding the few that arrive
+early, so every value and standard error is bitwise independent of the
+threads.  A call of one batch, or one where the OpenBLAS thread setter
+cannot be found, runs on the calling thread.  Row functions (and the phi,
+h, eta, f0 and family callbacks they call) must therefore be safe to call
+from two threads at once.  sample() stays sequential and stream-major.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import chain, islice
-from typing import Callable, Iterator, Optional, Union
+from itertools import chain, islice, zip_longest
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -214,6 +219,8 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 # a batch's thunk builds its points and their weights (None for Monte Carlo)
 _Batch = Callable[[], tuple[np.ndarray, Optional[np.ndarray]]]
+# a batch's rows, column sums, and column means and M2 terms (None when weighted)
+_Summary = tuple[int, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 
 
 def _draw(
@@ -231,19 +238,25 @@ def _draw(
     return _transform(m, z), None
 
 
-def _mc_batches(m: GaussianMeasure, q: QuadratureSpec) -> Iterator[_Batch]:
-    """Every Monte Carlo batch: the worker streams in order, each cut into the fewest
-    near-equal batches of at most _BATCH_ROWS rows (each row counts 1/n).
+def _mc_batches(m: GaussianMeasure, q: QuadratureSpec) -> list[tuple[int, _Batch]]:
+    """Every Monte Carlo batch with its slot: each worker stream cut into the fewest
+    near-equal batches of at most _BATCH_ROWS rows (each row counts 1/n), slotted in
+    stream-major order and listed round robin over the streams, so that the pool
+    draws from every stream at once.
 
     A batch draws only after the batch before it in its stream has drawn, so it
     draws what a sequential loop would.  A short tail batch would map its rows by
     a product that rounds differently, and move sample()'s bytes.
     """
+    streams, slot = [], 0
     for rng, share in zip(_worker_rngs(q.seed, q.workers), _worker_shares(q.n_samples, q.workers)):
-        drawn, count = None, -(-share // _BATCH_ROWS)
+        drawn, count, stream = None, -(-share // _BATCH_ROWS), []
         for i in range(count):
             after, drawn = drawn, threading.Event()
-            yield partial(_draw, m, rng, share // count + (i < share % count), after, drawn)
+            stream.append((slot + i, partial(_draw, m, rng, share // count + (i < share % count), after, drawn)))
+        streams.append(stream)
+        slot += count
+    return [batch for batches in zip_longest(*streams) for batch in batches if batch is not None]
 
 
 def sample(m: GaussianMeasure, n: int, seed: int, workers: int = 1) -> np.ndarray:
@@ -252,7 +265,8 @@ def sample(m: GaussianMeasure, n: int, seed: int, workers: int = 1) -> np.ndarra
         raise ValueError("n must be positive")
     out = np.empty((n, m.dim))
     pos = 0
-    for draw in _mc_batches(m, QuadratureSpec(QuadratureKind.MONTE_CARLO, n, seed, workers)):
+    spec = QuadratureSpec(QuadratureKind.MONTE_CARLO, n, seed, workers)
+    for _, draw in sorted(_mc_batches(m, spec), key=itemgetter(0)):
         x, _ = draw()
         out[pos : pos + len(x)] = x
         pos += len(x)
@@ -346,57 +360,84 @@ def _eval_rows(row_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, n_cols
 
 class _ColumnReducer:
     """Sums of each column over a stream of (rows, n_cols) batches, plus the
-    Chan-Golub-LeVeque (count, mean, M2) merge for unweighted batches."""
+    Chan-Golub-LeVeque (count, mean, M2) merge for unweighted batches.
+
+    summarize() reduces one batch, on the thread that evaluated it; merge()
+    folds the summaries in, in batch order."""
 
     def __init__(self, n_cols: int) -> None:
         self.sums = np.zeros(n_cols)
         self.total, self.mean, self.m2 = 0, np.zeros(n_cols), np.zeros(n_cols)
 
-    def add(self, cols: np.ndarray, weights: Optional[np.ndarray]) -> None:
+    @staticmethod
+    def summarize(cols: np.ndarray, weights: Optional[np.ndarray]) -> _Summary:
+        """(rows, column sums, column means, column sums of squared deviations from
+        the means) of an unweighted batch; (rows, weighted column sums, None, None)
+        of a weighted one."""
         c = len(cols)
         # one contiguous row per column: numpy sums each pairwise, whatever the column count
         cols = np.ascontiguousarray(cols.T)
         if weights is not None:
-            self.sums += (cols * weights).sum(axis=1)
-            return
+            return c, (cols * weights).sum(axis=1), None, None
         col_sums = cols.sum(axis=1)
-        self.sums += col_sums
         c_mean = col_sums / c
+        return c, col_sums, c_mean, ((cols - c_mean[:, None]) ** 2).sum(axis=1)
+
+    def merge(self, summary: _Summary) -> None:
+        c, col_sums, c_mean, c_m2 = summary
+        self.sums += col_sums
+        if c_mean is None:
+            return
         delta = c_mean - self.mean
         merged = self.total + c
         self.mean += delta * (c / merged)
-        self.m2 += ((cols - c_mean[:, None]) ** 2).sum(axis=1) + delta * delta * (self.total * c / merged)
+        self.m2 += c_m2 + delta * delta * (self.total * c / merged)
         self.total = merged
 
 
 def _run_batches(
-    batches: Iterator[_Batch], row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int,
+    batches: Iterable[tuple[int, _Batch]], row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int,
     acc: _ColumnReducer,
 ) -> None:
-    """Reduce each batch's (rows, n_cols) block into acc, in batch order.
+    """Reduce each batch's (rows, n_cols) block into acc, in slot order.
 
-    In a pool thread each batch builds its points and evaluates row_fn on
-    them; the calling thread merges the blocks into acc in order, so acc sees
-    the batches of a sequential loop.  At most one batch more than the pool
-    has threads is submitted ahead of the merge, so memory is bounded by a few
-    batches; once a batch fails, no batch calls row_fn again.  A lone batch,
-    or a pool of one thread, runs on the calling thread.
+    batches are (slot, batch) pairs in the order they run; the slots number
+    them in merge order.  In a pool thread each batch builds its points,
+    evaluates row_fn on them and summarizes the block; the calling thread
+    merges the summaries into acc in slot order, holding the few that arrive
+    early, so acc sees the batches of a sequential loop.  At most one batch
+    more than the pool has threads is submitted ahead of the merge, so memory
+    is bounded by a few batches; once a batch fails, no batch calls row_fn
+    again.  A lone batch, or a pool of one thread, runs on the calling thread.
     """
+    batches = iter(batches)
     head = list(islice(batches, 2))
+    early: dict[int, _Summary] = {}  # summaries whose slot comes after one not merged yet
+    next_slot = 0
+
+    def put(slot: int, summary: _Summary) -> None:
+        nonlocal next_slot
+        early[slot] = summary
+        while next_slot in early:
+            acc.merge(early.pop(next_slot))
+            next_slot += 1
+
+    def evaluate(x: np.ndarray, weights: Optional[np.ndarray]) -> _Summary:
+        return _ColumnReducer.summarize(_eval_rows(row_fn, x, n_cols), weights)
+
     with _one_blas_thread():
         threads = _mc_threads()
         if len(head) < 2 or threads == 1:
-            for points in chain(head, batches):
-                x, weights = points()
-                acc.add(_eval_rows(row_fn, x, n_cols), weights)
+            for slot, points in chain(head, batches):
+                put(slot, evaluate(*points()))
             return
         failed = threading.Event()
 
-        def run(points: _Batch) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
+        def run(points: _Batch) -> Optional[_Summary]:
             try:
                 x, weights = points()  # even after a failure: the next batch of a stream waits on this draw
-                if not failed.is_set():  # else None: the call raises at the failed batch's merge
-                    return _eval_rows(row_fn, x, n_cols), weights
+                if not failed.is_set():  # else None: the call raises at the failed batch's result
+                    return evaluate(x, weights)
             except BaseException:
                 failed.set()
                 raise
@@ -404,12 +445,15 @@ def _run_batches(
         pool = ThreadPoolExecutor(threads, thread_name_prefix="logmeasure-batches")
         try:
             # submitted lazily, each batch in the caller's context, so np.errstate and the like carry over
-            futures = (pool.submit(contextvars.copy_context().run, run, points) for points in chain(head, batches))
+            futures = (
+                (slot, pool.submit(contextvars.copy_context().run, run, points)) for slot, points in chain(head, batches)
+            )
             pending = deque(islice(futures, threads + 1))
             while pending:
-                block = pending.popleft().result()
-                if block is not None:
-                    acc.add(*block)
+                slot, future = pending.popleft()
+                summary = future.result()
+                if summary is not None:
+                    put(slot, summary)
                 pending.extend(islice(futures, 1))
         finally:
             # pending batches run out rather than being cancelled: a running batch may wait on the
@@ -434,7 +478,7 @@ def _integrate_columns(
     """
     acc = _ColumnReducer(n_cols)
     if q.kind is QuadratureKind.GAUSS_HERMITE:
-        _run_batches(_gh_batches(m, q), row_fn, n_cols, acc)
+        _run_batches(enumerate(_gh_batches(m, q)), row_fn, n_cols, acc)
         return [Estimate(float(v)) for v in acc.sums]
     if q.n_samples < 2:
         raise ValueError("a Monte Carlo estimate needs at least 2 samples for its standard error")

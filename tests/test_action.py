@@ -1,6 +1,7 @@
 """Discretized actions, their variations, and the weighted log derivative."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,12 +364,15 @@ def _coupled_lagrangian():
     [harmonic_lagrangian(2), quartic_lagrangian(2), _coupled_lagrangian()],
     ids=["harmonic", "quartic", "velocity_coupled"],
 )
-@pytest.mark.parametrize("q_offset", [None, [0.3, -0.4]], ids=["no_offset", "offset"])
+@pytest.mark.parametrize(
+    "q_offset", [None, [0.3, -0.4], [-0.0, 0.25]], ids=["no_offset", "offset", "negative_zero_offset"]
+)
 def test_batched_rows_are_bitwise_the_path_methods(lag, q_offset):
     lat = make_lattice(7, 0.9, 2)
     action = DiscreteAction(lag, lat, q_offset)
     rng = np.random.default_rng(12)
     x, k = rng.normal(size=(2, 5, lat.dim))
+    x[0, :5], k[1, 3:8] = -0.0, -0.0  # signed zeros, which adding a zero offset turns into +0.0
     rows = {
         "action": action._action_rows(x, kinetic=True),
         "first": action._variation_rows(x, k, kinetic=True),
@@ -380,15 +384,26 @@ def test_batched_rows_are_bitwise_the_path_methods(lag, q_offset):
         assert rows["first"][i] == action.first_variation(path, direction)
         assert rows["eta"][i] == action.eta_variation(path, direction)
 
-    # several offsets in one call: each column is bitwise the action at that q_offset
-    offsets = np.array([[0.3, -0.4], [-1.0, 0.5], [0.0, 0.0]])
-    columns = action._action_rows(x, kinetic=True, offsets=offsets)
-    for j, q in enumerate(offsets):
-        alone = DiscreteAction(lag, lat, q)._action_rows(x, kinetic=True)
-        assert columns[:, j].tobytes() == alone.tobytes()
+    # several offsets in one call: each column is bitwise the action at that q_offset, and the
+    # rows and the positions eta sees are bitwise those of the materialized layout, real or rotated
+    offsets = np.array([[0.3, -0.4], [-1.0, 0.5], [0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]])
+    rot = np.exp(1j * np.pi / 4.0)
+    for paths, directions in ((x, k), (rot * x, rot * k)):
+        for kinetic in (False, True):
+            seen = []
+            spied = DiscreteAction(_spying(lag, seen), lat, q_offset)
+            columns = spied._action_rows(paths, kinetic=kinetic, offsets=offsets)
+            assert [q.tobytes() for q, _ in seen] == [_reference_positions(paths, lat, q).tobytes() for q in offsets]
+            for j, q in enumerate(offsets):
+                alone = DiscreteAction(lag, lat, q)._action_rows(paths, kinetic=kinetic)
+                ref_action, _ = _reference_rows(lag, lat, paths, directions, q, kinetic)
+                assert columns[:, j].tobytes() == alone.tobytes() == ref_action.tobytes()
+            ref_action, ref_first = _reference_rows(lag, lat, paths, directions, action.q_offset, kinetic)
+            assert action._action_rows(paths, kinetic=kinetic).tobytes() == ref_action.tobytes()
+            assert action._variation_rows(paths, directions, kinetic=kinetic).tobytes() == ref_first.tobytes()
+        assert action._positions(directions).tobytes() == _reference_positions(directions, lat).tobytes()
 
     # e^{i pi/4}-rotated complex rows: each row of a batch equals its one-row call
-    rot = np.exp(1j * np.pi / 4.0)
     z, kz = rot * x, rot * k
     batched = [
         action._action_rows(z, kinetic=False),
@@ -415,15 +430,38 @@ def _materialized_layout(x, lat):
     return left.reshape(-1, lat.dim_q), ((paths - left) / lat.dt).reshape(-1, lat.dim_q)
 
 
+def _reference_positions(x, lat, q=None):
+    """psi_{j-1} from the materialized layout, plus q when it is given."""
+    left = _materialized_layout(x, lat)[0]
+    return left if q is None else left + q
+
+
+def _reference_rows(lag, lat, x, k, q, kinetic):
+    """Action rows and first-variation rows of the materialized layout at offset q."""
+    left, V = _materialized_layout(x, lat)
+    kQ, kV = _materialized_layout(k, lat)
+    Q = left + q
+    rows = np.asarray(lag.eta(Q, V))
+    if kinetic:
+        rows = rows + 0.5 * np.einsum("ij,ij->i", V, V @ lag.kinetic_matrix)
+    first = np.einsum("ij,ij->i", np.asarray(lag.eta_d1(Q, V)), kQ)
+    if kinetic or lag.eta_d2 is not None:
+        v_grad = lag.eta_velocity_gradient(Q, V)
+        if kinetic:
+            v_grad = v_grad + V @ lag.kinetic_matrix
+        first = first + np.einsum("ij,ij->i", v_grad, kV)
+    return rows.reshape(len(x), -1).sum(axis=1) * lat.dt, first.reshape(len(x), -1).sum(axis=1) * lat.dt
+
+
 def _spying(lag, seen):
-    """lag with eta and eta_d1 recording the velocity array each receives."""
+    """lag with eta and eta_d1 recording a copy of the (positions, velocities) each receives."""
 
     def eta(q, v):
-        seen.append(v)
+        seen.append((q.copy(), v))
         return lag.eta(q, v)
 
     def eta_d1(q, v):
-        seen.append(v)
+        seen.append((q.copy(), v))
         return lag.eta_d1(q, v)
 
     return dataclasses.replace(lag, eta=eta, eta_d1=eta_d1)
@@ -447,6 +485,7 @@ def test_velocities_are_built_only_for_kinetic_or_velocity_coupled_rows(lag, rot
 
     eta_rows = action._action_rows(x, kinetic=False)
     eta_first = action._variation_rows(x, k, kinetic=False)
+    seen[:] = [v for _, v in seen]
     if lag.velocity_coupled:
         assert all(v.strides != (0, 0) and np.array_equal(v, V) for v in seen)
     else:
@@ -457,7 +496,7 @@ def test_velocities_are_built_only_for_kinetic_or_velocity_coupled_rows(lag, rot
 
     seen.clear()
     full = action._action_rows(x, kinetic=True)
-    assert len(seen) == 1 and np.array_equal(seen[0], V)
+    assert len(seen) == 1 and np.array_equal(seen[0][1], V)
 
     # the rows are the ones computed from materialized velocities
     eta_ref = np.asarray(lag.eta(left + q0, V)).reshape(len(x), -1).sum(axis=1) * lat.dt
@@ -471,3 +510,21 @@ def test_velocities_are_built_only_for_kinetic_or_velocity_coupled_rows(lag, rot
     assert eta_rows.tobytes() == eta_ref.tobytes()
     assert full.tobytes() == full_ref.tobytes()
     assert eta_first.tobytes() == first_ref.tobytes()
+
+
+def test_action_rows_of_a_batch_hold_one_position_buffer_for_every_offset():
+    # a (8192, 64) batch of 64-step paths in 1-D is 4 MiB, and so is each (rows * n_steps, 1) layout;
+    # eta's own output is one such array, so the layout may add one buffer and nothing per offset
+    lat = make_lattice(64, 0.5, 1)
+    lag = Lagrangian(dim_q=1, eta=lambda q, v: q[:, 0] * q[:, 0], eta_d1=lambda q, v: 2.0 * q)
+    action = DiscreteAction(lag, lat)
+    x = np.random.default_rng(3).normal(size=(8192, lat.dim))
+    offsets = np.array([[-1.0], [0.0], [2.0]])
+    tracemalloc.start()
+    try:
+        rows = action._action_rows(x, kinetic=False, offsets=offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (8192, 3)
+    assert peak <= 2.25 * x.nbytes

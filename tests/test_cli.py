@@ -507,13 +507,13 @@ def test_compare_draws_the_paths_once_for_all_probes(tmp_path, capsys, monkeypat
 
 
 def test_compare_lays_out_each_batch_once_for_all_probes(tmp_path, capsys, monkeypatch):
-    calls = _counting(monkeypatch, DiscreteAction, "_slices")
+    calls = _counting(monkeypatch, DiscreteAction, "_velocities")
     _run_small_compare(tmp_path, capsys)
     assert len(calls) == 2  # one per worker stream's chunk, not one per probe
 
 
 def test_compare_factors_the_exact_propagator_once(tmp_path, capsys, monkeypatch):
-    calls = _counting(monkeypatch, feynman, "cholesky_banded")
+    calls = _counting(monkeypatch, feynman, "dpbtrf")
     _run_small_compare(tmp_path, capsys)
     assert len(calls) == 1  # one factorization for the 5 probes
 

@@ -586,6 +586,16 @@ def test_exact_gaussian_raises_when_the_path_integral_diverges():
         exact_gaussian_propagator(p, np.array([[0.0], [0.5]]), make_lattice(16, 1.0, 1))
 
 
+def test_exact_gaussian_raises_on_a_non_finite_precision_or_probe():
+    lat = make_lattice(16, 0.5, 1)
+    diverging = SchrodingerProblem(1, harmonic_lagrangian(1, omega=np.inf), gaussian_bump(1), 0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        exact_gaussian_propagator(diverging, [0.0], lat)
+    p = SchrodingerProblem(1, harmonic_lagrangian(1), gaussian_bump(1), 0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        exact_gaussian_propagator(p, np.array([[0.0], [np.nan]]), lat)
+
+
 def _polynomial_bump(dim_q):
     data = GaussianInitialData(
         quad=np.eye(dim_q) / 0.64,

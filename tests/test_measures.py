@@ -417,13 +417,13 @@ def test_ibp_monte_carlo_within_three_standard_errors():
 def _reduced_batches(monkeypatch):
     """Record the row count of every batch the reducer sees; returns the list."""
     sizes = []
-    add = measures._ColumnReducer.add
+    merge = measures._ColumnReducer.merge
 
-    def counted(self, cols, weights):
-        sizes.append(len(cols))
-        return add(self, cols, weights)
+    def counted(self, summary):
+        sizes.append(summary[0])
+        return merge(self, summary)
 
-    monkeypatch.setattr(measures._ColumnReducer, "add", counted)
+    monkeypatch.setattr(measures._ColumnReducer, "merge", counted)
     return sizes
 
 
@@ -624,7 +624,27 @@ def test_parts_of_one_stream_draw_in_order_when_the_first_draw_is_slow(monkeypat
     assert got == [ref] * 3
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+def test_both_streams_draw_at_once(monkeypatch):
+    # stream 0's first draw waits for stream 1's first draw to start; drawn one stream after
+    # the other, with four batches a stream, the pool would hold only stream 0's batches
+    if measures._mc_threads() == 1:
+        pytest.skip("without the BLAS thread setter every batch runs on the calling thread")
+    m = wiener_measure(make_lattice(3, 1.0, 1))
+    q = QuadratureSpec("monte_carlo", 8 * _BATCH_ROWS, seed=9, workers=2)
+    rows = lambda x: np.stack([x[:, 0] * x[:, 1], np.cos(x[:, 2])], axis=1)
+    ref = _sequential_reference(m, q, rows, 2)
+    stream_1_draws, waited, got = threading.Event(), [], []
+    rngs = measures._worker_rngs
+    hooks = (lambda: waited.append(stream_1_draws.wait(10.0)), stream_1_draws.set)
+    monkeypatch.setattr(
+        measures, "_worker_rngs",
+        lambda seed, workers: [_FirstDrawHook(r, hook) for r, hook in zip(rngs(seed, workers), hooks)],
+    )
+    assert _finishes(lambda: got.append(_estimates(_integrate_columns(m, q, rows, 2)))) is None
+    assert waited == [True] and got == [ref]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sample_is_the_sequential_whole_batch_draw(workers):
     m = wiener_measure(make_lattice(4, 1.0, 1))
     n, seed = 2 * _CHUNK_ROWS + 7, 5
@@ -873,13 +893,13 @@ def test_at_most_one_batch_more_than_the_pool_has_threads_is_submitted_ahead():
         return x
 
     class Reducer(measures._ColumnReducer):
-        def add(self, cols, weights):
+        def merge(self, summary):
             if not started_at_first_merge:
                 started_at_first_merge.append(len(started))
-            super().add(cols, weights)
+            super().merge(summary)
 
     acc = Reducer(1)
-    assert _finishes(lambda: measures._run_batches(iter([batch(i) for i in range(32)]), rows, 1, acc)) is None
+    assert _finishes(lambda: measures._run_batches(enumerate([batch(i) for i in range(32)]), rows, 1, acc)) is None
     assert started_at_first_merge[0] <= threads + 1
     assert sorted(started) == list(range(32)) and acc.total == 32 * 4
 
