@@ -6,9 +6,12 @@ Four evaluation routes for u(t, q):
 * pde_solve: implicit-midpoint (Crank-Nicolson) finite differences, the
   reference oracle.  Damped mode solves du/dt = (1/2) Delta_C u - eta u,
   oscillatory mode solves du/dt = i ((1/2) Delta_C u + eta u), C = B^{-1}.
-  One symmetric-ordered (minimum degree on A + A^T) sparse LU per call and
-  one triangular solve per time step, so a step costs time proportional to
-  the factor's nnz.
+  A damped 2-D operator that is a Kronecker sum (C diagonal, eta certified
+  quadratic with a diagonal matrix) is diagonalized axis by axis: two
+  tridiagonal eigendecompositions and four dense products of the axis size,
+  whatever the step count.  Every other problem takes one symmetric-ordered
+  (minimum degree on A + A^T) sparse LU per call and one triangular solve
+  per time step, so a step costs time proportional to the factor's nnz.
 * feynman_mc: Feynman-Kac Monte Carlo of E_W[exp(-A_eta) f0] over discretized
   Wiener paths psi, A_eta the eta part of DiscreteAction's action.
 * exact_gaussian_propagator: closed-form Gaussian integral for quadratic eta
@@ -40,6 +43,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
@@ -296,22 +300,78 @@ def _boundary_mass_fraction(values: Array, dim_q: int) -> float:
     return float(inner[ring].sum()) / total
 
 
+def _is_kronecker_sum(p: SchrodingerProblem, mode: WLogDerivativeMode) -> bool:
+    """True when the damped 2-D operator is K_0 (x) I + I (x) K_1: C = B^{-1} has no
+    coupling term and eta is certified quadratic with a diagonal matrix."""
+    qe = p.lagrangian.quadratic_eta
+    if p.dim_q != 2 or mode is not WLogDerivativeMode.EUCLIDEAN or qe is None:
+        return False
+    c_matrix = np.linalg.inv(p.kinetic_matrix)
+    return bool(c_matrix[0, 1] == c_matrix[1, 0] == qe.matrix[0, 1] == qe.matrix[1, 0] == 0.0)
+
+
+def _diagonalized_steps(p: SchrodingerProblem, grid: SpaceGrid, lattice: TimeLattice, points: Array,
+                        u: Array) -> Array:
+    """n Crank-Nicolson steps of u' = (K_0 (x) I + I (x) K_1) u by per-axis diagonalization.
+
+    K_a = (1/2) C_aa d_a^2 - diag(eta_a) on the interior axis, with eta_a the certificate's
+    one-axis part (its constant on axis 0).  With K_a = V_a diag(lam_a) V_a^T the scheme's
+    n steps are u = V_0 [(V_0^T U V_1) * r(z)^n] V_1^T, r(z) = (1 + z) / (1 - z) and
+    z_ij = (dt/2) (lam_0i + lam_1j), the same rational function of the same operator as
+    the factored route.  eta itself is read on the mesh and must match the certificate.
+    """
+    qe = p.lagrangian.quadratic_eta
+    axis, h, n_int = grid.axis[1:-1], grid.spacing, grid.n_points - 2
+    etas = [0.5 * qe.matrix[a, a] * axis**2 + qe.linear[a] * axis for a in range(2)]
+    etas[0] = etas[0] + qe.constant
+    eta = p.eta_values(points)
+    gap = np.abs(eta - (etas[0][:, None] + etas[1][None, :]).reshape(-1))
+    if not np.all(gap <= 1e-12 * max(1.0, float(np.max(np.abs(eta))))):
+        raise ValueError("eta does not match its quadratic certificate on the PDE grid")
+    c_diag = np.diag(np.linalg.inv(p.kinetic_matrix))
+    (lam0, v0), (lam1, v1) = (
+        eigh_tridiagonal(-c_diag[a] / h**2 - etas[a], np.full(n_int - 1, 0.5 * c_diag[a] / h**2))
+        for a in range(2)
+    )
+    z = 0.5 * lattice.dt * (lam0[:, None] + lam1[None, :])
+    if np.any(z == 1.0):
+        raise ValueError("I - (dt/2) A is singular on this grid and lattice")
+    gain = ((1.0 + z) / (1.0 - z)) ** lattice.n_steps
+    return (v0 @ ((v0.T @ u.reshape(n_int, n_int) @ v1) * gain) @ v1.T).reshape(-1)
+
+
+def _require_finite(values: Array, what: str) -> None:
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise ValueError(f"{what} has {bad} non-finite values")
+
+
 def pde_solve(
     p: SchrodingerProblem, grid: SpaceGrid, lattice: TimeLattice, mode: WLogDerivativeMode
 ) -> PropagatorResult:
     """Implicit-midpoint finite-difference reference solution on the grid.
 
-    Crank-Nicolson for u' = A u: one sparse LU of I - (dt/2) A per call, with
-    a minimum-degree ordering on A + A^T (the stencil is structurally
-    symmetric), then one triangular solve per step (a forward and a back
-    substitution) through (I - (dt/2) A)^{-1} (I + (dt/2) A) =
-    2 (I - (dt/2) A)^{-1} - I.  A step costs time proportional to the nnz of
-    the L and U factors.
+    Crank-Nicolson for u' = A u, u_n = r((dt/2) A)^n u_0 with r(z) = (1 + z) / (1 - z),
+    by one of two routes that give the same values up to rounding:
+
+    * diagonalized, for a damped 2-D A that is a Kronecker sum K_0 (x) I + I (x) K_1
+      (C = B^{-1} diagonal, eta certified quadratic with a diagonal matrix): one
+      tridiagonal eigendecomposition per axis and four dense products of the axis size,
+      a cost that does not grow with n_steps.  eta is still read on the mesh, and a
+      ValueError is raised when it differs from the certificate by more than
+      1e-12 max(1, max |eta|).
+    * factored, for every other problem (all 1-D solves, real time, a mixed C, an
+      uncertified eta or a non-diagonal eta matrix): one sparse LU of I - (dt/2) A per
+      call, with a minimum-degree ordering on A + A^T (the stencil is structurally
+      symmetric), then one triangular solve per step (a forward and a back substitution)
+      through (I - (dt/2) A)^{-1} (I + (dt/2) A) = 2 (I - (dt/2) A)^{-1} - I.  A step
+      costs time proportional to the nnz of the L and U factors.
 
     Zero boundary values at the box edge; the returned error_estimate is the
     fraction of |u| mass sitting on the interior ring next to the boundary at
     the final time, and a warning fires when it exceeds 1e-6 (grid too small).
-    Oscillatory mode supports dim_q = 1 only.
+    A non-finite f0 value on the interior mesh, or a non-finite solution, raises
+    ValueError with the count.  Oscillatory mode supports dim_q = 1 only.
     """
     start = time.perf_counter()
     _check_lattice(p, lattice, grid)
@@ -320,18 +380,24 @@ def pde_solve(
     if p.lagrangian.velocity_coupled:
         raise ValueError("velocity-coupled eta has no PDE form here")
 
-    op, points = _spatial_operator(p, grid, mode)
-    u = np.asarray(p.f0.evaluator(points)).astype(op.dtype)
-    # SymmetricMode prefers diagonal pivots; the default pivot threshold still
-    # pivots off the diagonal when an indefinite eta needs it.
-    eye = sp.identity(op.shape[0], format="csc")
-    backward = splu(
-        (eye - 0.5 * lattice.dt * op).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        options={"SymmetricMode": True},
-    )
-    for _ in range(lattice.n_steps):
-        u = 2.0 * backward.solve(u) - u
+    points = _mesh(grid.axis[1:-1], p.dim_q)
+    u = np.asarray(p.f0.evaluator(points)).astype(float if mode is WLogDerivativeMode.EUCLIDEAN else complex)
+    _require_finite(u, "f0 on the interior mesh")
+    if _is_kronecker_sum(p, mode):
+        u = _diagonalized_steps(p, grid, lattice, points, u)
+    else:
+        op, _ = _spatial_operator(p, grid, mode)
+        # SymmetricMode prefers diagonal pivots; the default pivot threshold still
+        # pivots off the diagonal when an indefinite eta needs it.
+        eye = sp.identity(op.shape[0], format="csc")
+        backward = splu(
+            (eye - 0.5 * lattice.dt * op).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            options={"SymmetricMode": True},
+        )
+        for _ in range(lattice.n_steps):
+            u = 2.0 * backward.solve(u) - u
+    _require_finite(u, "the PDE solution")
 
     full = np.zeros((grid.n_points,) * p.dim_q, dtype=u.dtype)
     full[(slice(1, -1),) * p.dim_q] = u.reshape((grid.n_points - 2,) * p.dim_q)

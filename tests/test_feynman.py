@@ -44,6 +44,7 @@ from logmeasure.feynman import (
     _OSCILLATORY_GH_ORDER,
     _boundary_mass_fraction,
     _check_lattice,
+    _is_kronecker_sum,
     _isclose,
     _sliced_kernel,
     _spatial_operator,
@@ -216,28 +217,86 @@ def _radial_quartic():
     return replace(quartic_lagrangian(2), eta=eta, eta_d1=eta_d1, label="radial quartic")
 
 
+def _counted_splu(monkeypatch, allowed=True):
+    """Route feynman's splu through a list of its factors; allowed=False makes a call fail."""
+    factors = []
+
+    def counting_splu(*args, **kwargs):
+        assert allowed, "splu called on the diagonalized route"
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(feynman, "splu", counting_splu)
+    return factors
+
+
+_ANISOTROPIC_KINETIC = np.diag([1.7, 0.6])
+
+
 @pytest.mark.parametrize(
-    "lagrangian, grid, n_steps, t_final, mode",
+    "lagrangian, grid, n_steps, t_final, mode, factored",
     [
-        (lambda: harmonic_lagrangian(1), SpaceGrid(1, 8.0, 257), 64, 0.5, EUCLID),
-        (lambda: harmonic_lagrangian(1), SpaceGrid(1, 10.0, 2049), 1024, 0.5, REAL),
-        (lambda: harmonic_lagrangian(2), SpaceGrid(2, 6.0, 81), 64, 0.5, EUCLID),
-        (_radial_quartic, SpaceGrid(2, 6.0, 81), 64, 0.5, EUCLID),
+        (lambda: harmonic_lagrangian(1), SpaceGrid(1, 8.0, 257), 64, 0.5, EUCLID, True),
+        (lambda: harmonic_lagrangian(1), SpaceGrid(1, 10.0, 2049), 1024, 0.5, REAL, True),
+        (lambda: harmonic_lagrangian(2), SpaceGrid(2, 6.0, 81), 64, 0.5, EUCLID, False),
+        (lambda: _quadratic_lagrangian(np.diag([1.0, 0.49]), np.array([0.3, -0.2]), 0.1, _ANISOTROPIC_KINETIC),
+         SpaceGrid(2, 6.0, 81), 64, 0.5, EUCLID, False),
+        (_radial_quartic, SpaceGrid(2, 6.0, 81), 64, 0.5, EUCLID, True),
+        (lambda: quartic_lagrangian(2), SpaceGrid(2, 6.0, 81), 64, 0.5, EUCLID, True),
         (lambda: replace(free_lagrangian(2), kinetic_matrix=_MIXED_KINETIC), SpaceGrid(2, 6.0, 81), 64, 0.2,
-         EUCLID),
+         EUCLID, True),
+        (lambda: _quadratic_lagrangian(np.array([[1.0, 0.2], [0.2, 0.49]]), np.array([0.3, -0.2]), 0.1,
+                                       _ANISOTROPIC_KINETIC), SpaceGrid(2, 6.0, 81), 64, 0.5, EUCLID, True),
     ],
-    ids=["1d_euclidean", "1d_real_time", "2d_harmonic", "2d_quartic", "2d_mixed_kinetic"],
+    ids=["1d_euclidean", "1d_real_time", "2d_harmonic", "2d_anisotropic_certified", "2d_quartic",
+         "2d_separable_quartic", "2d_mixed_kinetic", "2d_offdiagonal_certificate"],
 )
-def test_pde_steps_match_the_two_matrix_crank_nicolson_loop(lagrangian, grid, n_steps, t_final, mode):
+def test_pde_steps_match_the_two_matrix_crank_nicolson_loop(
+    monkeypatch, lagrangian, grid, n_steps, t_final, mode, factored
+):
+    """Both routes are the same scheme; a damped 2-D Kronecker sum (diagonal C, certified eta with a
+    diagonal matrix) never factors, and every other problem factors exactly once."""
     lag = lagrangian()
     p = SchrodingerProblem(lag.dim_q, lag, gaussian_bump(lag.dim_q, sigma=1.0), t_final)
     lattice = make_lattice(n_steps, t_final, lag.dim_q)
     op, points = _spatial_operator(p, grid, mode)
     u0 = np.asarray(p.f0.evaluator(points), dtype=complex if mode is REAL else float)
     ref = crank_nicolson_reference(op, u0, lattice.dt, n_steps)
+    factors = _counted_splu(monkeypatch, allowed=factored)
     values = pde_solve(p, grid, lattice, mode).values
+    assert len(factors) == factored
     interior = values[(slice(1, -1),) * lag.dim_q].reshape(-1)
     assert np.max(np.abs(interior - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_pde_rejects_an_eta_that_disagrees_with_its_certificate():
+    lag = replace(harmonic_lagrangian(2), quadratic_eta=QuadraticEta(np.diag([1.0, 1.0 + 1e-9]), np.zeros(2)))
+    p = SchrodingerProblem(2, lag, gaussian_bump(2), 0.5)
+    with pytest.raises(ValueError, match="certificate"):
+        pde_solve(p, SpaceGrid(2, 6.0, 41), make_lattice(16, 0.5, 2), EUCLID)
+
+
+def test_pde_diagonalized_route_rejects_a_singular_step_matrix():
+    """eta = -6 on the one interior node of a 3-point grid with h = 1 and dt = 1/2 puts an
+    eigenvalue of (dt/2) A at exactly 1, so I - (dt/2) A is singular."""
+    lag = _quadratic_lagrangian(np.zeros((2, 2)), np.zeros(2), -6.0, np.eye(2))
+    p = SchrodingerProblem(2, lag, gaussian_bump(2), 0.5)
+    with pytest.raises(ValueError, match="singular"):
+        pde_solve(p, SpaceGrid(2, 1.0, 3), make_lattice(1, 0.5, 2), EUCLID)
+
+
+@pytest.mark.parametrize("dim_q, factored", [(1, True), (2, False)], ids=["1d_factored", "2d_diagonalized"])
+def test_pde_rejects_non_finite_initial_data_with_the_count(dim_q, factored):
+    bump = gaussian_bump(dim_q)
+
+    def f0(x):
+        x = np.atleast_2d(x)
+        return np.where(np.all(x == 0.0, axis=1), np.nan, bump.evaluator(x))
+
+    p = SchrodingerProblem(dim_q, harmonic_lagrangian(dim_q), InitialCondition(f0), 0.5)
+    assert _is_kronecker_sum(p, EUCLID) == (not factored)
+    with pytest.raises(ValueError, match="has 1 non-finite values"):
+        pde_solve(p, SpaceGrid(dim_q, 6.0, 41), make_lattice(16, 0.5, dim_q), EUCLID)
 
 
 def _explicit_operator(p, grid, mode):
@@ -285,16 +344,10 @@ def test_spatial_operator_is_bitwise_the_explicit_stencils(lagrangian, grid, mod
 
 
 def test_pde_factors_once_with_a_symmetric_ordering_that_halves_the_fill(monkeypatch):
-    p = SchrodingerProblem(2, harmonic_lagrangian(2), gaussian_bump(2, sigma=1.0), 0.5)
+    p = SchrodingerProblem(2, quartic_lagrangian(2), gaussian_bump(2, sigma=1.0), 0.5)
     grid = SpaceGrid(2, 8.0, 129)
     lattice = make_lattice(64, 0.5, 2)
-    factors = []
-
-    def counting_splu(*args, **kwargs):
-        factors.append(splu(*args, **kwargs))
-        return factors[-1]
-
-    monkeypatch.setattr(feynman, "splu", counting_splu)
+    factors = _counted_splu(monkeypatch)
     pde_solve(p, grid, lattice, EUCLID)
     assert len(factors) == 1
     op, _ = _spatial_operator(p, grid, EUCLID)
