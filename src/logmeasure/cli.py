@@ -187,6 +187,12 @@ _MODE_SCHEMA = {"enum": ["euclidean", "real_time"]}
 # the one mode each method is defined in; pde runs in both
 _METHOD_MODES = {"mc": "euclidean", "exact_gaussian": "euclidean", "oscillatory": "real_time"}
 
+# the keys every solve method takes
+_SOLVE_KEYS = ["problem", "mode", "n_steps", "probes"]
+
+# the keys every oscillatory-check reference takes
+_OSCILLATORY_KEYS = ["problem", "n_steps", "q_points", "tolerance"]
+
 _PROBES_SCHEMA = {
     "type": "array",
     "minItems": 1,
@@ -288,6 +294,13 @@ def _assert_entry(name: str, passed: bool, tolerance: Optional[float], detail: s
     return {"name": name, "passed": bool(passed), "tolerance": tolerance, "detail": detail}
 
 
+def _within(diff: float, std_error: Optional[float], se_multiplier: float, tolerance: float) -> bool:
+    """The one pass rule of a row: |diff| <= tolerance, plus se_multiplier standard errors
+    when the estimate has one."""
+    allowed = tolerance if std_error is None else se_multiplier * std_error + tolerance
+    return abs(diff) <= allowed
+
+
 def _pass_count(
     name: str, rows: list[Row], tolerance: Optional[float], what: str, min_fraction: float = 1.0
 ) -> Assertion:
@@ -309,10 +322,6 @@ def _run_ibp_check(params: dict, seed: int, workers: int):
         pairs = polynomial_pairs(m.dim, **params["pairs"])
         for idx, (phi, h) in enumerate(pairs):
             est = ibp_residual(m, phi, h, quad)
-            if est.std_error is None:
-                ok = abs(est.value) <= tolerance
-            else:
-                ok = abs(est.value) <= se_multiplier * est.std_error
             rows.append(
                 {
                     "measure": label,
@@ -320,7 +329,7 @@ def _run_ibp_check(params: dict, seed: int, workers: int):
                     "pair": idx,
                     "residual": est.value,
                     "std_error": est.std_error,
-                    "pass": ok,
+                    "pass": _within(est.value, est.std_error, se_multiplier, tolerance),
                 }
             )
     bound = tolerance if quad.kind is QuadratureKind.GAUSS_HERMITE else se_multiplier
@@ -348,7 +357,7 @@ def _run_theorem1_check(params: dict, seed: int, workers: int):
                 "trace_term": trace_term,
                 "residual": residual,
                 "residual_no_trace": grad_term + vector_term,
-                "pass": abs(residual) <= tolerance,
+                "pass": _within(residual, None, 0.0, tolerance),
             }
         )
     max_residual = max(abs(r["residual"]) for r in rows)
@@ -386,10 +395,6 @@ def _run_prop1_check(params: dict, seed: int, workers: int):
     for name, family in families:
         for idx, (phi, _) in enumerate(pairs):
             result = proposition1_check(m, family, phi, quad)
-            if result.std_error is None:
-                ok = abs(result.residual) <= tolerance
-            else:
-                ok = abs(result.residual) <= se_multiplier * result.std_error + tolerance
             rows.append(
                 {
                     "measure": label,
@@ -399,7 +404,7 @@ def _run_prop1_check(params: dict, seed: int, workers: int):
                     "rhs": result.rhs,
                     "residual": result.residual,
                     "std_error": result.std_error,
-                    "pass": ok,
+                    "pass": _within(result.residual, result.std_error, se_multiplier, tolerance),
                 }
             )
     what = "rows within tolerance"
@@ -492,7 +497,6 @@ def _run_compare(params: dict, seed: int, workers: int):
         )
         for cell, value, reference, std_error in zip(cells, values.real, references, std_errors):
             diff = abs(value - reference)
-            allowed = tolerance_abs if std_error is None else se_multiplier * std_error + tolerance_abs
             rows.append(
                 {
                     "method": method,
@@ -501,10 +505,10 @@ def _run_compare(params: dict, seed: int, workers: int):
                     "reference": float(reference),
                     "abs_diff": float(diff),
                     "std_error": std_error,
-                    "pass": diff <= allowed,
+                    "pass": _within(diff, std_error, se_multiplier, tolerance_abs),
                 }
             )
-    what = "rows within 3 SE + tolerance of the PDE oracle"
+    what = f"rows within {se_multiplier:g} SE + tolerance of the PDE oracle"
     return rows, [_pass_count("methods_agree_with_pde", rows, tolerance_abs, what)]
 
 
@@ -576,7 +580,7 @@ def _run_oscillatory_check(params: dict, seed: int, workers: int):
             for q in params["q_points"]
         ]
     elif reference_kind == "pde":
-        pde_spec = {**params, "n_steps": params.get("pde_steps", 512)}
+        pde_spec = {"grid": params["grid"], "n_steps": params.get("pde_steps", 512)}
         ref_values = _method_at_probes("pde", pde_spec, problem, real_time, points, seed, workers)[0]
     else:
         ref_values = [None] * len(points)
@@ -678,8 +682,10 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                 "boundary_tolerance": _POSITIVE,
             },
             ("problem", "mode", "method", "n_steps"),
-            _when("method", "pde", {"required": ["grid"]}),
-            _when("method", "mc", {"required": ["n_samples"]}),
+            _kind("method", "pde", [*_SOLVE_KEYS, "grid", "boundary_tolerance"], ("grid",)),
+            _kind("method", "mc", [*_SOLVE_KEYS, "n_samples"], ("n_samples",)),
+            _kind("method", "exact_gaussian", _SOLVE_KEYS),
+            _kind("method", "oscillatory", _SOLVE_KEYS),
             *(_when("method", m, _at("mode", {"const": mode})) for m, mode in _METHOD_MODES.items()),
         ),
         _run_solve,
@@ -743,7 +749,9 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             },
             ("problem", "n_steps", "q_points", "reference"),
             _at("problem.dim_q", {"const": 1}),
-            _when("reference", "pde", {"required": ["grid"]}),
+            _kind("reference", "pde", [*_OSCILLATORY_KEYS, "grid", "pde_steps"], ("grid",)),
+            _kind("reference", "closed_form_free", _OSCILLATORY_KEYS),
+            _kind("reference", "none", _OSCILLATORY_KEYS),
             _when(
                 "reference",
                 "closed_form_free",

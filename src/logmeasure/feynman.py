@@ -310,6 +310,9 @@ def _is_kronecker_sum(p: SchrodingerProblem, mode: WLogDerivativeMode) -> bool:
     return bool(c_matrix[0, 1] == c_matrix[1, 0] == qe.matrix[0, 1] == qe.matrix[1, 0] == 0.0)
 
 
+_SINGULAR_STEP = "I - (dt/2) A is singular on this grid and lattice"
+
+
 def _diagonalized_steps(p: SchrodingerProblem, grid: SpaceGrid, lattice: TimeLattice, points: Array,
                         u: Array) -> Array:
     """n Crank-Nicolson steps of u' = (K_0 (x) I + I (x) K_1) u by per-axis diagonalization.
@@ -335,7 +338,7 @@ def _diagonalized_steps(p: SchrodingerProblem, grid: SpaceGrid, lattice: TimeLat
     )
     z = 0.5 * lattice.dt * (lam0[:, None] + lam1[None, :])
     if np.any(z == 1.0):
-        raise ValueError("I - (dt/2) A is singular on this grid and lattice")
+        raise ValueError(_SINGULAR_STEP)
     gain = ((1.0 + z) / (1.0 - z)) ** lattice.n_steps
     return (v0 @ ((v0.T @ u.reshape(n_int, n_int) @ v1) * gain) @ v1.T).reshape(-1)
 
@@ -371,7 +374,8 @@ def pde_solve(
     fraction of |u| mass sitting on the interior ring next to the boundary at
     the final time, and a warning fires when it exceeds 1e-6 (grid too small).
     A non-finite f0 value on the interior mesh, or a non-finite solution, raises
-    ValueError with the count.  Oscillatory mode supports dim_q = 1 only.
+    ValueError with the count; a singular I - (dt/2) A raises ValueError on either route.
+    Oscillatory mode supports dim_q = 1 only.
     """
     start = time.perf_counter()
     _check_lattice(p, lattice, grid)
@@ -390,11 +394,16 @@ def pde_solve(
         # SymmetricMode prefers diagonal pivots; the default pivot threshold still
         # pivots off the diagonal when an indefinite eta needs it.
         eye = sp.identity(op.shape[0], format="csc")
-        backward = splu(
-            (eye - 0.5 * lattice.dt * op).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            options={"SymmetricMode": True},
-        )
+        try:
+            backward = splu(
+                (eye - 0.5 * lattice.dt * op).tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+            if "singular" not in str(exc):
+                raise
+            raise ValueError(_SINGULAR_STEP) from exc
         for _ in range(lattice.n_steps):
             u = 2.0 * backward.solve(u) - u
     _require_finite(u, "the PDE solution")

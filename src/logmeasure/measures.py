@@ -18,7 +18,7 @@ Precision is the primary parameterization; covariance is derived on demand.
 Every integral in the package runs on one engine: batches of at most
 _BATCH_ROWS points, Monte Carlo draws laid out by _mc_batches or
 Gauss-Hermite tensor-rule nodes with their weights (_gh_batches), and one
-reducer of the columns a row function returns for each batch
+fold of the column summaries a row function gives on each batch
 (_integrate_columns); sample() fills its output from the same Monte Carlo
 batches.  Monte Carlo work is split across `workers` deterministic RNG
 streams derived from SeedSequence(seed).spawn(workers), so results are
@@ -32,10 +32,10 @@ M2 terms), with numpy's OpenBLAS held to one thread for the call.  A
 batch's temporaries stay a few MB even at dim 64, and only a few batches
 are in flight at once.  The Monte Carlo batches of the worker streams are
 submitted round robin, so the two threads draw from two streams at once;
-the batches of one stream still draw in order.  The calling thread merges
-the batch summaries in stream-major order, holding the few that arrive
-early, so every value and standard error is bitwise independent of the
-threads.  A call of one batch, or one where the OpenBLAS thread setter
+the batches of one stream still draw in order.  When the call ends, the
+calling thread folds the batch summaries once, in slot order (stream-major
+for Monte Carlo), so every value and standard error is bitwise independent
+of the threads.  A call of one batch, or one where the OpenBLAS thread setter
 cannot be found, runs on the calling thread.  Row functions (and the phi,
 h, eta, f0 and family callbacks they call) must therefore be safe to call
 from two threads at once.  sample() stays sequential and stream-major.
@@ -54,7 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import chain, islice, zip_longest
+from itertools import islice, zip_longest
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -358,79 +358,59 @@ def _eval_rows(row_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, n_cols
     return cols
 
 
-class _ColumnReducer:
-    """Sums of each column over a stream of (rows, n_cols) batches, plus the
-    Chan-Golub-LeVeque (count, mean, M2) merge for unweighted batches.
+def _summarize(cols: np.ndarray, weights: Optional[np.ndarray]) -> _Summary:
+    """(rows, column sums, column means, column M2 terms) of an unweighted batch;
+    (rows, weighted column sums, None, None) of a weighted one."""
+    c = len(cols)
+    # one contiguous row per column: numpy sums each pairwise, whatever the column count
+    cols = np.ascontiguousarray(cols.T)
+    if weights is not None:
+        return c, (cols * weights).sum(axis=1), None, None
+    col_sums = cols.sum(axis=1)
+    c_mean = col_sums / c
+    return c, col_sums, c_mean, ((cols - c_mean[:, None]) ** 2).sum(axis=1)
 
-    summarize() reduces one batch, on the thread that evaluated it; merge()
-    folds the summaries in, in batch order."""
 
-    def __init__(self, n_cols: int) -> None:
-        self.sums = np.zeros(n_cols)
-        self.total, self.mean, self.m2 = 0, np.zeros(n_cols), np.zeros(n_cols)
-
-    @staticmethod
-    def summarize(cols: np.ndarray, weights: Optional[np.ndarray]) -> _Summary:
-        """(rows, column sums, column means, column sums of squared deviations from
-        the means) of an unweighted batch; (rows, weighted column sums, None, None)
-        of a weighted one."""
-        c = len(cols)
-        # one contiguous row per column: numpy sums each pairwise, whatever the column count
-        cols = np.ascontiguousarray(cols.T)
-        if weights is not None:
-            return c, (cols * weights).sum(axis=1), None, None
-        col_sums = cols.sum(axis=1)
-        c_mean = col_sums / c
-        return c, col_sums, c_mean, ((cols - c_mean[:, None]) ** 2).sum(axis=1)
-
-    def merge(self, summary: _Summary) -> None:
-        c, col_sums, c_mean, c_m2 = summary
-        self.sums += col_sums
+def _merge(summaries: list[_Summary], n_cols: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Column sums, rows and M2 of the summaries, folded in their order: (count, mean, M2)
+    by the Chan-Golub-LeVeque update; weighted summaries add their sums alone."""
+    sums, total, mean, m2 = np.zeros(n_cols), 0, np.zeros(n_cols), np.zeros(n_cols)
+    for c, col_sums, c_mean, c_m2 in summaries:
+        sums += col_sums
         if c_mean is None:
-            return
-        delta = c_mean - self.mean
-        merged = self.total + c
-        self.mean += delta * (c / merged)
-        self.m2 += c_m2 + delta * delta * (self.total * c / merged)
-        self.total = merged
+            continue
+        delta = c_mean - mean
+        merged = total + c
+        mean += delta * (c / merged)
+        m2 += c_m2 + delta * delta * (total * c / merged)
+        total = merged
+    return sums, total, m2
 
 
 def _run_batches(
-    batches: Iterable[tuple[int, _Batch]], row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int,
-    acc: _ColumnReducer,
-) -> None:
-    """Reduce each batch's (rows, n_cols) block into acc, in slot order.
+    batches: Iterable[tuple[int, _Batch]], row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int
+) -> list[_Summary]:
+    """The summary of each batch's (rows, n_cols) block, in slot order.
 
-    batches are (slot, batch) pairs in the order they run; the slots number
-    them in merge order.  In a pool thread each batch builds its points,
-    evaluates row_fn on them and summarizes the block; the calling thread
-    merges the summaries into acc in slot order, holding the few that arrive
-    early, so acc sees the batches of a sequential loop.  At most one batch
-    more than the pool has threads is submitted ahead of the merge, so memory
-    is bounded by a few batches; once a batch fails, no batch calls row_fn
-    again.  A lone batch, or a pool of one thread, runs on the calling thread.
+    batches are (slot, batch) pairs in the order they run, slots 0, 1, ... in
+    merge order.  In a pool thread each batch builds its points, evaluates
+    row_fn on them and summarizes the block.  At most one batch more than the
+    pool has threads is submitted ahead of the result the calling thread waits
+    on; once a batch fails, no batch calls row_fn again.  A lone batch, or a
+    pool of one thread, runs on the calling thread.
     """
-    batches = iter(batches)
-    head = list(islice(batches, 2))
-    early: dict[int, _Summary] = {}  # summaries whose slot comes after one not merged yet
-    next_slot = 0
-
-    def put(slot: int, summary: _Summary) -> None:
-        nonlocal next_slot
-        early[slot] = summary
-        while next_slot in early:
-            acc.merge(early.pop(next_slot))
-            next_slot += 1
+    batches = list(batches)
+    summaries: list[Optional[_Summary]] = [None] * len(batches)
 
     def evaluate(x: np.ndarray, weights: Optional[np.ndarray]) -> _Summary:
-        return _ColumnReducer.summarize(_eval_rows(row_fn, x, n_cols), weights)
+        return _summarize(_eval_rows(row_fn, x, n_cols), weights)
 
     with _one_blas_thread():
         threads = _mc_threads()
-        if len(head) < 2 or threads == 1:
-            for slot, points in chain(head, batches):
-                put(slot, evaluate(*points()))
-            return
+        if len(batches) < 2 or threads == 1:
+            for slot, points in batches:
+                summaries[slot] = evaluate(*points())
+            return summaries
         failed = threading.Event()
 
         def run(points: _Batch) -> Optional[_Summary]:
@@ -445,20 +425,17 @@ def _run_batches(
         pool = ThreadPoolExecutor(threads, thread_name_prefix="logmeasure-batches")
         try:
             # submitted lazily, each batch in the caller's context, so np.errstate and the like carry over
-            futures = (
-                (slot, pool.submit(contextvars.copy_context().run, run, points)) for slot, points in chain(head, batches)
-            )
+            futures = ((slot, pool.submit(contextvars.copy_context().run, run, points)) for slot, points in batches)
             pending = deque(islice(futures, threads + 1))
             while pending:
                 slot, future = pending.popleft()
-                summary = future.result()
-                if summary is not None:
-                    put(slot, summary)
+                summaries[slot] = future.result()
                 pending.extend(islice(futures, 1))
         finally:
             # pending batches run out rather than being cancelled: a running batch may wait on the
             # draw of a batch queued before it, which a cancellation would never let happen
             pool.shutdown(wait=True)
+    return summaries
 
 
 def _integrate_columns(
@@ -471,20 +448,20 @@ def _integrate_columns(
     (count, mean, M2) merged by the Chan-Golub-LeVeque update, which keeps
     its digits when the column's mean dwarfs its spread.  Gauss-Hermite
     values are weighted sums and carry std_error None.  Both rules evaluate
-    their batches of at most _BATCH_ROWS rows on two threads and reduce them
-    in order (_run_batches).  A batch with a non-finite row raises ValueError
-    rather than returning a NaN estimate, and so does a Monte Carlo spec of
-    fewer than 2 samples, whose standard error is undefined.
+    their batches of at most _BATCH_ROWS rows on two threads (_run_batches)
+    and fold the summaries once, in slot order (_merge).  A batch with a
+    non-finite row raises ValueError rather than returning a NaN estimate,
+    and so does a Monte Carlo spec of fewer than 2 samples, whose standard
+    error is undefined.
     """
-    acc = _ColumnReducer(n_cols)
     if q.kind is QuadratureKind.GAUSS_HERMITE:
-        _run_batches(enumerate(_gh_batches(m, q)), row_fn, n_cols, acc)
-        return [Estimate(float(v)) for v in acc.sums]
+        sums, _, _ = _merge(_run_batches(enumerate(_gh_batches(m, q)), row_fn, n_cols), n_cols)
+        return [Estimate(float(v)) for v in sums]
     if q.n_samples < 2:
         raise ValueError("a Monte Carlo estimate needs at least 2 samples for its standard error")
-    _run_batches(_mc_batches(m, q), row_fn, n_cols, acc)
-    ses = np.sqrt(acc.m2 / acc.total / (acc.total - 1))
-    return [Estimate(float(v), float(se)) for v, se in zip(acc.sums / acc.total, ses)]
+    sums, total, m2 = _merge(_run_batches(_mc_batches(m, q), row_fn, n_cols), n_cols)
+    ses = np.sqrt(m2 / total / (total - 1))
+    return [Estimate(float(v), float(se)) for v, se in zip(sums / total, ses)]
 
 
 def expectation(

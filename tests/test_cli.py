@@ -347,9 +347,13 @@ def _shipped(config_name):
         return json.load(fh)
 
 
-def _run_shipped(tmp_path, capsys, config_name, *assignments):
-    """Run a shipped config with --set assignments; returns stdout, the CSV rows and the record."""
-    args = ["run", os.path.join(CONFIG_DIR, config_name), "--out", str(tmp_path)]
+def _run_shipped(tmp_path, capsys, config_name, *assignments, edits=None):
+    """Run a shipped config, first edited as _edited_config does when edits are given, with
+    --set assignments; returns stdout, the CSV rows and the record."""
+    path = os.path.join(CONFIG_DIR, config_name)
+    if edits:
+        path = _write_config(tmp_path, _edited_config(config_name, edits))
+    args = ["run", path, "--out", str(tmp_path)]
     for assignment in assignments:
         args += ["--set", assignment]
     assert main(args) == 0
@@ -375,7 +379,7 @@ def _shipped_pde_values(dim_q, grid, n_steps):
 )
 def test_solve_reports_finite_values_for_every_path_method(tmp_path, capsys, method, assignments):
     out, rows, record = _run_shipped(
-        tmp_path, capsys, "solve_pde.json", f"parameters.method={method}", *assignments
+        tmp_path, capsys, "solve_pde.json", f"parameters.method={method}", *assignments, edits={"grid": _DELETE}
     )
     assert "[PASS] values_finite: all computed values finite" in out
     assert [a["name"] for a in record["assertions"]] == ["values_finite"]
@@ -512,6 +516,22 @@ def test_compare_lays_out_each_batch_once_for_all_probes(tmp_path, capsys, monke
     assert len(calls) == 2  # one per worker stream's chunk, not one per probe
 
 
+def test_compare_reports_its_configured_se_multiplier(tmp_path, capsys):
+    config_path = os.path.join(CONFIG_DIR, "compare_methods.json")
+    args = ["run", config_path, "--out", str(tmp_path), "--set", "parameters.se_multiplier=2"]
+    for assignment in _QUICK_SETS["compare_methods.json"]:
+        args += ["--set", assignment]
+    assert main(args) in (0, 1)
+    assert "rows within 2 SE + tolerance of the PDE oracle" in capsys.readouterr().out
+
+
+def test_one_pass_rule_adds_the_standard_errors_to_the_tolerance():
+    assert cli._within(-1e-10, None, 3.0, 1e-10) and not cli._within(2e-10, None, 3.0, 1e-10)
+    # 2 SE of 0.25 is 0.5 exactly: a diff just past it passes on the tolerance alone
+    assert cli._within(-0.5, 0.25, 2.0, 0.0) and not cli._within(0.5 + 1e-11, 0.25, 2.0, 0.0)
+    assert cli._within(0.5 + 1e-11, 0.25, 2.0, 1e-10)
+
+
 def test_compare_factors_the_exact_propagator_once(tmp_path, capsys, monkeypatch):
     calls = _counting(monkeypatch, feynman, "dpbtrf")
     _run_small_compare(tmp_path, capsys)
@@ -595,11 +615,25 @@ def _run_rejected(tmp_path, capsys, monkeypatch, config):
          "quadrature: 'n_samples' is a required property"),
         ("solve_pde.json", {"grid": _DELETE}, "'grid' is a required property"),
         ("solve_pde.json", {"method": "mc"}, "'n_samples' is a required property"),
-        ("solve_pde.json", {"method": "mc", "n_samples": 100, "mode": "real_time"},
+        ("solve_pde.json", {"grid": _DELETE, "method": "mc", "n_samples": 100, "mode": "real_time"},
          "mode: 'euclidean' was expected"),
-        ("solve_pde.json", {"method": "exact_gaussian", "mode": "real_time"},
+        ("solve_pde.json", {"grid": _DELETE, "method": "exact_gaussian", "mode": "real_time"},
          "mode: 'euclidean' was expected"),
-        ("solve_pde.json", {"method": "oscillatory"}, "mode: 'real_time' was expected"),
+        ("solve_pde.json", {"grid": _DELETE, "method": "oscillatory"}, "mode: 'real_time' was expected"),
+        ("solve_pde.json", {"n_samples": 100},
+         "Additional properties are not allowed ('n_samples' was unexpected)"),
+        ("solve_pde.json", {"method": "mc", "n_samples": 100},
+         "Additional properties are not allowed ('grid' was unexpected)"),
+        ("solve_pde.json", {"grid": _DELETE, "method": "exact_gaussian", "n_samples": 5},
+         "Additional properties are not allowed ('n_samples' was unexpected)"),
+        ("solve_pde.json", {"grid": _DELETE, "method": "exact_gaussian", "boundary_tolerance": 1e-9},
+         "Additional properties are not allowed ('boundary_tolerance' was unexpected)"),
+        ("oscillatory_check.json", {"grid": {"extent": 4.0, "n_points": 65}},
+         "Additional properties are not allowed ('grid' was unexpected)"),
+        ("oscillatory_check.json", {"pde_steps": 64},
+         "Additional properties are not allowed ('pde_steps' was unexpected)"),
+        ("oscillatory_check.json", {"reference": "none", "grid": {"extent": 4.0, "n_points": 65}},
+         "Additional properties are not allowed ('grid' was unexpected)"),
         ("compare_methods.json", {"candidates": {}}, "candidates: {} should be non-empty"),
         ("compare_methods.json", {"candidates": _DELETE}, "'candidates' is a required property"),
         ("oscillatory_check.json", {"problem.dim_q": 2}, "problem/dim_q: 1 was expected"),
@@ -632,6 +666,9 @@ def _run_rejected(tmp_path, capsys, monkeypatch, config):
     ids=["standard_needs_dim", "wiener_needs_lattice", "gauss_hermite_needs_order",
          "monte_carlo_needs_n_samples", "solve_pde_needs_grid", "solve_mc_needs_n_samples",
          "solve_mc_is_euclidean", "solve_exact_is_euclidean", "solve_oscillatory_is_real_time",
+         "solve_pde_takes_no_n_samples", "solve_mc_takes_no_grid", "solve_exact_takes_no_n_samples",
+         "solve_exact_takes_no_boundary_tolerance", "closed_form_free_takes_no_grid",
+         "closed_form_free_takes_no_pde_steps", "no_reference_takes_no_grid",
          "compare_needs_a_candidate", "compare_needs_candidates", "oscillatory_needs_dim_q_1",
          "oscillatory_pde_reference_needs_grid", "closed_form_free_needs_free",
          "closed_form_free_needs_a_bump", "constant_takes_no_sigma", "bump_takes_no_value",
@@ -678,3 +715,105 @@ def test_bad_builtin_parameter_exits_2_before_any_computation(
 ):
     err = _run_rejected(tmp_path, capsys, monkeypatch, _edited_config(config_name, edits))
     assert message in err
+
+
+# ---------------------------------------------------------------------------
+# every discriminated object rejects the keys its branch does not take
+
+
+def _discriminated_objects(schema, path=()):
+    """(path, key, schema) of every object schema under schema whose rules branch on the
+    value of key; path is the object's place in the parameters, "0" standing for an item."""
+    if schema.get("type") == "array":
+        yield from _discriminated_objects(schema["items"], path + ("0",))
+        return
+    if schema.get("type") != "object":
+        return
+    keys = {next(iter(rule["if"]["properties"])) for rule in schema.get("allOf", []) if "if" in rule}
+    for key in sorted(keys):
+        yield path, key, schema
+    for name, sub in schema.get("properties", {}).items():
+        yield from _discriminated_objects(sub, path + (name,))
+
+
+def _branch_rule(schema, key, value):
+    """The one _kind rule of the branch: the keys it takes and the ones it needs."""
+    rules = [rule["then"] for rule in schema["allOf"] if "if" in rule
+             and rule["if"]["properties"][key]["const"] == value
+             and rule["then"].get("additionalProperties") is False]
+    assert len(rules) == 1, f"branch {key}={value!r} needs one rule naming the keys it takes"
+    return set(rules[0]["properties"]), rules[0]["required"]
+
+
+# a value for every optional key of a discriminated object
+_SAMPLE_VALUES = {
+    "dim": 2, "lattice": {"n_steps": 2, "t_final": 1.0, "dim_q": 1}, "kinetic_scale": 1.5,
+    "n_samples": 1000, "order": 4,
+    "amplitude": 1.0, "center": 0.0, "sigma": 1.0, "value": 1.0,
+    "grid": {"extent": 8.0, "n_points": 65}, "probes": [[0.0]], "boundary_tolerance": 1e-6,
+    "pde_steps": 64, "tolerance": 1e-6,
+}
+
+# a branch that no valid config of the experiment can take, and the edits other branches need
+_UNREACHABLE_BRANCHES = {("theorem1-check", ("quadrature",), "monte_carlo")}
+_BRANCH_EDITS = {
+    ("solve", (), "oscillatory"): {"mode": "real_time"},
+    ("oscillatory-check", ("problem", "f0"), "constant"): {"reference": "none"},
+}
+
+
+def _node(params, path):
+    for key in path:
+        params = params[int(key) if isinstance(params, list) else key]
+    return params
+
+
+def test_every_branch_rejects_each_optional_key_it_does_not_take(tmp_path, capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("a config with a key its branch does not take was computed")
+
+    for name in _COMPUTATIONS:
+        monkeypatch.setattr(cli, name, computed)
+    shipped = {}
+    for config_path in glob.glob(os.path.join(CONFIG_DIR, "*.json")):
+        config = _shipped(os.path.basename(config_path))
+        shipped[config["experiment"]] = config
+    found, rejected = set(), 0
+    for experiment, entry in sorted(_EXPERIMENTS.items()):
+        for path, key, schema in _discriminated_objects(entry.schema):
+            found.add((experiment, ".".join(path), key))
+            optional = set(schema["properties"]) - set(schema["required"]) - {key}
+            for value in schema["properties"][key]["enum"]:
+                takes, required = _branch_rule(schema, key, value)
+                config = json.loads(json.dumps(shipped[experiment]))
+                params = config["parameters"]
+                params.update(_BRANCH_EDITS.get((experiment, path, value), {}))
+                obj = _node(params, path)
+                for k in set(obj) - takes:
+                    del obj[k]
+                obj[key] = value
+                obj.update({k: _SAMPLE_VALUES[k] for k in required if k not in obj})
+                try:
+                    cli._validate(params, entry.schema)
+                except cli.ValidationError:
+                    assert (experiment, path, value) in _UNREACHABLE_BRANCHES, (experiment, path, value)
+                    continue
+                for extra in sorted(optional - takes):
+                    obj[extra] = _SAMPLE_VALUES[extra]
+                    out = tmp_path / "out"
+                    assert main(["run", _write_config(tmp_path, config), "--out", str(out)]) == 2, (
+                        experiment, path, value, extra)
+                    assert f"'{extra}' was unexpected" in capsys.readouterr().err
+                    assert not out.exists()
+                    del obj[extra]
+                    rejected += 1
+    assert found == {
+        ("ibp-check", "measures.0", "kind"), ("ibp-check", "quadrature", "kind"),
+        ("theorem1-check", "measure", "kind"), ("theorem1-check", "quadrature", "kind"),
+        ("prop1-check", "measure", "kind"), ("prop1-check", "quadrature", "kind"),
+        ("flow-density", "measure", "kind"),
+        ("solve", "", "method"), ("solve", "problem.f0", "type"),
+        ("compare", "problem.f0", "type"),
+        ("oscillatory-check", "", "reference"), ("oscillatory-check", "problem.f0", "type"),
+    }
+    assert rejected == 42

@@ -276,13 +276,16 @@ def test_pde_rejects_an_eta_that_disagrees_with_its_certificate():
         pde_solve(p, SpaceGrid(2, 6.0, 41), make_lattice(16, 0.5, 2), EUCLID)
 
 
-def test_pde_diagonalized_route_rejects_a_singular_step_matrix():
-    """eta = -6 on the one interior node of a 3-point grid with h = 1 and dt = 1/2 puts an
-    eigenvalue of (dt/2) A at exactly 1, so I - (dt/2) A is singular."""
-    lag = _quadratic_lagrangian(np.zeros((2, 2)), np.zeros(2), -6.0, np.eye(2))
-    p = SchrodingerProblem(2, lag, gaussian_bump(2), 0.5)
-    with pytest.raises(ValueError, match="singular"):
-        pde_solve(p, SpaceGrid(2, 1.0, 3), make_lattice(1, 0.5, 2), EUCLID)
+@pytest.mark.parametrize("dim_q, t_final", [(1, 0.4), (2, 0.5)], ids=["1d_factored", "2d_diagonalized"])
+def test_pde_diagonalized_route_rejects_a_singular_step_matrix(dim_q, t_final):
+    """eta = -6 on the one interior node of a 3-point grid with h = 1 puts an eigenvalue of
+    (dt/2) A at exactly 1 (A = -1 + 6 with dt = 0.4 in 1-D, -2 + 6 with dt = 1/2 in 2-D), so
+    I - (dt/2) A is singular; both routes raise ValueError."""
+    lag = _quadratic_lagrangian(np.zeros((dim_q, dim_q)), np.zeros(dim_q), -6.0, np.eye(dim_q))
+    p = SchrodingerProblem(dim_q, lag, gaussian_bump(dim_q), t_final)
+    assert _is_kronecker_sum(p, EUCLID) == (dim_q == 2)
+    with pytest.raises(ValueError, match=r"I - \(dt/2\) A is singular on this grid and lattice"):
+        pde_solve(p, SpaceGrid(dim_q, 1.0, 3), make_lattice(1, t_final, dim_q), EUCLID)
 
 
 @pytest.mark.parametrize("dim_q, factored", [(1, True), (2, False)], ids=["1d_factored", "2d_diagonalized"])

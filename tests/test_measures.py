@@ -415,15 +415,15 @@ def test_ibp_monte_carlo_within_three_standard_errors():
 
 
 def _reduced_batches(monkeypatch):
-    """Record the row count of every batch the reducer sees; returns the list."""
+    """Record the row count of every batch summary the fold sees, in its order; returns the list."""
     sizes = []
-    merge = measures._ColumnReducer.merge
+    merge = measures._merge
 
-    def counted(self, summary):
-        sizes.append(summary[0])
-        return merge(self, summary)
+    def counted(summaries, n_cols):
+        sizes.extend(summary[0] for summary in summaries)
+        return merge(summaries, n_cols)
 
-    monkeypatch.setattr(measures._ColumnReducer, "merge", counted)
+    monkeypatch.setattr(measures, "_merge", counted)
     return sizes
 
 
@@ -522,10 +522,10 @@ def _capture_pipeline(monkeypatch):
         seen.append([m, q])
         return batches(m, q)
 
-    def spy_run(points, row_fn, n_cols, acc):
+    def spy_run(points, row_fn, n_cols):
         sizes = []
         seen[-1] += [row_fn, n_cols, sizes]
-        return run(points, _recorded_rows(row_fn, sizes), n_cols, acc)
+        return run(points, _recorded_rows(row_fn, sizes), n_cols)
 
     monkeypatch.setattr(measures, "_mc_batches", spy_batches)
     monkeypatch.setattr(measures, "_run_batches", spy_run)
@@ -730,7 +730,7 @@ def test_a_failing_part_stops_the_pipeline_promptly(failure):
     # 8 batches; batch 2 in stream order fails, found by its first row
     m, mc = standard_normal(2), QuadratureSpec("monte_carlo", 8 * _BATCH_ROWS, seed=1)
     calls = _calls_until_a_failure(m, mc, sample(m, mc.n_samples, mc.seed)[_BATCH_ROWS], failure)
-    assert len(calls) <= 4  # batches 1 to 4: batch 5 is submitted only after batch 2's merge
+    assert len(calls) <= 4  # batches 1 to 4: batch 5 is submitted only after batch 2's result
 
 
 def test_a_failed_draw_cannot_deadlock_the_part_waiting_on_its_stream(monkeypatch):
@@ -865,7 +865,7 @@ def test_a_failing_gauss_hermite_part_stops_the_rule_promptly(failure):
     xi = np.polynomial.hermite.hermgauss(8)[0]
     first_row = np.sqrt(2.0) * xi[list(np.unravel_index(_BATCH_ROWS, (8,) * 6))]
     calls = _calls_until_a_failure(standard_normal(6), QuadratureSpec("gauss_hermite", 8), first_row, failure)
-    assert len(calls) <= 4  # batches 1 to 4: batch 5 is submitted only after batch 2's merge
+    assert len(calls) <= 4  # batches 1 to 4: batch 5 is submitted only after batch 2's result
 
 
 def test_at_most_one_batch_more_than_the_pool_has_threads_is_submitted_ahead():
@@ -873,7 +873,7 @@ def test_at_most_one_batch_more_than_the_pool_has_threads_is_submitted_ahead():
     if threads == 1:
         pytest.skip("without the BLAS thread setter every batch runs on the calling thread")
     started, lock = [], threading.Lock()
-    started_at_first_merge = []
+    started_while_batch_0_is_awaited = []
 
     def batch(i):
         def points():
@@ -890,18 +890,15 @@ def test_at_most_one_batch_more_than_the_pool_has_threads_is_submitted_ahead():
             while len(started) < threads + 1 and time.monotonic() < deadline:
                 time.sleep(0.001)
             time.sleep(0.2)
+            # the caller is blocked on batch 0's result: every batch started so far was submitted ahead of it
+            started_while_batch_0_is_awaited.append(len(started))
         return x
 
-    class Reducer(measures._ColumnReducer):
-        def merge(self, summary):
-            if not started_at_first_merge:
-                started_at_first_merge.append(len(started))
-            super().merge(summary)
-
-    acc = Reducer(1)
-    assert _finishes(lambda: measures._run_batches(enumerate([batch(i) for i in range(32)]), rows, 1, acc)) is None
-    assert started_at_first_merge[0] <= threads + 1
-    assert sorted(started) == list(range(32)) and acc.total == 32 * 4
+    summaries = []
+    run = lambda: summaries.extend(measures._run_batches(enumerate([batch(i) for i in range(32)]), rows, 1))
+    assert _finishes(run) is None
+    assert started_while_batch_0_is_awaited[0] <= threads + 1
+    assert sorted(started) == list(range(32)) and [s[0] for s in summaries] == [4] * 32
 
 
 def test_the_callers_floating_point_state_reaches_the_gauss_hermite_parts():
