@@ -332,9 +332,9 @@ def _run_ibp_check(params: dict, seed: int, workers: int):
                     "pass": _within(est.value, est.std_error, se_multiplier, tolerance),
                 }
             )
-    bound = tolerance if quad.kind is QuadratureKind.GAUSS_HERMITE else se_multiplier
-    what = f"rows within bounds (need fraction >= {min_fraction})"
-    return rows, [_pass_count("ibp_residuals_within_bounds", rows, bound, what, min_fraction)]
+    within = "bounds" if quad.kind is QuadratureKind.GAUSS_HERMITE else f"{se_multiplier:g} SE + tolerance"
+    what = f"rows within {within} (need fraction >= {min_fraction})"
+    return rows, [_pass_count("ibp_residuals_within_bounds", rows, tolerance, what, min_fraction)]
 
 
 def _run_theorem1_check(params: dict, seed: int, workers: int):

@@ -16,13 +16,13 @@ Four evaluation routes for u(t, q):
   Wiener paths psi, A_eta the eta part of DiscreteAction's action.
 * exact_gaussian_propagator: closed-form Gaussian integral for quadratic eta
   and Gaussian-times-polynomial initial data; no sampling error.  One banded
-  Cholesky of the block-tridiagonal path precision: O(n d^3) time and
-  O(n d^2) memory for n steps in dim_q = d.
+  Cholesky of the path precision (O(n d^3) for n steps in dim_q = d) per (problem,
+  lattice), cached by value for every later call and probe; a probe costs O(d^2).
 * oscillatory_check: the same kernel with weight exp(i A_eta) on the contour
   e^{i pi/4} psi, by Gauss-Hermite quadrature (quadratic eta, Gaussian f0).
 
 The last three take one point or a (k, dim_q) batch of probes; a batch shares
-one set of paths, one Gauss-Hermite pass or one factorization.
+one set of paths or one Gauss-Hermite pass.
 
 anomaly_experiment samples paths, evaluates the two summands of the weighted
 measure's logarithmic derivative (action variation and Jacobian trace) for
@@ -468,41 +468,18 @@ def feynman_mc(
     return estimates[0] if single else estimates
 
 
-def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> complex | Array:
-    """Closed-form damped-regime value for quadratic eta and Gaussian f0.
-
-    The weight exp(-A(psi)) times the Gaussian path density is itself an
-    unnormalized Gaussian in the stacked path vector.  Its precision is
-    block tridiagonal (the path is Markov), so the integral reduces to one
-    banded Cholesky factorization of it in LAPACK band storage (the factor's
-    diagonal gives the log-determinant; the path measure's is closed form)
-    and one banded solve per probe: O(n d^3) time and O(n d^2) memory, the
-    dense (n d)^2 matrix is never formed.  A quadratic polynomial factor on
-    f0 is folded in through the first two moments of the completed-square
-    Gaussian.  No sampling error.  q_point is one point (returns a complex)
-    or a (k, dim_q) batch (returns a complex array); the matrix does not
-    depend on the probe and is factored once.  Raises ValueError when the
-    precision is not positive definite (eta pulls hard enough that the
-    damped path integral diverges on this lattice).
-    """
-    qe = p.lagrangian.quadratic_eta
-    if qe is None:
-        raise ValueError("exact_gaussian_propagator requires a certified quadratic eta")
-    data = p.f0.gaussian_data
-    if data is None:
-        raise ValueError("exact_gaussian_propagator requires Gaussian-polynomial initial data")
-    _check_lattice(p, lattice)
-    points, single = _as_batch(q_point, p.dim_q)
-
+@functools.lru_cache(maxsize=32)  # an entry is 2 (d + 1)^2 read-only floats, not the band or factor
+def _gaussian_form(lattice: TimeLattice, c_val: float, const: float, poly0: float, *arrays: bytes) -> Array:
+    """Forms (E, Q) of exact_gaussian_propagator; arrays: the bytes of B, M, quad, poly2, g, lin, poly1."""
     n, d, dt = lattice.n_steps, lattice.dim_q, lattice.dt
-    b_mat, m_mat, g_vec, c_val = p.kinetic_matrix, qe.matrix, qe.linear, qe.constant
+    b_mat, m_mat, quad, poly2, g_vec, lin, poly1 = (np.frombuffer(x).reshape(d, -1) for x in arrays)
     # The path precision P is block tridiagonal: cm_gram's (1/dt) Dtilde^T Dtilde kron B
     # plus dt M on the first n - 1 diagonal blocks and quad on the last.  It is held in
     # LAPACK lower band storage, ab[k, j] = P[j + k, j], written through the view
     # band[k, slot, c] = ab[k, slot * d + c].
     diag = np.empty((n, d, d))
     diag[:-1] = (2.0 / dt) * b_mat + dt * m_mat
-    diag[-1] = (1.0 / dt) * b_mat + data.quad
+    diag[-1] = (1.0 / dt) * b_mat + quad
     sub = (-1.0 / dt) * b_mat
     band = np.zeros((2 * d, n, d))
     for r in range(d):
@@ -519,35 +496,57 @@ def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLatti
             "the damped Gaussian path integral diverges for this eta and lattice:"
             f" the path precision is not positive definite ({info}-th leading minor not positive definite)"
         )
-
-    def solve(rhs: Array) -> Array:
-        if not np.isfinite(rhs).all():
-            raise ValueError("the right-hand side of the path precision's solve has a non-finite entry")
-        return dpbtrs(chol, rhs, lower=1)[0]
-
+    rhs = np.vstack([np.tile(-dt * np.hstack([g_vec, m_mat, np.zeros((d, d))]), (n - 1, 1)),
+                     np.hstack([lin, -quad, np.eye(d)])])  # r0, R (rhs(q) = r0 + R q), last-slot units
+    if not np.isfinite(rhs).all():
+        raise ValueError("the right-hand side of the path precision's solve has a non-finite entry")
+    sol = dpbtrs(chol, rhs, lower=1)[0]
+    # with mu0 = P^-1 r0 and K = P^-1 R, rhs(q) . mu(q) = r0 . mu0 + 2 mu0 . R q + q^T R^T K q (P symmetric)
+    inner = rhs[:, : d + 1].T @ sol[:, : d + 1]
     # det Dtilde = 1, so log det gram = n log det B - n d log dt (see cm_gram)
-    log_det_gram = n * (np.linalg.slogdet(b_mat)[1] - d * np.log(dt))
-    log_det_ratio = log_det_gram - 2.0 * np.sum(np.log(chol[0]))
-    last = slice((n - 1) * d, n * d)
-    poly2_cov = 0.0
-    if np.any(data.poly2):
-        cols = np.zeros((n * d, d))
-        cols[last, :] = np.eye(d)
-        poly2_cov = float(np.sum(data.poly2 * solve(cols)[last, :]))
+    log_det_ratio = n * (np.linalg.slogdet(b_mat)[1] - d * np.log(dt)) - 2.0 * np.sum(np.log(chol[0]))
+    forms = np.zeros((2, d + 1, d + 1))
+    forms[0, 0, 0] = 0.5 * (log_det_ratio + inner[0, 0]) - n * dt * c_val + const
+    forms[0, 0, 1:] = inner[1:, 0] - n * dt * g_vec[:, 0] + lin[:, 0]
+    forms[0, 1:, 1:] = 0.5 * (inner[1:, 1:] - n * dt * m_mat - quad)
+    # the last slot's mean is y x; the polynomial factor's expectation is poly at it plus tr(poly2 cov)
+    y = sol[-d:, : d + 1] + np.eye(d, d + 1, 1)
+    forms[1] = y.T @ poly2 @ y
+    forms[1, 0] += poly1[:, 0] @ y
+    forms[1, 0, 0] += poly0 + np.sum(poly2 * sol[-d:, d + 1 :])
+    forms.flags.writeable = False
+    return forms
 
-    values = np.empty(len(points), dtype=complex)
-    for i, q in enumerate(points):
-        rhs = np.concatenate([np.tile(-dt * (m_mat @ q + g_vec), n - 1), data.lin - data.quad @ q])
-        const = (
-            -n * dt * (0.5 * q @ m_mat @ q + g_vec @ q + c_val)
-            - 0.5 * q @ data.quad @ q
-            + data.lin @ q
-            + data.const
-        )
-        mu = solve(rhs)
-        mean_last = mu[last] + q
-        poly_expect = data.poly0 + data.poly1 @ mean_last + mean_last @ data.poly2 @ mean_last
-        values[i] = np.exp(0.5 * log_det_ratio + const + 0.5 * rhs @ mu) * (poly_expect + poly2_cov)
+
+def exact_gaussian_propagator(p: SchrodingerProblem, q_point, lattice: TimeLattice) -> complex | Array:
+    """Closed-form damped-regime value for quadratic eta and Gaussian f0.
+
+    exp(-A(psi)) times the path density is a Gaussian in the stacked path with a
+    block-tridiagonal precision P free of the probe q and a linear term affine in q,
+    so u(q) = exp(x^T E x) x^T Q x at x = (1, q): E is the completed square, Q the
+    polynomial factor's expectation.  One banded Cholesky of P and one solve for
+    2 d + 1 right-hand sides (O(n d^3) time, O(n d^2) memory) give E and Q, cached by
+    value: one factorization per (problem, lattice) serves every later call and probe,
+    and a probe costs O(d^2).  q_point is one point (a complex) or a (k, dim_q) batch
+    (a complex array, each value bitwise the one-point call's).  Raises ValueError on
+    a non-finite P or probe entry, or on a P not positive definite (divergent integral).
+    """
+    qe = p.lagrangian.quadratic_eta
+    if qe is None:
+        raise ValueError("exact_gaussian_propagator requires a certified quadratic eta")
+    data = p.f0.gaussian_data
+    if data is None:
+        raise ValueError("exact_gaussian_propagator requires Gaussian-polynomial initial data")
+    _check_lattice(p, lattice)
+    points, single = _as_batch(q_point, p.dim_q)
+    arrays = (p.kinetic_matrix, qe.matrix, data.quad, data.poly2, qe.linear, data.lin, data.poly1)
+    keys = (np.ascontiguousarray(x, float).tobytes() for x in arrays)
+    forms = _gaussian_form(lattice, float(qe.constant), float(data.const), float(data.poly0), *keys)
+    if not np.isfinite(points).all():
+        raise ValueError("a probe has a non-finite entry")
+    x = np.hstack([np.ones((len(points), 1)), points])
+    expo, poly = np.einsum("ki,fij,kj->fk", x, forms, x)
+    values = (np.exp(expo) * poly).astype(complex)
     return complex(values[0]) if single else values
 
 

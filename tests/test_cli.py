@@ -126,6 +126,20 @@ def test_ibp_check_run_outputs_and_pass_lines(tmp_path, capsys):
     assert record["versions"]["logmeasure"]
 
 
+def test_ibp_check_with_monte_carlo_reports_its_tolerance_and_se_multiplier(tmp_path, capsys):
+    payload = _ibp_config()
+    payload["parameters"]["quadrature"] = {"kind": "monte_carlo", "n_samples": 20000}
+    payload["parameters"]["tolerance"] = 1e-9
+    payload["parameters"]["se_multiplier"] = 4.0
+    assert main(["run", _write_config(tmp_path, payload), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    (entry,) = json.loads((tmp_path / "ibp.json").read_text())["assertions"]
+    assert entry["tolerance"] == 1e-9
+    assert entry["detail"] == "8/8 rows within 4 SE + tolerance (need fraction >= 1.0)"
+    assert "[PASS] ibp_residuals_within_bounds: 8/8 rows within 4 SE + tolerance" in out
+    assert "(tolerance 1e-09)" in out and "(tolerance 4)" not in out
+
+
 def test_csv_uses_crlf_and_repr_floats(tmp_path):
     path = _write_config(tmp_path, _ibp_config())
     main(["run", path, "--out", str(tmp_path)])
@@ -533,6 +547,7 @@ def test_one_pass_rule_adds_the_standard_errors_to_the_tolerance():
 
 
 def test_compare_factors_the_exact_propagator_once(tmp_path, capsys, monkeypatch):
+    feynman._gaussian_form.cache_clear()
     calls = _counting(monkeypatch, feynman, "dpbtrf")
     _run_small_compare(tmp_path, capsys)
     assert len(calls) == 1  # one factorization for the 5 probes

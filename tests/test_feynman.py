@@ -652,6 +652,58 @@ def test_exact_gaussian_raises_on_a_non_finite_precision_or_probe():
         exact_gaussian_propagator(p, np.array([[0.0], [np.nan]]), lat)
 
 
+def test_a_one_point_sweep_factors_once_and_its_warm_values_are_the_cold_values(monkeypatch):
+    p = SchrodingerProblem(2, harmonic_lagrangian(2, kinetic_scale=1.5), _polynomial_bump(2), 0.5)
+    lat = make_lattice(32, 0.5, 2)
+    points = np.random.default_rng(5).normal(size=(16, 2))
+    cold = []
+    for q in points:
+        feynman._gaussian_form.cache_clear()
+        cold.append(exact_gaussian_propagator(p, q, lat))
+    feynman._gaussian_form.cache_clear()
+    calls = []
+    original = feynman.dpbtrf
+    monkeypatch.setattr(feynman, "dpbtrf", lambda *a, **k: calls.append(a) or original(*a, **k))
+    warm = [exact_gaussian_propagator(p, q, lat) for q in points]
+    assert len(calls) == 1
+    assert np.array(warm).tobytes() == np.array(cold).tobytes()
+
+
+def test_editing_the_problem_in_place_is_seen_by_the_next_call():
+    # the cached forms are keyed by the arrays' values, not by the objects holding them
+    p = SchrodingerProblem(2, harmonic_lagrangian(2), _polynomial_bump(2), 0.5)
+    lat = make_lattice(16, 0.5, 2)
+    q = np.array([0.3, -0.2])
+    before = exact_gaussian_propagator(p, q, lat)
+    p.f0.gaussian_data.quad[0, 1] = p.f0.gaussian_data.quad[1, 0] = 0.4
+    p.kinetic_matrix[0, 0] = 2.0
+    edited = exact_gaussian_propagator(p, q, lat)
+    data = replace(_polynomial_bump(2).gaussian_data, quad=np.array([[1 / 0.64, 0.4], [0.4, 1 / 0.64]]))
+    lag = replace(harmonic_lagrangian(2), kinetic_matrix=np.array([[2.0, 0.0], [0.0, 1.0]]))
+    fresh = SchrodingerProblem(2, lag, InitialCondition(data.evaluate, data), 0.5)
+    feynman._gaussian_form.cache_clear()
+    assert edited != before
+    assert np.array(edited).tobytes() == np.array(exact_gaussian_propagator(fresh, q, lat)).tobytes()
+
+
+def test_a_diverging_path_integral_raises_on_every_call():
+    lag = _quadratic_lagrangian(np.array([[-40.0]]), np.zeros(1), 0.0, np.eye(1))
+    p = SchrodingerProblem(1, lag, gaussian_bump(1), 1.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="path integral diverges"):
+            exact_gaussian_propagator(p, [0.0], make_lattice(16, 1.0, 1))
+
+
+def test_a_non_finite_probe_raises_when_the_coefficients_are_cached():
+    p = SchrodingerProblem(1, harmonic_lagrangian(1), gaussian_bump(1), 0.5)
+    lat = make_lattice(16, 0.5, 1)
+    assert np.isfinite(exact_gaussian_propagator(p, [0.0], lat))
+    with pytest.raises(ValueError, match="non-finite"):
+        exact_gaussian_propagator(p, [np.nan], lat)
+    with pytest.raises(ValueError, match="non-finite"):
+        exact_gaussian_propagator(p, np.array([[0.0], [np.inf]]), lat)
+
+
 def _polynomial_bump(dim_q):
     data = GaussianInitialData(
         quad=np.eye(dim_q) / 0.64,
