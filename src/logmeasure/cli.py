@@ -190,8 +190,8 @@ _METHOD_MODES = {"mc": "euclidean", "exact_gaussian": "euclidean", "oscillatory"
 # the keys every solve method takes
 _SOLVE_KEYS = ["problem", "mode", "n_steps", "probes"]
 
-# the keys every oscillatory-check reference takes
-_OSCILLATORY_KEYS = ["problem", "n_steps", "q_points", "tolerance"]
+# the keys every oscillatory-check reference takes; a reference also takes a tolerance
+_OSCILLATORY_KEYS = ["problem", "n_steps", "q_points"]
 
 _PROBES_SCHEMA = {
     "type": "array",
@@ -749,8 +749,8 @@ _EXPERIMENTS: dict[str, _Experiment] = {
             },
             ("problem", "n_steps", "q_points", "reference"),
             _at("problem.dim_q", {"const": 1}),
-            _kind("reference", "pde", [*_OSCILLATORY_KEYS, "grid", "pde_steps"], ("grid",)),
-            _kind("reference", "closed_form_free", _OSCILLATORY_KEYS),
+            _kind("reference", "pde", [*_OSCILLATORY_KEYS, "tolerance", "grid", "pde_steps"], ("grid",)),
+            _kind("reference", "closed_form_free", [*_OSCILLATORY_KEYS, "tolerance"]),
             _kind("reference", "none", _OSCILLATORY_KEYS),
             _when(
                 "reference",

@@ -699,7 +699,8 @@ def anomaly_experiment(
     multiple of n_alpha: one trajectory per path on that grid gives the
     trace integral up to every alpha in one cumulative pass.  density_grid
     is the number of RK4 steps of the weighted density ODE on [0, alpha_max]
-    along the first path, one shared trajectory for every Lagrangian.
+    along the first path, one shared trajectory for every Lagrangian.  Each
+    of the three counts must be at least 1, else ValueError names it.
 
     strict raises AssertionError on the first failed claim; strict=False
     returns the report with failures recorded for the caller to surface.
@@ -712,6 +713,10 @@ def anomaly_experiment(
         raise ValueError("invariant_flags must align with lagrangians")
     if family.dim != lattice.dim:
         raise ValueError("family must act on stacked path coordinates")
+    counts = {"n_alpha": n_alpha, "duality_grid": duality_grid, "density_grid": density_grid}
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     kinetic = lagrangians[0].kinetic_matrix
     for lag in lagrangians[1:]:
         if not np.array_equal(lag.kinetic_matrix, kinetic):

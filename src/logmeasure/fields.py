@@ -139,8 +139,10 @@ class TransformationFamily:
                      S(alpha_i) at every row at once, and with jacobian=True
                      also the (k, n, dim, dim) spatial Jacobians (or
                      (k, n, nodes, d, d) blocks); each entry bitwise what eval
-                     and alpha_jacobian give.  Optional: without it, callers
-                     evaluate one alpha at a time
+                     and alpha_jacobian give.  Optional, for a family that
+                     evaluates many alphas for less than one call each (the
+                     closed-form sine flow shares each row's sines across
+                     alphas); without it, callers evaluate one alpha at a time
     """
 
     dim: int

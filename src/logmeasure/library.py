@@ -189,22 +189,18 @@ def shear_family(dim: int, strength: float = 1.0) -> TransformationFamily:
     )
 
 
-def sine_flow_family(
-    dim: int,
-    amplitude: float = 0.1,
-    wavenumber: float = 1.0,
-    steps_per_unit: int = 256,
-) -> TransformationFamily:
-    """Flow of the separable velocity v_i(x) = amplitude * sin(wavenumber * x_i).
+def sine_flow_family(dim: int, amplitude: float = 0.1, wavenumber: float = 1.0) -> TransformationFamily:
+    """Flow of the separable velocity v_i(x) = amplitude * sin(wavenumber * x_i), in closed form.
 
-    S(alpha) integrates dy/ds = v(y) with classical RK4 in n_sub(alpha) =
-    max(4, ceil(|alpha| * steps_per_unit)) steps, so the family is a genuine
-    flow up to O(h^4) substep error.  The spatial Jacobian integrates the
-    variational equation dJ/ds = v'(y) J alongside the trajectory.  The
-    family's sweep integrates many alphas in one loop of max n_sub steps.
+    With theta = wavenumber * x and c = amplitude * wavenumber * alpha the flow
+    is tan(wavenumber S / 2) = tan(theta / 2) e^c, so
+    S(alpha, x) = x + (2 / wavenumber) atan2(sin theta sinh(c/2), cosh(c/2) - cos theta sinh(c/2)),
+    and dS/dx is diagonal, 1 / (sin^2(theta/2) e^c + cos^2(theta/2) e^-c).
+    The atan2 arguments are taken times e^-|c|/2, so they neither overflow nor
+    cancel at any c; the Jacobian is finite for |c| below about 709.
     """
-    if steps_per_unit <= 0:
-        raise ValueError("steps_per_unit must be positive")
+    if wavenumber == 0:
+        raise ValueError("wavenumber must be non-zero")
 
     def vel(y: np.ndarray) -> np.ndarray:
         return amplitude * np.sin(wavenumber * y)
@@ -212,61 +208,39 @@ def sine_flow_family(
     def vel_diag(y: np.ndarray) -> np.ndarray:
         return amplitude * wavenumber * np.cos(wavenumber * y)
 
-    def n_sub(alpha: float) -> int:
-        return max(4, int(math.ceil(abs(alpha) * steps_per_unit)))
-
-    def rk4(y: np.ndarray, jac: Optional[np.ndarray], h: np.ndarray, steps: np.ndarray) -> None:
-        """RK4 in place on the rows of y, and on the diagonal jac of dS/dx (dJ/ds = v'(y) J) when given.
-
-        Row r takes steps[r] steps of size h[r] (a column).  steps does not
-        increase down the rows, so the rows still stepping are a prefix.
-        """
-        for i in range(steps[0]):
-            live = np.count_nonzero(steps > i)
-            yi, hi = y[:live], h[:live]
-            k1 = vel(yi)
-            y2 = yi + 0.5 * hi * k1
-            k2 = vel(y2)
-            y3 = yi + 0.5 * hi * k2
-            k3 = vel(y3)
-            y4 = yi + hi * k3
-            k4 = vel(y4)
-            if jac is not None:
-                ji = jac[:live]
-                j1 = vel_diag(yi) * ji
-                j2 = vel_diag(y2) * (ji + 0.5 * hi * j1)
-                j3 = vel_diag(y3) * (ji + 0.5 * hi * j2)
-                j4 = vel_diag(y4) * (ji + hi * j3)
-                jac[:live] = ji + hi / 6.0 * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-            y[:live] = yi + hi / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     def sweep(alphas, x: np.ndarray, jacobian: bool = False):
-        """S(alpha, x) for every alpha and row of x in one RK4 loop, and the Jacobians when asked.
+        """S(alpha, x) for every alpha and row of x, and the Jacobians when asked.
 
-        Each (alpha, row) pair steps with its own h = alpha / n_sub(alpha), so
-        it is bitwise what a call with that alpha alone gives.  The pairs run
-        in blocks of at most _CHUNK_ROWS values, most steps first.
+        Each (alpha, row) pair is elementwise in its alpha's exponentials and
+        its row's half-angle sine and cosine products, so it is bitwise what a
+        call with that alpha alone gives.  The pairs run in blocks of at most
+        _CHUNK_ROWS values.
         """
-        alphas = np.asarray(alphas, dtype=float).reshape(-1)
+        c = amplitude * wavenumber * np.asarray(alphas, dtype=float).reshape(-1)
         xb = np.asarray(np.atleast_2d(x), dtype=float)
-        k, n = len(alphas), len(xb)
-        steps = np.array([n_sub(a) for a in alphas], dtype=int)
-        h = alphas / steps
-        # pair r of the loop order is alpha order[r // n] at row r % n
-        order = np.argsort(-steps, kind="stable")
-        points = np.empty((k, n, dim))
-        jacs = np.zeros((k, n, dim, dim)) if jacobian else None
+        k, n = len(c), len(xb)
+        # in half angles, times e^-|c|/2: sin theta sinh(c/2) -> sin cos (sign(c) - sign(c) e^-|c|)
+        # and cosh(c/2) - cos theta sinh(c/2) -> cos^2 e^-max(c, 0) + sin^2 e^min(c, 0)
+        gain = np.sign(c) * -np.expm1(-np.abs(c))
+        shrink, grow = np.exp(-np.maximum(c, 0.0)), np.exp(np.minimum(c, 0.0))
+        if jacobian:
+            up, down = np.exp(c), np.exp(-c)
+        sin, cos = np.sin(0.5 * wavenumber * xb), np.cos(0.5 * wavenumber * xb)
+        sin_cos, cos_sq, sin_sq = sin * cos, cos * cos, sin * sin
+        points = np.empty((k * n, dim))
+        jacs = np.zeros((k * n, dim, dim)) if jacobian else None
         per_block = max(1, _CHUNK_ROWS // dim)
         for start in range(0, k * n, per_block):
-            pairs = np.arange(start, min(start + per_block, k * n))
-            a, p = order[pairs // n], pairs % n
-            y = xb[p]
-            jac = np.ones_like(y) if jacobian else None
-            rk4(y, jac, h[a, None], steps[a])
-            points[a, p] = y
+            stop = min(start + per_block, k * n)
+            pairs = np.arange(start, stop)
+            a, p = pairs[:, None] // n, pairs % n
+            turn = np.arctan2(sin_cos[p] * gain[a], cos_sq[p] * shrink[a] + sin_sq[p] * grow[a])
+            points[start:stop] = xb[p] + (2.0 / wavenumber) * turn
             if jacobian:
-                jacs.reshape(k * n, dim * dim)[a * n + p, :: dim + 1] = jac
-        return (points, jacs) if jacobian else points
+                diagonal = 1.0 / (sin_sq[p] * up[a] + cos_sq[p] * down[a])
+                jacs.reshape(k * n, dim * dim)[start:stop, :: dim + 1] = diagonal
+        points = points.reshape(k, n, dim)
+        return (points, jacs.reshape(k, n, dim, dim)) if jacobian else points
 
     def flow(alpha: float, x: np.ndarray) -> np.ndarray:
         return sweep([alpha], x)[0]

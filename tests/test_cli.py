@@ -472,7 +472,9 @@ def test_anomaly_scan_lifts_a_pointwise_family_onto_the_path(tmp_path, capsys):
 
 
 def test_oscillatory_check_without_a_reference_reports_values_alone(tmp_path, capsys):
-    out, rows, record = _run_shipped(tmp_path, capsys, "oscillatory_check.json", "parameters.reference=none")
+    out, rows, record = _run_shipped(
+        tmp_path, capsys, "oscillatory_check.json", "parameters.reference=none", edits={"tolerance": _DELETE}
+    )
     assert "[PASS] oscillatory_matches_reference: 3/3 points within tolerance of none\n" in out
     assert record["assertions"][0]["tolerance"] is None
     assert all(r["ref_real"] == r["ref_imag"] == r["abs_error"] == "" and r["pass"] == "true" for r in rows)
@@ -647,8 +649,11 @@ def _run_rejected(tmp_path, capsys, monkeypatch, config):
          "Additional properties are not allowed ('grid' was unexpected)"),
         ("oscillatory_check.json", {"pde_steps": 64},
          "Additional properties are not allowed ('pde_steps' was unexpected)"),
-        ("oscillatory_check.json", {"reference": "none", "grid": {"extent": 4.0, "n_points": 65}},
+        ("oscillatory_check.json",
+         {"reference": "none", "grid": {"extent": 4.0, "n_points": 65}, "tolerance": _DELETE},
          "Additional properties are not allowed ('grid' was unexpected)"),
+        ("oscillatory_check.json", {"reference": "none"},
+         "Additional properties are not allowed ('tolerance' was unexpected)"),
         ("compare_methods.json", {"candidates": {}}, "candidates: {} should be non-empty"),
         ("compare_methods.json", {"candidates": _DELETE}, "'candidates' is a required property"),
         ("oscillatory_check.json", {"problem.dim_q": 2}, "problem/dim_q: 1 was expected"),
@@ -684,6 +689,7 @@ def _run_rejected(tmp_path, capsys, monkeypatch, config):
          "solve_pde_takes_no_n_samples", "solve_mc_takes_no_grid", "solve_exact_takes_no_n_samples",
          "solve_exact_takes_no_boundary_tolerance", "closed_form_free_takes_no_grid",
          "closed_form_free_takes_no_pde_steps", "no_reference_takes_no_grid",
+         "no_reference_takes_no_tolerance",
          "compare_needs_a_candidate", "compare_needs_candidates", "oscillatory_needs_dim_q_1",
          "oscillatory_pde_reference_needs_grid", "closed_form_free_needs_free",
          "closed_form_free_needs_a_bump", "constant_takes_no_sigma", "bump_takes_no_value",
@@ -716,14 +722,16 @@ def test_every_schema_rule_exits_2_before_any_computation(
          {"families": [{"name": "scaling"}, {"name": "shear", "params": {"strenght": 0.5}}]},
          "family 'shear' (parameters: strength): unknown parameter 'strenght'"),
         ("flow_density.json", {"family": {"name": "sine_flow", "params": {"amplitude": "0.1"}}},
-         "family 'sine_flow' (parameters: amplitude, wavenumber, steps_per_unit): "
+         "family 'sine_flow' (parameters: amplitude, wavenumber): "
          "parameter 'amplitude' must be a number, not '0.1'"),
         ("solve_pde.json", {"problem.lagrangian.params": {"omega": [1.0]}},
          "parameter 'omega' must be a number, not [1.0]"),
+        ("flow_density.json", {"family": {"name": "sine_flow", "params": {"wavenumber": 0}}},
+         "wavenumber must be non-zero"),
     ],
     ids=["unknown_lagrangian_parameter", "non_number_lagrangian_parameter",
          "unknown_family_parameter", "second_family_of_prop1", "non_number_sine_flow_amplitude",
-         "lagrangian_of_a_problem"],
+         "lagrangian_of_a_problem", "zero_sine_flow_wavenumber"],
 )
 def test_bad_builtin_parameter_exits_2_before_any_computation(
     tmp_path, capsys, monkeypatch, config_name, edits, message
@@ -773,7 +781,9 @@ _SAMPLE_VALUES = {
 _UNREACHABLE_BRANCHES = {("theorem1-check", ("quadrature",), "monte_carlo")}
 _BRANCH_EDITS = {
     ("solve", (), "oscillatory"): {"mode": "real_time"},
-    ("oscillatory-check", ("problem", "f0"), "constant"): {"reference": "none"},
+    ("oscillatory-check", ("problem", "f0"), "constant"): {
+        "reference": "pde", "grid": _SAMPLE_VALUES["grid"]
+    },
 }
 
 
@@ -831,4 +841,4 @@ def test_every_branch_rejects_each_optional_key_it_does_not_take(tmp_path, capsy
         ("compare", "problem.f0", "type"),
         ("oscillatory-check", "", "reference"), ("oscillatory-check", "problem.f0", "type"),
     }
-    assert rejected == 42
+    assert rejected == 43

@@ -4,6 +4,7 @@ oscillatory quadrature check, plus the anomaly experiment built on top."""
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -827,10 +828,11 @@ def test_oscillatory_rejects_non_quadratic_eta():
         oscillatory_check(p, [0.5], make_lattice(2, 0.5, 1))
 
 
-def test_import_does_not_load_scipy_integrate():
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
+def test_import_does_not_load(module):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, logmeasure; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, logmeasure; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -1014,6 +1016,37 @@ def test_anomaly_scan_walks_each_trajectory_once():
     )
     n_fine = n_alpha * -(-duality_grid // n_alpha)
     assert len(calls) == (2 * n_fine + 1) + (2 * density_grid + 1)
+
+
+def test_a_32_path_pointwise_sine_scan_at_1024_steps_passes_in_under_10_s():
+    lat = make_lattice(1024, 1.0, 1)
+    start = time.perf_counter()
+    report = anomaly_experiment(
+        family=pointwise_family(sine_flow_family(1), lat),
+        lagrangians=[free_lagrangian(1), harmonic_lagrangian(1), quartic_lagrangian(1, coupling=0.5)],
+        lattice=lat,
+        n_paths=32,
+        seed=0,
+        invariant_flags=[True, False, False],
+    )
+    elapsed = time.perf_counter() - start
+    assert report.assertions and all(a.passed for a in report.assertions)
+    assert len(report.duality_rows) == 32 * 5
+    assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("name, value", [("n_alpha", 0), ("duality_grid", 0), ("density_grid", -3)])
+def test_anomaly_scan_rejects_a_grid_count_below_one(name, value):
+    lat = _scan_lattice()
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        anomaly_experiment(
+            family=scaling_family(lat.dim),
+            lagrangians=[free_lagrangian(1), harmonic_lagrangian(1)],
+            lattice=lat,
+            n_paths=2,
+            seed=0,
+            **{name: value},
+        )
 
 
 def test_anomaly_scan_sweeps_a_flow_family_once_per_path_and_never_calls_eval():

@@ -448,19 +448,20 @@ def test_trace_integral_is_bitwise_the_interval_by_interval_simpson_loop(builder
 # ---------------------------------------------------------------------------
 # sweeps: every alpha of a flow-defined family in one loop
 
-# 4 / 256 and -0.01 take the 4-step floor of steps_per_unit 256
+# small, zero and negative alphas next to moderate ones
 _SWEEP_ALPHAS = np.array([0.25, -0.3, 4.0 / 256.0, -0.01, 0.0, 0.1])
 
 
 def _sine_case(name):
-    """A flow-defined family, points to sweep, and its per-alpha oracle (points, Jacobians)."""
+    """A flow-defined family, points to sweep, and its per-alpha oracle (points, Jacobians):
+    the sine flow's ODE by RK4 at 4096 steps per unit alpha."""
     if name == "pointwise_sine_flow":
         lat = make_lattice(5, 1.0, 2)
         fam = pointwise_family(sine_flow_family(2, amplitude=0.3, wavenumber=1.5), lat)
         points = sample(wiener_measure(lat), 4, 9)
 
         def oracle(alpha, x):
-            y, jac = sine_flow_rk4(alpha, np.reshape(x, (-1, 2)), 0.3, 1.5)
+            y, jac = sine_flow_rk4(alpha, np.reshape(x, (-1, 2)), 0.3, 1.5, steps_per_unit=4096)
             return y.reshape(np.shape(x)), np.stack([np.diag(j) for j in jac])
 
         return fam, points, oracle
@@ -469,7 +470,7 @@ def _sine_case(name):
     points = np.random.default_rng(dim).normal(scale=2.0, size=(4, dim))
 
     def oracle(alpha, x):
-        y, jac = sine_flow_rk4(alpha, x, 0.2, 1.5)
+        y, jac = sine_flow_rk4(alpha, x, 0.2, 1.5, steps_per_unit=4096)
         return y, np.diag(jac)
 
     return fam, points, oracle
@@ -490,9 +491,9 @@ def test_sweep_is_bytewise_the_per_alpha_calls(name, n_points):
         assert swept[i].tobytes() == fam.apply(alpha, xb).tobytes()
         for j, x in enumerate(xb):
             reference_point, reference_jac = oracle(alpha, x)
-            assert swept[i, j].tobytes() == reference_point.tobytes()
+            np.testing.assert_allclose(swept[i, j], reference_point, rtol=0.0, atol=1e-12)
             assert jacs[i, j].tobytes() == fam.alpha_jacobian(alpha, x).tobytes()
-            assert jacs[i, j].tobytes() == reference_jac.tobytes()
+            np.testing.assert_allclose(jacs[i, j], reference_jac, rtol=1e-12, atol=0.0)
     for x in xb:
         per_alpha = np.array([jacobian_log_det(fam, alpha, x) for alpha in _SWEEP_ALPHAS])
         assert _log_dets(fam, _SWEEP_ALPHAS, x).tobytes() == per_alpha.tobytes()
@@ -516,9 +517,28 @@ def test_flow_routes_are_bitwise_with_and_without_the_sweep(name):
     )
 
 
+def _reversing_family():
+    """S(alpha) x = (1 + 2 alpha) x in 1-D, with a sweep: its Jacobian is negative at
+    alpha -1 and -2 (not at 0.1)."""
+
+    def sweep(alphas, x, jacobian=False):
+        scale = 1.0 + 2.0 * np.asarray(alphas, dtype=float).reshape(-1, 1, 1)
+        points = scale * np.atleast_2d(x)
+        if not jacobian:
+            return points
+        return points, np.broadcast_to(scale[..., None], (*points.shape, 1)).copy()
+
+    return TransformationFamily(
+        dim=1,
+        eval=lambda alpha, x: sweep([alpha], x)[0],
+        alpha_jacobian=lambda alpha, x: sweep([alpha], x, jacobian=True)[1][0, 0],
+        label="reversing",
+        sweep=sweep,
+    )
+
+
 def test_log_dets_of_a_sweep_raise_at_the_first_singular_alpha():
-    # RK4 steps this coarse turn the Jacobian negative at alpha -1 and -2 (not at 0.1)
-    fam = sine_flow_family(1, amplitude=10.0, wavenumber=1.0, steps_per_unit=4)
+    fam = _reversing_family()
     x = np.array([3.0])
     with pytest.raises(SingularJacobianError) as per_alpha:
         [jacobian_log_det(fam, a, x) for a in (0.1, -1.0, -2.0)]
@@ -533,9 +553,9 @@ def test_log_dets_of_a_sweep_raise_at_the_first_singular_alpha():
 
 
 def test_a_lift_raises_at_a_reversing_node_block_though_the_dense_det_is_positive():
-    # both node blocks reverse orientation at alpha -1 (the coarse RK4 of the test above),
+    # both node blocks reverse orientation at alpha -1 (the family of the test above),
     # so the dense determinant of the two-node lift is positive: only the blocks show it
-    base = sine_flow_family(1, amplitude=10.0, wavenumber=1.0, steps_per_unit=4)
+    base = _reversing_family()
     fam = pointwise_family(base, make_lattice(2, 1.0, 1))
     x = np.array([3.0, 3.0])
     assert base.alpha_jacobian(-1.0, x[:1])[0, 0] < 0.0
@@ -653,15 +673,17 @@ def test_alpha_jacobian_of_a_lift_takes_one_base_sweep():
 
 def test_a_large_sweep_holds_its_temporaries_in_blocks():
     fam = sine_flow_family(1)
-    alphas = np.linspace(-4.0 / 256.0, 4.0 / 256.0, 16)
     x = np.random.default_rng(0).normal(size=(32768, 1))
-    output = len(alphas) * x.size * 8
-    tracemalloc.start()
-    try:
-        points = fam.sweep(alphas, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert points.shape == (16, 32768, 1)
-    # the output is 4 MiB; unblocked, the RK4 stages and index arrays take over 16 times that
-    assert peak < output + 24 * 2**20
+    for n_alphas in (16, 64):
+        alphas = np.linspace(-4.0 / 256.0, 4.0 / 256.0, n_alphas)
+        output = n_alphas * x.size * 8
+        tracemalloc.start()
+        try:
+            points = fam.sweep(alphas, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (n_alphas, 32768, 1)
+        # the output is 4 or 16 MiB; unblocked, the temporaries of every (alpha, row) pair
+        # at once take several times that
+        assert peak < output + 24 * 2**20

@@ -1,9 +1,12 @@
 """Builtin Lagrangians, transformation families, and the registry lookups."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from logmeasure import family_generator, family_velocity, make_lattice
+from logmeasure import family_generator, family_velocity, jacobian_log_det, make_lattice
 from logmeasure.library import (
     free_lagrangian,
     harmonic_lagrangian,
@@ -98,6 +101,23 @@ def test_shear_satisfies_the_group_property(dim):
     composed = fam.apply(0.1, fam.apply(0.15, x))
     direct = fam.apply(0.25, x)
     np.testing.assert_allclose(composed, direct, atol=1e-10)
+
+
+def test_sine_flow_log_det_is_exact_at_a_large_amplitude():
+    # c = amplitude * wavenumber * alpha = 300: log det = c at x = 0 and
+    # -c - 2 log sin(x / 2) + O(e^-2c) away from the zeros of the velocity
+    fam = sine_flow_family(1, amplitude=300.0, wavenumber=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero = jacobian_log_det(fam, 1.0, np.array([0.0]))
+        at_half = jacobian_log_det(fam, 1.0, np.array([0.5]))
+    assert at_zero == pytest.approx(300.0, rel=1e-12)
+    assert at_half == pytest.approx(-300.0 - 2.0 * math.log(math.sin(0.25)), rel=1e-12)
+
+
+def test_sine_flow_rejects_a_zero_wavenumber():
+    with pytest.raises(ValueError, match="wavenumber must be non-zero"):
+        sine_flow_family(2, amplitude=0.1, wavenumber=0.0)
 
 
 def test_sine_flow_generator_matches_velocity_sign():
@@ -198,8 +218,8 @@ def test_registries_reject_unknown_names():
         (make_lagrangian, "lagrangians", "free", {"kinetic_scale": True},
          "parameter 'kinetic_scale' must be a number, not True"),
         (make_family, "families", "scaling", {"foo": 1}, "unknown parameter 'foo'"),
-        (make_family, "families", "sine_flow", {"steps_per_unit": None},
-         "parameter 'steps_per_unit' must be a number, not None"),
+        (make_family, "families", "sine_flow", {"wavenumber": None},
+         "parameter 'wavenumber' must be a number, not None"),
         (make_family, "families", "rotation", {"plane": 5}, "cannot unpack non-iterable int object"),
     ],
 )
