@@ -13,7 +13,8 @@ output files.  A run writes one JSON result record and one CSV table (its
 columns are the rows' keys, documented in ``docs/csv_schema.json``), prints
 one line per declared assertion, and exits 0 only if every assertion passed
 (1 otherwise).  Identical config + seed + workers reproduces every numeric
-column bitwise; wall time and the number of threads that evaluate the
+column bitwise; wall time, the minor page faults of the experiment
+(``minor_page_faults``) and the number of threads that evaluate the
 batches of a call of more than one batch, Monte Carlo and Gauss-Hermite
 alike (``mc_threads``), live only in the JSON record.
 """
@@ -31,6 +32,11 @@ import platform
 import sys
 import time
 from typing import Any, Callable, NamedTuple, Optional
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from jsonschema import Draft202012Validator, ValidationError
 from jsonschema.exceptions import best_match
@@ -878,18 +884,25 @@ def _jsonschema_version() -> str:
     return importlib.metadata.version("jsonschema")
 
 
+def _minor_page_faults() -> Optional[int]:
+    """This process's minor page faults so far, all threads; None where `resource` is missing."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = _load_config(args.config, args.set or [], args.seed, args.workers)
         experiment = config["experiment"]
         seed = config["seed"]
         workers = config["workers"]
-        start = time.perf_counter()
+        faults, start = _minor_page_faults(), time.perf_counter()
         rows, assertions = _EXPERIMENTS[experiment].run(config["parameters"], seed, workers)
     except (ConfigError, ValueError, SingularJacobianError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     wall_time = time.perf_counter() - start
+    if faults is not None:
+        faults = _minor_page_faults() - faults
 
     passed = all(a["passed"] for a in assertions)
     columns = list(rows[0])
@@ -911,6 +924,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "python": platform.python_version(),
         },
         "wall_time_s": wall_time,
+        "minor_page_faults": faults,
     }
     prefix = config.get("output_path", experiment.replace("-", "_") + "_result")
     json_path, csv_path = _write_outputs(args.out, prefix, record, columns, rows)

@@ -448,7 +448,8 @@ def _parameter_fault(factory, params: dict) -> Optional[str]:
 
 
 def _make(kind: str, factories: dict, name: str, dim: int, params: Optional[dict]):
-    """factories[name](dim, **params); ValueError naming the builtin's parameters if they do not fit."""
+    """factories[name](dim, **params); ValueError naming the builtin's parameters if they do not fit
+    or the factory rejects their values."""
     try:
         factory = factories[name]
     except KeyError:
@@ -458,7 +459,7 @@ def _make(kind: str, factories: dict, name: str, dim: int, params: Optional[dict
     if fault is None:
         try:
             return factory(dim, **params)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             fault = str(exc)
     accepted = _parameters(factory)
     takes = f"parameters: {', '.join(accepted)}" if accepted else "no parameters"

@@ -39,6 +39,18 @@ of the threads.  A call of one batch, or one where the OpenBLAS thread setter
 cannot be found, runs on the calling thread.  Row functions (and the phi,
 h, eta, f0 and family callbacks they call) must therefore be safe to call
 from two threads at once.  sample() stays sequential and stream-major.
+
+The first Monte Carlo or Gauss-Hermite call of a process on glibc sets
+glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB, and has
+every thread allocate from one arena (_keep_batch_heap), process-wide: a
+batch's arrays then come from a heap whose freed top is kept, so the next
+batch reuses its pages instead of faulting them in again.  The cost is that
+up to 64 MiB of freed memory stays mapped and that the process's other
+threads share that arena too.  Nothing is set off glibc, or where the
+environment already sets one of glibc's malloc tunables
+(MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_, MALLOC_TOP_PAD_,
+MALLOC_MMAP_MAX_, MALLOC_ARENA_MAX or a glibc.malloc. entry of
+GLIBC_TUNABLES).  No value depends on it.
 """
 
 from __future__ import annotations
@@ -287,6 +299,56 @@ def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], Non
     return get, put
 
 
+# glibc's mallopt settings, in the order they are made: (parameter, value)
+_MALLOPTS = (
+    (-3, 32 << 20),  # M_MMAP_THRESHOLD, bytes: the most glibc accepts on 64-bit
+    (-1, 64 << 20),  # M_TRIM_THRESHOLD, bytes: over twice the largest batch working set
+    (-8, 1),  # M_ARENA_MAX: every thread allocates from the main arena
+)
+_MALLOC_TUNABLES = (
+    "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_", "MALLOC_ARENA_MAX"
+)
+
+
+@lru_cache(maxsize=1)
+def _keep_batch_heap() -> bool:
+    """Keep freed batch memory mapped, so each batch reuses the pages of the batch before it:
+    True where glibc's malloc took _MALLOPTS (once per process), else False.
+
+    A batch allocates and frees a few MiB of numpy temporaries.  The largest
+    single array is a dim-64 batch of points, 8192 * 64 * 8 bytes = 4 MiB (8
+    MiB as complex positions in real time), and the traced peak of a
+    benchmark pass, two batches in flight, is 24 MiB above its start on
+    cauchy_paths (15 on mc_ibp, 16 on shipped_configs, 4 on exact_oracles).
+    By default glibc trims a heap's freed top beyond twice its dynamic mmap
+    threshold, so the next batch faults the same pages in again: 10^4-10^5
+    minor faults per pass of mc_ibp or cauchy_paths, about 100 with these
+    settings.  An mmap threshold of 32 MiB puts every batch array on a heap,
+    and a trim threshold of 64 MiB, over twice a pass's batch working set,
+    keeps the heap's freed top for the next batch.  The two go together: any
+    explicit mallopt freezes the dynamic threshold, and either one alone
+    faults more than the default.  Kept heaps cost memory per arena, and
+    each call starts two new pool threads, which now and then start before
+    the last call's threads have handed their arenas back, so glibc makes
+    them new ones: with the thresholds alone an mc_ibp process kept 2 to 3
+    thread arenas of up to 10 MiB each, and its peak RSS read 86 to 103
+    MiB.  One arena for every thread kept it at 82 to 86 MiB.  Up to 64 MiB
+    of freed memory stays mapped.  Nothing is set without glibc's mallopt
+    or where the environment already tunes glibc's malloc.
+    """
+    if any(name in os.environ for name in _MALLOC_TUNABLES) or "glibc.malloc." in os.environ.get(
+        "GLIBC_TUNABLES", ""
+    ):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # in order, up to the first refusal: without the mmap threshold the others would do harm
+    return all(mallopt(param, value) for param, value in _MALLOPTS)
+
+
 def _mc_threads() -> int:
     """Threads that evaluate batches, Monte Carlo or Gauss-Hermite: two where OpenBLAS can be
     held to one thread."""
@@ -399,6 +461,7 @@ def _run_batches(
     on; once a batch fails, no batch calls row_fn again.  A lone batch, or a
     pool of one thread, runs on the calling thread.
     """
+    _keep_batch_heap()
     batches = list(batches)
     summaries: list[Optional[_Summary]] = [None] * len(batches)
 

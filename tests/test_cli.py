@@ -126,6 +126,20 @@ def test_ibp_check_run_outputs_and_pass_lines(tmp_path, capsys):
     assert record["versions"]["logmeasure"]
 
 
+def test_record_counts_the_minor_page_faults_of_the_experiment_outside_the_csv(tmp_path, capsys, monkeypatch):
+    path = _write_config(tmp_path, _ibp_config())
+    assert main(["run", path, "--out", str(tmp_path)]) == 0
+    faults = json.loads((tmp_path / "ibp.json").read_text())["minor_page_faults"]
+    assert isinstance(faults, int) and faults >= 0
+    csv_bytes = (tmp_path / "ibp.csv").read_bytes()
+    assert b"fault" not in csv_bytes
+    monkeypatch.setattr(cli, "resource", None)
+    assert main(["run", path, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "ibp.json").read_text())["minor_page_faults"] is None
+    assert (tmp_path / "ibp.csv").read_bytes() == csv_bytes
+    capsys.readouterr()
+
+
 def test_ibp_check_with_monte_carlo_reports_its_tolerance_and_se_multiplier(tmp_path, capsys):
     payload = _ibp_config()
     payload["parameters"]["quadrature"] = {"kind": "monte_carlo", "n_samples": 20000}
@@ -727,11 +741,13 @@ def test_every_schema_rule_exits_2_before_any_computation(
         ("solve_pde.json", {"problem.lagrangian.params": {"omega": [1.0]}},
          "parameter 'omega' must be a number, not [1.0]"),
         ("flow_density.json", {"family": {"name": "sine_flow", "params": {"wavenumber": 0}}},
-         "wavenumber must be non-zero"),
+         "config error: family 'sine_flow' (parameters: amplitude, wavenumber): wavenumber must be non-zero"),
+        ("solve_pde.json", {"problem.lagrangian.params": {"omega": 0}},
+         "config error: Lagrangian 'harmonic' (parameters: omega, kinetic_scale): omega must be positive"),
     ],
     ids=["unknown_lagrangian_parameter", "non_number_lagrangian_parameter",
          "unknown_family_parameter", "second_family_of_prop1", "non_number_sine_flow_amplitude",
-         "lagrangian_of_a_problem", "zero_sine_flow_wavenumber"],
+         "lagrangian_of_a_problem", "zero_sine_flow_wavenumber", "zero_harmonic_omega"],
 )
 def test_bad_builtin_parameter_exits_2_before_any_computation(
     tmp_path, capsys, monkeypatch, config_name, edits, message
