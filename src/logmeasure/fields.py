@@ -8,7 +8,7 @@ for vectors.  Jacobian callables work on a single point of shape (dim,).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -135,14 +135,11 @@ class TransformationFamily:
                      dS(alpha)(x)/dx or its (nodes, d, d) diagonal blocks, optional
     generator_field: analytic generator h_S(x) = -d/dalpha S(alpha)(x)|_0
                      when known in closed form, optional
-    sweep          : (alphas (k,), (n, dim), jacobian=False) -> (k, n, dim),
-                     S(alpha_i) at every row at once, and with jacobian=True
-                     also the (k, n, dim, dim) spatial Jacobians (or
-                     (k, n, nodes, d, d) blocks); each entry bitwise what eval
-                     and alpha_jacobian give.  Optional, for a family that
-                     evaluates many alphas for less than one call each (the
-                     closed-form sine flow shares each row's sines across
-                     alphas); without it, callers evaluate one alpha at a time
+    log_det        : (alphas (k,), (n, dim)) -> (k, n), log det dS(alpha)(x)/dx
+                     at every alpha and row in closed form, non-finite where
+                     the Jacobian is singular or reverses orientation,
+                     optional; without it, log dets are taken from Jacobian
+                     matrices (alpha_jacobian, else central differences)
     """
 
     dim: int
@@ -150,7 +147,7 @@ class TransformationFamily:
     alpha_jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     generator_field: Optional[VectorField] = None
     label: str = ""
-    sweep: Optional[Callable[..., Any]] = None
+    log_det: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def apply(self, alpha: float, x: np.ndarray) -> np.ndarray:
         """Evaluate S(alpha) at a single point or a batch."""

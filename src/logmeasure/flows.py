@@ -80,43 +80,48 @@ def jacobian_log_det(
     return float(_log_dets(family, [alpha], x, fd_step)[0])
 
 
-def _checked_log_dets(family: TransformationFamily, alphas, jacs: np.ndarray) -> np.ndarray:
-    """log |det| of each alpha's block-diagonal Jacobian, given as its blocks jacs[i] (..., b, b).
+def _block_log_dets(jacs: np.ndarray) -> np.ndarray:
+    """log det of each alpha's block-diagonal Jacobian, given as its blocks jacs[i] (..., b, b).
 
-    A dense (k, dim, dim) stack is the one-block case.  Raises SingularJacobianError
-    at the first alpha with a singular or orientation-reversing block.
+    A dense (k, dim, dim) stack is the one-block case.  NaN where a block is
+    singular or reverses orientation.
     """
     sign, logdet = (a.reshape(len(jacs), -1) for a in np.linalg.slogdet(jacs))
-    bad = np.flatnonzero(np.any((sign <= 0.0) | ~np.isfinite(logdet), axis=1))
-    if bad.size:
-        raise SingularJacobianError(
-            f"Jacobian of {family.label or 'family'} at alpha={alphas[bad[0]]} "
-            "is singular or orientation-reversing"
-        )
-    return logdet.sum(axis=1)
+    return np.where(sign > 0.0, logdet, np.nan).sum(axis=1)
 
 
 def _log_dets(family: TransformationFamily, alphas, x: np.ndarray, fd_step: float = 1e-6):
     """log |det dS(alpha)(x)/dx| at each alpha for one point x, raising SingularJacobianError.
 
-    Jacobians (dense or block stacks) come from the sweep, else alpha_jacobian, else
-    central differences, for as many alphas at a time as a dense (k, dim, dim) stack
-    holds within _CHUNK_ROWS entries.
+    The family's log_det gives every alpha in one call.  Without it, Jacobians
+    (dense or block stacks) come from alpha_jacobian, else central differences,
+    for as many alphas at a time as a dense (k, dim, dim) stack holds within
+    _CHUNK_ROWS entries.  The error names the first alpha whose log det is not finite.
     """
-    x = np.asarray(x, dtype=float)
+    xb, single = _as_batch(x, family.dim)
+    if not single:
+        raise ValueError(f"expected one point of shape ({family.dim},), got a batch of shape {xb.shape}")
     alphas = np.asarray(alphas, dtype=float)
-    per_chunk = max(1, _CHUNK_ROWS // family.dim**2)
-    log_dets = []
-    for chunk in np.split(alphas, range(per_chunk, len(alphas), per_chunk)):
-        if family.sweep is not None:
-            jacs = family.sweep(chunk, x[None], jacobian=True)[1][:, 0]
-        elif family.alpha_jacobian is not None:
-            jacs = np.stack([family.alpha_jacobian(a, x) for a in chunk.tolist()])
-        else:
-            maps = [VectorField(family.dim, lambda y, a=a: family.eval(a, y)) for a in chunk.tolist()]
-            jacs = np.stack([s.jacobian_at(x, fd_step) for s in maps])
-        log_dets.append(_checked_log_dets(family, chunk, np.asarray(jacs, dtype=float)))
-    return np.concatenate(log_dets)
+    if family.log_det is not None:
+        log_dets = np.asarray(family.log_det(alphas, xb), dtype=float)[:, 0]
+    else:
+        per_chunk = max(1, _CHUNK_ROWS // family.dim**2)
+        chunks = []
+        for chunk in np.split(alphas, range(per_chunk, len(alphas), per_chunk)):
+            if family.alpha_jacobian is not None:
+                jacs = np.stack([family.alpha_jacobian(a, xb[0]) for a in chunk.tolist()])
+            else:
+                maps = [VectorField(family.dim, lambda y, a=a: family.eval(a, y)) for a in chunk.tolist()]
+                jacs = np.stack([s.jacobian_at(xb[0], fd_step) for s in maps])
+            chunks.append(_block_log_dets(np.asarray(jacs, dtype=float)))
+        log_dets = np.concatenate(chunks)
+    bad = np.flatnonzero(~np.isfinite(log_dets))
+    if bad.size:
+        raise SingularJacobianError(
+            f"Jacobian of {family.label or 'family'} at alpha={alphas[bad[0]]} "
+            "is singular or orientation-reversing"
+        )
+    return log_dets
 
 
 def _alpha_difference_rows(
@@ -198,14 +203,9 @@ def _flow_nodes(family: TransformationFamily, step: float, n: int, x: np.ndarray
 
 
 def _flow_points(family: TransformationFamily, alphas, x: np.ndarray) -> np.ndarray:
-    """S(alpha, x) at each alpha, alpha index first; x is a point or a batch.
-
-    One sweep when the family has one, else one apply per alpha.
-    """
-    if family.sweep is None:
-        return np.stack([family.apply(a, x) for a in alphas])
+    """S(alpha, x) at each alpha, alpha index first; x is a point or a batch."""
     xb, single = _as_batch(x, family.dim)
-    points = family.sweep(np.asarray(alphas, dtype=float), xb)
+    points = np.stack([np.asarray(family.eval(float(a), xb), dtype=float) for a in alphas])
     return points[:, 0] if single else points
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .action import Lagrangian, QuadraticEta
 from .fields import TestFunction, TransformationFamily, VectorField
 from .lattice import TimeLattice
-from .measures import _CHUNK_ROWS
 
 
 def _kinetic(dim_q: int, kinetic_scale: float) -> np.ndarray:
@@ -197,7 +196,9 @@ def sine_flow_family(dim: int, amplitude: float = 0.1, wavenumber: float = 1.0) 
     S(alpha, x) = x + (2 / wavenumber) atan2(sin theta sinh(c/2), cosh(c/2) - cos theta sinh(c/2)),
     and dS/dx is diagonal, 1 / (sin^2(theta/2) e^c + cos^2(theta/2) e^-c).
     The atan2 arguments are taken times e^-|c|/2, so they neither overflow nor
-    cancel at any c; the Jacobian is finite for |c| below about 709.
+    cancel at any c.  alpha_jacobian's e^{+-c} overflow for |c| above about
+    709; log_det is -sum_i logaddexp(log sin^2(theta_i/2) + c, log cos^2(theta_i/2) - c),
+    taken in log space, so it is finite and exact at every c.
     """
     if wavenumber == 0:
         raise ValueError("wavenumber must be non-zero")
@@ -208,45 +209,32 @@ def sine_flow_family(dim: int, amplitude: float = 0.1, wavenumber: float = 1.0) 
     def vel_diag(y: np.ndarray) -> np.ndarray:
         return amplitude * wavenumber * np.cos(wavenumber * y)
 
-    def sweep(alphas, x: np.ndarray, jacobian: bool = False):
-        """S(alpha, x) for every alpha and row of x, and the Jacobians when asked.
+    def half_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.sin(0.5 * wavenumber * x), np.cos(0.5 * wavenumber * x)
 
-        Each (alpha, row) pair is elementwise in its alpha's exponentials and
-        its row's half-angle sine and cosine products, so it is bitwise what a
-        call with that alpha alone gives.  The pairs run in blocks of at most
-        _CHUNK_ROWS values.
-        """
-        c = amplitude * wavenumber * np.asarray(alphas, dtype=float).reshape(-1)
+    def flow(alpha: float, x: np.ndarray) -> np.ndarray:
+        c = amplitude * wavenumber * alpha
         xb = np.asarray(np.atleast_2d(x), dtype=float)
-        k, n = len(c), len(xb)
+        sin, cos = half_angles(xb)
         # in half angles, times e^-|c|/2: sin theta sinh(c/2) -> sin cos (sign(c) - sign(c) e^-|c|)
         # and cosh(c/2) - cos theta sinh(c/2) -> cos^2 e^-max(c, 0) + sin^2 e^min(c, 0)
         gain = np.sign(c) * -np.expm1(-np.abs(c))
         shrink, grow = np.exp(-np.maximum(c, 0.0)), np.exp(np.minimum(c, 0.0))
-        if jacobian:
-            up, down = np.exp(c), np.exp(-c)
-        sin, cos = np.sin(0.5 * wavenumber * xb), np.cos(0.5 * wavenumber * xb)
-        sin_cos, cos_sq, sin_sq = sin * cos, cos * cos, sin * sin
-        points = np.empty((k * n, dim))
-        jacs = np.zeros((k * n, dim, dim)) if jacobian else None
-        per_block = max(1, _CHUNK_ROWS // dim)
-        for start in range(0, k * n, per_block):
-            stop = min(start + per_block, k * n)
-            pairs = np.arange(start, stop)
-            a, p = pairs[:, None] // n, pairs % n
-            turn = np.arctan2(sin_cos[p] * gain[a], cos_sq[p] * shrink[a] + sin_sq[p] * grow[a])
-            points[start:stop] = xb[p] + (2.0 / wavenumber) * turn
-            if jacobian:
-                diagonal = 1.0 / (sin_sq[p] * up[a] + cos_sq[p] * down[a])
-                jacs.reshape(k * n, dim * dim)[start:stop, :: dim + 1] = diagonal
-        points = points.reshape(k, n, dim)
-        return (points, jacs.reshape(k, n, dim, dim)) if jacobian else points
-
-    def flow(alpha: float, x: np.ndarray) -> np.ndarray:
-        return sweep([alpha], x)[0]
+        turn = np.arctan2(sin * cos * gain, cos * cos * shrink + sin * sin * grow)
+        return xb + (2.0 / wavenumber) * turn
 
     def alpha_jacobian(alpha: float, x: np.ndarray) -> np.ndarray:
-        return sweep([alpha], x, jacobian=True)[1][0, 0]
+        c = amplitude * wavenumber * alpha
+        sin, cos = half_angles(np.asarray(x, dtype=float))
+        return np.diag(1.0 / (sin * sin * np.exp(c) + cos * cos * np.exp(-c)))
+
+    def log_det(alphas: np.ndarray, x: np.ndarray) -> np.ndarray:
+        c = amplitude * wavenumber * np.asarray(alphas, dtype=float).reshape(-1, 1, 1)
+        sin, cos = half_angles(np.asarray(x, dtype=float))
+        # at a zero of sin or cos one log is -inf, never both
+        with np.errstate(divide="ignore"):
+            log_sin_sq, log_cos_sq = 2.0 * np.log(np.abs(sin)), 2.0 * np.log(np.abs(cos))
+        return -np.sum(np.logaddexp(log_sin_sq + c, log_cos_sq - c), axis=2)
 
     generator = VectorField(
         dim=dim,
@@ -261,15 +249,16 @@ def sine_flow_family(dim: int, amplitude: float = 0.1, wavenumber: float = 1.0) 
         alpha_jacobian=alpha_jacobian,
         generator_field=generator,
         label="sine_flow",
-        sweep=sweep,
+        log_det=log_det,
     )
 
 
 def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> TransformationFamily:
     """Lift a dim_q family to stacked path coordinates, one copy per time node.
 
-    Its Jacobians are block diagonal: alpha_jacobian, the generator's jacobian
-    and the sweep give the (n_steps, dim_q, dim_q) blocks, never the dense matrix.
+    Its Jacobians are block diagonal: alpha_jacobian and the generator's jacobian
+    give the (n_steps, dim_q, dim_q) blocks, never the dense matrix; log_det,
+    when the base has one, sums the base's log dets over the nodes.
     """
     if base.dim != lattice.dim_q:
         raise ValueError("base family must act on single-node coordinates")
@@ -306,25 +295,17 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
             label=f"pointwise {base_gen.label}",
         )
 
-    sweep = None
-    if base.sweep is not None:
-
-        def sweep(alphas, x: np.ndarray, jacobian: bool = False):
-            xb = np.atleast_2d(x)
-            swept = base.sweep(alphas, xb.reshape(-1, d), jacobian)
-            points, blocks = swept if jacobian else (swept, None)
-            points = points.reshape(len(points), *xb.shape)
-            if blocks is None:
-                return points
-            return points, blocks.reshape(*points.shape[:2], n, d, d)
-
     alpha_jacobian = None
     if base.alpha_jacobian is not None:
 
         def alpha_jacobian(alpha: float, x: np.ndarray) -> np.ndarray:
-            if sweep is not None:  # one base sweep over every node, not one per node
-                return sweep([alpha], x, jacobian=True)[1][0, 0]
             return per_node_blocks(lambda y: base.alpha_jacobian(alpha, y), x)
+
+    log_det = None
+    if base.log_det is not None:
+
+        def log_det(alphas: np.ndarray, x: np.ndarray) -> np.ndarray:
+            return base.log_det(alphas, x.reshape(-1, d)).reshape(len(alphas), -1, n).sum(axis=2)
 
     return TransformationFamily(
         dim=dim,
@@ -332,7 +313,7 @@ def pointwise_family(base: TransformationFamily, lattice: TimeLattice) -> Transf
         alpha_jacobian=alpha_jacobian,
         generator_field=generator,
         label=f"pointwise_{base.label}",
-        sweep=sweep,
+        log_det=log_det,
     )
 
 

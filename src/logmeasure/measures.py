@@ -78,7 +78,7 @@ from .lattice import TimeLattice, cm_gram
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _MAX_GH_DIM = 6
-_CHUNK_ROWS = 131072  # the element cap of flows' log-det blocks and library's (alpha, row) blocks
+_CHUNK_ROWS = 131072  # the element cap of a chunk of Jacobians in flows' log-det route
 _BATCH_ROWS = 8192  # the rows of every integration batch
 
 

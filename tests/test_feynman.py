@@ -1049,22 +1049,28 @@ def test_anomaly_scan_rejects_a_grid_count_below_one(name, value):
         )
 
 
-def test_anomaly_scan_sweeps_a_flow_family_once_per_path_and_never_calls_eval():
+def test_anomaly_scan_takes_one_log_det_call_per_path_and_no_jacobian():
     lat = _scan_lattice()
     base = pointwise_family(sine_flow_family(1, amplitude=0.3), lat)
-    evals, sweeps = [], []
+    calls = {"eval": 0, "log_det": [], "alpha_jacobian": 0}
 
     def counted_eval(alpha, x):
-        evals.append(alpha)
+        calls["eval"] += 1
         return base.eval(alpha, x)
 
-    def counted_sweep(alphas, x, jacobian=False):
-        sweeps.append(len(alphas))
-        return base.sweep(alphas, x, jacobian)
+    def counted_log_det(alphas, x):
+        calls["log_det"].append(len(alphas))
+        return base.log_det(alphas, x)
+
+    def counted_alpha_jacobian(alpha, x):
+        calls["alpha_jacobian"] += 1
+        return base.alpha_jacobian(alpha, x)
 
     n_paths, n_alpha, duality_grid, density_grid = 3, 3, 8, 5
     anomaly_experiment(
-        family=replace(base, eval=counted_eval, sweep=counted_sweep),
+        family=replace(
+            base, eval=counted_eval, log_det=counted_log_det, alpha_jacobian=counted_alpha_jacobian
+        ),
         lagrangians=[free_lagrangian(1), harmonic_lagrangian(1), quartic_lagrangian(1)],
         lattice=lat,
         n_paths=n_paths,
@@ -1075,33 +1081,10 @@ def test_anomaly_scan_sweeps_a_flow_family_once_per_path_and_never_calls_eval():
         density_grid=density_grid,
     )
     n_fine = n_alpha * -(-duality_grid // n_alpha)
-    assert evals == []
-    # the trace trajectory, one log-det sweep per path, the density trajectory
-    assert sweeps == [2 * n_fine + 1] + [n_alpha] * n_paths + [2 * density_grid + 1]
-
-
-@pytest.mark.parametrize("mode", [EUCLID, REAL], ids=["euclidean", "real_time"])
-def test_anomaly_scan_is_bitwise_with_and_without_the_sweep(mode):
-    lat = make_lattice(8, 1.0, 1)
-    family = pointwise_family(sine_flow_family(1, amplitude=0.3), lat)
-    reports = [
-        anomaly_experiment(
-            family=fam,
-            lagrangians=[free_lagrangian(1), harmonic_lagrangian(1), quartic_lagrangian(1)],
-            lattice=lat,
-            n_paths=3,
-            seed=6,
-            mode=mode,
-            invariant_flags=[True, False, False],
-            duality_grid=20,
-            density_grid=8,
-        )
-        for fam in (family, replace(family, sweep=None))
-    ]
-    swept, per_alpha = reports
-    assert swept.summand_rows == per_alpha.summand_rows
-    assert swept.duality_rows == per_alpha.duality_rows
-    assert swept.density_deviation == per_alpha.density_deviation
+    # one eval per node of the trace trajectory and of the density trajectory
+    assert calls["eval"] == (2 * n_fine + 1) + (2 * density_grid + 1)
+    assert calls["log_det"] == [n_alpha] * n_paths
+    assert calls["alpha_jacobian"] == 0
 
 
 @pytest.mark.parametrize("mode", [EUCLID, REAL], ids=["euclidean", "real_time"])

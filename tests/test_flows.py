@@ -29,7 +29,7 @@ from logmeasure import (
     trace_integral_along_flow,
     wiener_measure,
 )
-from logmeasure.flows import _cumulative_trace_integral, _log_dets, _pushforward_density
+from logmeasure.flows import _cumulative_trace_integral, _flow_points, _log_dets, _pushforward_density
 from logmeasure.library import (
     pointwise_family,
     polynomial_pairs,
@@ -446,14 +446,14 @@ def test_trace_integral_is_bitwise_the_interval_by_interval_simpson_loop(builder
 
 
 # ---------------------------------------------------------------------------
-# sweeps: every alpha of a flow-defined family in one loop
+# the sine flow against its ODE, and log dets over many alphas at once
 
 # small, zero and negative alphas next to moderate ones
 _SWEEP_ALPHAS = np.array([0.25, -0.3, 4.0 / 256.0, -0.01, 0.0, 0.1])
 
 
 def _sine_case(name):
-    """A flow-defined family, points to sweep, and its per-alpha oracle (points, Jacobians):
+    """A flow-defined family, points to move, and its per-alpha oracle (points, Jacobians):
     the sine flow's ODE by RK4 at 4096 steps per unit alpha."""
     if name == "pointwise_sine_flow":
         lat = make_lattice(5, 1.0, 2)
@@ -481,71 +481,70 @@ def _sine_case(name):
 def test_sweep_is_bytewise_the_per_alpha_calls(name, n_points):
     fam, points, oracle = _sine_case(name)
     xb = points[:n_points]
-    swept, jacs = fam.sweep(_SWEEP_ALPHAS, xb, jacobian=True)
-    assert swept.shape == (len(_SWEEP_ALPHAS), n_points, fam.dim)
+    moved = _flow_points(fam, _SWEEP_ALPHAS, xb)
+    assert moved.shape == (len(_SWEEP_ALPHAS), n_points, fam.dim)
     # a pointwise family's Jacobian is its stack of (n_steps, dim_q, dim_q) diagonal blocks
     blocks = (5, 2, 2) if name == "pointwise_sine_flow" else (fam.dim, fam.dim)
-    assert jacs.shape == (len(_SWEEP_ALPHAS), n_points, *blocks)
-    assert fam.sweep(_SWEEP_ALPHAS, xb).tobytes() == swept.tobytes()
     for i, alpha in enumerate(_SWEEP_ALPHAS):
-        assert swept[i].tobytes() == fam.apply(alpha, xb).tobytes()
         for j, x in enumerate(xb):
             reference_point, reference_jac = oracle(alpha, x)
-            np.testing.assert_allclose(swept[i, j], reference_point, rtol=0.0, atol=1e-12)
-            assert jacs[i, j].tobytes() == fam.alpha_jacobian(alpha, x).tobytes()
-            np.testing.assert_allclose(jacs[i, j], reference_jac, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(moved[i, j], reference_point, rtol=0.0, atol=1e-12)
+            jac = fam.alpha_jacobian(alpha, x)
+            assert jac.shape == blocks
+            np.testing.assert_allclose(jac, reference_jac, rtol=1e-12, atol=0.0)
     for x in xb:
         per_alpha = np.array([jacobian_log_det(fam, alpha, x) for alpha in _SWEEP_ALPHAS])
         assert _log_dets(fam, _SWEEP_ALPHAS, x).tobytes() == per_alpha.tobytes()
 
 
-@pytest.mark.parametrize("name", ["sine_flow_2d", "pointwise_sine_flow"])
-def test_flow_routes_are_bitwise_with_and_without_the_sweep(name):
-    fam, points, _ = _sine_case(name)
-    per_alpha = replace(fam, sweep=None)
-    m = GaussianMeasure(fam.dim, np.full(fam.dim, 0.1), 1.5 * np.eye(fam.dim))
-    assert (
-        trace_integral_along_flow(fam, -0.2, points, 24).tobytes()
-        == trace_integral_along_flow(per_alpha, -0.2, points, 24).tobytes()
-    )
-    curve = solve_density_ode(m, fam, 0.3, 16, points[0])
-    per_alpha_curve = solve_density_ode(m, per_alpha, 0.3, 16, points[0])
-    assert curve.values.tobytes() == per_alpha_curve.values.tobytes()
-    assert (
-        _pushforward_density(m, fam, curve.alphas, points[1]).tobytes()
-        == _pushforward_density(m, per_alpha, curve.alphas, points[1]).tobytes()
-    )
-
-
 def _reversing_family():
-    """S(alpha) x = (1 + 2 alpha) x in 1-D, with a sweep: its Jacobian is negative at
-    alpha -1 and -2 (not at 0.1)."""
-
-    def sweep(alphas, x, jacobian=False):
-        scale = 1.0 + 2.0 * np.asarray(alphas, dtype=float).reshape(-1, 1, 1)
-        points = scale * np.atleast_2d(x)
-        if not jacobian:
-            return points
-        return points, np.broadcast_to(scale[..., None], (*points.shape, 1)).copy()
-
+    """S(alpha) x = (1 + 2 alpha) x in 1-D: its Jacobian is negative at alpha -1 and -2
+    (not at 0.1)."""
     return TransformationFamily(
         dim=1,
-        eval=lambda alpha, x: sweep([alpha], x)[0],
-        alpha_jacobian=lambda alpha, x: sweep([alpha], x, jacobian=True)[1][0, 0],
+        eval=lambda alpha, x: (1.0 + 2.0 * alpha) * np.atleast_2d(x),
+        alpha_jacobian=lambda alpha, x: np.array([[1.0 + 2.0 * alpha]]),
         label="reversing",
-        sweep=sweep,
     )
 
 
-def test_log_dets_of_a_sweep_raise_at_the_first_singular_alpha():
-    fam = _reversing_family()
+def _collapsing_family():
+    """S(alpha) x = (1 + alpha) x in 1-D with a closed-form log_det: -inf at alpha -1,
+    NaN at -2 (finite at 0.1)."""
+
+    def log_det(alphas, x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(1.0 + np.asarray(alphas, dtype=float))[:, None] * np.ones(len(x))
+
+    return TransformationFamily(
+        dim=1, eval=lambda alpha, x: (1.0 + alpha) * np.atleast_2d(x), label="collapsing", log_det=log_det
+    )
+
+
+@pytest.mark.parametrize("builder", [_reversing_family, _collapsing_family], ids=["jacobian", "log_det"])
+def test_log_dets_of_many_alphas_raise_at_the_first_singular_alpha(builder):
+    fam = builder()
     x = np.array([3.0])
     with pytest.raises(SingularJacobianError) as per_alpha:
         [jacobian_log_det(fam, a, x) for a in (0.1, -1.0, -2.0)]
-    with pytest.raises(SingularJacobianError) as swept:
+    with pytest.raises(SingularJacobianError) as at_once:
         _log_dets(fam, [0.1, -1.0, -2.0], x)
-    assert "alpha=-1.0 " in str(swept.value)
-    assert str(swept.value) == str(per_alpha.value)
+    assert "alpha=-1.0 " in str(at_once.value)
+    assert str(at_once.value) == str(per_alpha.value)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2)], ids=["wrong_length", "batch"])
+@pytest.mark.parametrize(
+    "fam",
+    [scaling_family(2), sine_flow_family(2), pointwise_family(sine_flow_family(1), make_lattice(2, 1.0, 1))],
+    ids=["scaling", "sine_flow", "pointwise_sine_flow"],
+)
+def test_log_dets_take_exactly_one_point(fam, shape):
+    x = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"\(2,\)"):
+        jacobian_log_det(fam, 0.1, x)
+    with pytest.raises(ValueError, match=r"\(2,\)"):
+        _log_dets(fam, [0.1, 0.2], x)
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +584,7 @@ def test_block_log_dets_match_the_dense_block_diagonal(name, n_steps):
     base, lat, x = _lift_case(name, n_steps)
     fam = pointwise_family(base, lat)
     alphas = [0.2, -0.35, 0.5]
-    # a sweep's blocks are bitwise alpha_jacobian's (test_sweep_is_bytewise_the_per_alpha_calls)
-    if fam.sweep is not None:
-        blocks = fam.sweep(alphas, x[None], jacobian=True)[1][:, 0]
-    else:
-        blocks = np.stack([fam.alpha_jacobian(a, x) for a in alphas])
+    blocks = np.stack([fam.alpha_jacobian(a, x) for a in alphas])
     assert blocks.shape == (3, lat.n_steps, lat.dim_q, lat.dim_q)
     signs, reference = np.array([np.linalg.slogdet(block_diag(*b)) for b in blocks]).T
     assert np.all(signs == 1.0)
@@ -636,37 +631,31 @@ def test_log_dets_of_a_long_lifted_path_hold_no_dense_jacobian():
     assert peak < 2**20
 
 
-def _counted_sine_lift(n_steps):
-    """The pointwise lift of sine_flow_family(1) over n_steps nodes, with its base's sweep
-    and alpha_jacobian calls counted; returns (base, lift, counts)."""
+def test_jacobian_log_det_of_a_lift_takes_one_base_sweep():
+    # one base log_det call over every node, and no Jacobian
     base = sine_flow_family(1)
-    calls = {"sweep": 0, "alpha_jacobian": 0}
+    calls = {"log_det": 0, "alpha_jacobian": 0}
 
     def counted(name):
         inner = getattr(base, name)
 
-        def call(*args, **kwargs):
+        def call(*args):
             calls[name] += 1
-            return inner(*args, **kwargs)
+            return inner(*args)
 
         return call
 
-    counted_base = replace(base, sweep=counted("sweep"), alpha_jacobian=counted("alpha_jacobian"))
-    return base, pointwise_family(counted_base, make_lattice(n_steps, 1.0, 1)), calls
+    counted_base = replace(base, log_det=counted("log_det"), alpha_jacobian=counted("alpha_jacobian"))
+    fam = pointwise_family(counted_base, make_lattice(64, 1.0, 1))
+    jacobian_log_det(fam, 0.3, np.random.default_rng(1).normal(size=64))
+    assert calls == {"log_det": 1, "alpha_jacobian": 0}
 
 
-def test_jacobian_log_det_of_a_lift_takes_one_base_sweep():
-    _, fam, calls = _counted_sine_lift(64)
-    x = np.random.default_rng(1).normal(size=64)
-    jacobian_log_det(fam, 0.3, x)
-    assert calls == {"sweep": 1, "alpha_jacobian": 0}
-
-
-def test_alpha_jacobian_of_a_lift_takes_one_base_sweep():
-    base, fam, calls = _counted_sine_lift(64)
+def test_alpha_jacobian_of_a_lift_is_bytewise_the_per_node_blocks():
+    base = sine_flow_family(1)
+    fam = pointwise_family(base, make_lattice(64, 1.0, 1))
     x = np.random.default_rng(2).normal(size=64)
     blocks = fam.alpha_jacobian(0.3, x)
-    assert calls == {"sweep": 1, "alpha_jacobian": 0}
     per_node = np.stack([base.alpha_jacobian(0.3, node) for node in x.reshape(64, 1)])
     assert blocks.shape == per_node.shape and blocks.tobytes() == per_node.tobytes()
 
@@ -679,11 +668,11 @@ def test_a_large_sweep_holds_its_temporaries_in_blocks():
         output = n_alphas * x.size * 8
         tracemalloc.start()
         try:
-            points = fam.sweep(alphas, x)
+            points = _flow_points(fam, alphas, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert points.shape == (n_alphas, 32768, 1)
-        # the output is 4 or 16 MiB; unblocked, the temporaries of every (alpha, row) pair
-        # at once take several times that
+        # the output is 4 or 16 MiB; one alpha at a time, the temporaries are those of one
+        # eval call, where every (alpha, row) pair at once would take several times the output
         assert peak < output + 24 * 2**20

@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from logmeasure import family_generator, family_velocity, jacobian_log_det, make_lattice
+from logmeasure.flows import _log_dets
 from logmeasure.library import (
     free_lagrangian,
     harmonic_lagrangian,
@@ -86,21 +88,28 @@ def test_shear_family_is_affine_with_zero_divergence():
     assert vel.divergence_at(x) == 0.0
 
 
-def test_sine_flow_satisfies_the_group_property():
-    fam = sine_flow_family(2, amplitude=0.2, wavenumber=1.5)
-    x = np.array([0.4, -0.8])
-    composed = fam.apply(0.1, fam.apply(0.15, x))
-    direct = fam.apply(0.25, x)
-    np.testing.assert_allclose(composed, direct, atol=1e-10)
+_FLOW_LAW_FAMILIES = {
+    "translation": lambda: translation_family(3, [1.0, -0.5, 2.0]),
+    "scaling": lambda: scaling_family(3),
+    "rotation": lambda: rotation_family(3, (0, 2)),
+    "shear_3": lambda: shear_family(3, strength=0.8),
+    "shear_4": lambda: shear_family(4, strength=0.8),
+    "sine_flow": lambda: sine_flow_family(2, amplitude=0.2, wavenumber=1.5),
+    "pointwise_sine_flow": lambda: pointwise_family(sine_flow_family(1, 0.3, 1.5), make_lattice(6, 1.0, 1)),
+}
 
 
-@pytest.mark.parametrize("dim", [3, 4])
-def test_shear_satisfies_the_group_property(dim):
-    fam = shear_family(dim, strength=0.8)
-    x = np.linspace(-1.0, 1.5, dim)
-    composed = fam.apply(0.1, fam.apply(0.15, x))
-    direct = fam.apply(0.25, x)
-    np.testing.assert_allclose(composed, direct, atol=1e-10)
+@pytest.mark.parametrize("name", list(_FLOW_LAW_FAMILIES))
+def test_builtin_flows_satisfy_the_group_property_and_the_log_det_cocycle(name):
+    # S(a + b) = S(b) S(a), and log det S(a + b)(x) = log det S(b)(S(a) x) + log det S(a)(x),
+    # on the Jacobian route (translation to shear) and the log_det route (sine)
+    fam = _FLOW_LAW_FAMILIES[name]()
+    x = np.linspace(-1.0, 1.5, fam.dim)
+    for a, b in [(0.15, 0.1), (1.3, -2.0), (-1.7, 0.6)]:
+        moved = fam.apply(a, x)
+        np.testing.assert_allclose(fam.apply(b, moved), fam.apply(a + b, x), atol=1e-10)
+        cocycle = _log_dets(fam, [b], moved)[0] + _log_dets(fam, [a], x)[0]
+        np.testing.assert_allclose(_log_dets(fam, [a + b], x)[0], cocycle, rtol=1e-12, atol=1e-12)
 
 
 def test_sine_flow_log_det_is_exact_at_a_large_amplitude():
@@ -113,6 +122,47 @@ def test_sine_flow_log_det_is_exact_at_a_large_amplitude():
         at_half = jacobian_log_det(fam, 1.0, np.array([0.5]))
     assert at_zero == pytest.approx(300.0, rel=1e-12)
     assert at_half == pytest.approx(-300.0 - 2.0 * math.log(math.sin(0.25)), rel=1e-12)
+
+
+def test_sine_flow_log_det_is_finite_past_the_jacobian_overflow():
+    # c = 800: alpha_jacobian's e^c overflows, the log-space log_det does not
+    fam = sine_flow_family(1, amplitude=800.0, wavenumber=1.0)
+    nodes = np.linspace(-3.0, 3.0, 64)
+    lift = pointwise_family(fam, make_lattice(64, 1.0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero = jacobian_log_det(fam, 1.0, np.array([0.0]))
+        at_half = jacobian_log_det(fam, 1.0, np.array([0.5]))
+        per_node = [jacobian_log_det(fam, 1.0, node) for node in nodes.reshape(64, 1)]
+        lifted = jacobian_log_det(lift, 1.0, nodes)
+    assert at_zero == pytest.approx(800.0, rel=1e-12)
+    assert at_half == pytest.approx(-800.0 - 2.0 * math.log(math.sin(0.25)), rel=1e-12)
+    assert lifted == pytest.approx(math.fsum(per_node), rel=1e-12)
+
+
+_HOOK_ALPHAS = [0.0, 0.3, -0.45, 1.2, -2.0, 6.0]
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        sine_flow_family(1, amplitude=0.1),
+        sine_flow_family(2, amplitude=3.0, wavenumber=-0.7),
+        sine_flow_family(3, amplitude=40.0, wavenumber=1.5),
+        pointwise_family(sine_flow_family(2, amplitude=0.3, wavenumber=1.5), make_lattice(5, 1.0, 2)),
+    ],
+    ids=["dim_1", "dim_2", "dim_3", "pointwise"],
+)
+def test_sine_log_det_matches_the_slogdet_of_its_jacobian(fam):
+    x = np.random.default_rng(fam.dim).normal(scale=2.0, size=(3, fam.dim))
+    hooked = fam.log_det(np.array(_HOOK_ALPHAS), x)
+    assert hooked.shape == (len(_HOOK_ALPHAS), 3)
+    for i, alpha in enumerate(_HOOK_ALPHAS):
+        for j, point in enumerate(x):
+            jac = fam.alpha_jacobian(alpha, point)
+            sign, reference = np.linalg.slogdet(block_diag(*jac) if jac.ndim == 3 else jac)
+            assert sign == 1.0
+            np.testing.assert_allclose(hooked[i, j], reference, rtol=1e-13, atol=1e-13)
 
 
 def test_sine_flow_rejects_a_zero_wavenumber():
