@@ -17,6 +17,11 @@ column bitwise; wall time, the minor page faults of the experiment
 (``minor_page_faults``) and the number of threads that evaluate the
 batches of a call of more than one batch, Monte Carlo and Gauss-Hermite
 alike (``mc_threads``), live only in the JSON record.
+
+jsonschema, scipy.linalg and scipy.sparse are imported on first use, inside
+the functions that call them: ``list-builtins`` loads none of them, and
+``run`` loads jsonschema to validate the config, plain ``scipy`` for the
+record's version, and a scipy submodule only when its experiment needs one.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import importlib.metadata
 import itertools
 import json
 import os
@@ -38,10 +42,7 @@ try:
 except ImportError:  # not on Windows
     resource = None
 
-from jsonschema import Draft202012Validator, ValidationError
-from jsonschema.exceptions import best_match
 import numpy as np
-import scipy
 
 from . import __version__
 from .action import WLogDerivativeMode
@@ -809,6 +810,9 @@ def _apply_override(config: dict, assignment: str) -> None:
 
 def _validate(instance: Any, schema: dict) -> None:
     """jsonschema.validate without re-checking the constant schema against the metaschema."""
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
     error = best_match(Draft202012Validator(schema).iter_errors(instance))
     if error is not None:
         raise error
@@ -832,6 +836,8 @@ def _load_config(path: str, overrides: list[str], seed_arg, workers_arg) -> dict
         config["workers"] = workers_arg
     config.setdefault("seed", 0)
     config.setdefault("workers", 1)
+
+    from jsonschema import ValidationError
 
     try:
         _validate(config, _TOP_SCHEMA)
@@ -881,6 +887,8 @@ def _write_outputs(
 @functools.cache
 def _jsonschema_version() -> str:
     """The installed jsonschema's version, read from its package metadata once per process."""
+    import importlib.metadata
+
     return importlib.metadata.version("jsonschema")
 
 
@@ -890,6 +898,8 @@ def _minor_page_faults() -> Optional[int]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    import scipy
+
     try:
         config = _load_config(args.config, args.set or [], args.seed, args.workers)
         experiment = config["experiment"]

@@ -28,6 +28,10 @@ anomaly_experiment samples paths, evaluates the two summands of the weighted
 measure's logarithmic derivative (action variation and Jacobian trace) for
 several Lagrangians, and checks the determinant-trace duality plus the
 pushforward non-invariance of the weighted measure via the density ODE.
+
+scipy.sparse and scipy.linalg are imported on first use, inside the functions
+that call them (the factored PDE route, the diagonalized one, the banded
+Cholesky), so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -42,10 +46,6 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import splu
 
 from .action import DiscreteAction, Lagrangian, WLogDerivativeMode
 from .fields import TransformationFamily, _as_batch
@@ -262,12 +262,14 @@ class PropagatorResult:
 
 def _spatial_operator(
     p: SchrodingerProblem, grid: SpaceGrid, mode: WLogDerivativeMode
-) -> tuple[sp.spmatrix, Array]:
+) -> tuple[scipy.sparse.csc_matrix, Array]:
     """Generator of the semigroup on interior points, plus the interior mesh.
 
     (1/2) Delta_C = (1/2) sum_{a<=b} (2 - delta_ab) C_ab d_a d_b; a term is the Kronecker
     product over the axes of the stencil for the number of times each axis is differentiated.
     """
+    import scipy.sparse as sp
+
     c_matrix = np.linalg.inv(p.kinetic_matrix)
     n_int, h, d = grid.n_points - 2, grid.spacing, p.dim_q
     off = np.ones(n_int - 1)
@@ -323,6 +325,8 @@ def _diagonalized_steps(p: SchrodingerProblem, grid: SpaceGrid, lattice: TimeLat
     z_ij = (dt/2) (lam_0i + lam_1j), the same rational function of the same operator as
     the factored route.  eta itself is read on the mesh and must match the certificate.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     qe = p.lagrangian.quadratic_eta
     axis, h, n_int = grid.axis[1:-1], grid.spacing, grid.n_points - 2
     etas = [0.5 * qe.matrix[a, a] * axis**2 + qe.linear[a] * axis for a in range(2)]
@@ -390,6 +394,9 @@ def pde_solve(
     if _is_kronecker_sum(p, mode):
         u = _diagonalized_steps(p, grid, lattice, points, u)
     else:
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
         op, _ = _spatial_operator(p, grid, mode)
         # SymmetricMode prefers diagonal pivots; the default pivot threshold still
         # pivots off the diagonal when an indefinite eta needs it.
@@ -488,6 +495,8 @@ def _gaussian_form(lattice: TimeLattice, c_val: float, const: float, poly0: floa
         for c in range(d):
             band[d + r - c, :-1, c] = sub[r, c]
     # LAPACK's banded Cholesky and solve, called as cholesky_banded and cho_solve_banded call them
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
     if not np.isfinite(band).all():
         raise ValueError("the path precision has a non-finite entry")
     chol, info = dpbtrf(band.reshape(2 * d, n * d), lower=1)

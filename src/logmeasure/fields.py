@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 
 
 def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
@@ -82,7 +81,11 @@ class VectorField:
         x = np.asarray(x, dtype=float)
         if self.jacobian is not None:
             jac = np.asarray(self.jacobian(x), dtype=float)
-            return block_diag(*jac) if jac.ndim == 3 else jac
+            if jac.ndim == 3:
+                from scipy.linalg import block_diag
+
+                return block_diag(*jac)
+            return jac
         h = fd_step * (1.0 + np.linalg.norm(x))
         jac = np.empty((self.dim, self.dim))
         for j in range(self.dim):

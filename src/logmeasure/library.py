@@ -210,16 +210,19 @@ def sine_flow_family(dim: int, amplitude: float = 0.1, wavenumber: float = 1.0) 
         return amplitude * wavenumber * np.cos(wavenumber * y)
 
     def half_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.sin(0.5 * wavenumber * x), np.cos(0.5 * wavenumber * x)
+        half = 0.5 * wavenumber * x
+        return np.sin(half), np.cos(half)
 
     def flow(alpha: float, x: np.ndarray) -> np.ndarray:
         c = amplitude * wavenumber * alpha
         xb = np.asarray(np.atleast_2d(x), dtype=float)
         sin, cos = half_angles(xb)
         # in half angles, times e^-|c|/2: sin theta sinh(c/2) -> sin cos (sign(c) - sign(c) e^-|c|)
-        # and cosh(c/2) - cos theta sinh(c/2) -> cos^2 e^-max(c, 0) + sin^2 e^min(c, 0)
-        gain = np.sign(c) * -np.expm1(-np.abs(c))
-        shrink, grow = np.exp(-np.maximum(c, 0.0)), np.exp(np.minimum(c, 0.0))
+        # and cosh(c/2) - cos theta sinh(c/2) -> cos^2 e^-max(c, 0) + sin^2 e^min(c, 0); c's sign,
+        # |c| and max/min are exact in Python, while e^-|c| and expm1 stay numpy's (math's differ)
+        gain = (math.copysign(1.0, c) if c else 0.0) * -np.expm1(-abs(c))
+        decay = np.exp(-abs(c))
+        shrink, grow = (decay, 1.0) if c >= 0 else (1.0, decay)
         turn = np.arctan2(sin * cos * gain, cos * cos * shrink + sin * sin * grow)
         return xb + (2.0 / wavenumber) * turn
 

@@ -71,7 +71,6 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .fields import TestFunction, VectorField
 from .lattice import TimeLattice, cm_gram
@@ -149,15 +148,22 @@ class GaussianMeasure:
             chol = np.linalg.cholesky(prec)
         except np.linalg.LinAlgError as exc:
             raise ValueError("precision matrix is not positive definite") from exc
-        # x = mean + L^{-T} z, taken row-wise as z @ L^{-1}, maps N(0, I) onto the measure
-        chol_inv = solve_triangular(chol, np.eye(self.dim), lower=True)
+        # x = mean + L^{-T} z, taken row-wise as z @ L^{-1}, maps N(0, I) onto the measure;
+        # for the identity precision L^{-1} is I, bytewise what the triangular solve returns
+        identity = np.array_equal(prec, np.eye(self.dim))
+        if identity:
+            chol_inv = np.eye(self.dim)
+        else:
+            from scipy.linalg import solve_triangular
+
+            chol_inv = solve_triangular(chol, np.eye(self.dim), lower=True)
         for arr in (mean, prec, chol, chol_inv):
             arr.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision", prec)
         object.__setattr__(self, "_chol_lower", chol)
         object.__setattr__(self, "_chol_inv", chol_inv)
-        object.__setattr__(self, "_standard", not mean.any() and np.array_equal(prec, np.eye(self.dim)))
+        object.__setattr__(self, "_standard", identity and not mean.any())
 
     @property
     def chol_lower(self) -> np.ndarray:

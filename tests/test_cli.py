@@ -2,12 +2,14 @@
 
 import csv
 import glob
+import importlib.metadata
 import json
 import os
 
 import numpy as np
 import pytest
-from jsonschema import Draft202012Validator
+import scipy.linalg.lapack
+from jsonschema import Draft202012Validator, ValidationError
 
 from logmeasure import cli, feynman, measures
 from logmeasure.action import DiscreteAction
@@ -124,6 +126,20 @@ def test_ibp_check_run_outputs_and_pass_lines(tmp_path, capsys):
     assert record["mc_threads"] == measures._mc_threads()
     assert record["mc_threads"] in (1, 2)
     assert record["versions"]["logmeasure"]
+
+
+def test_record_versions_are_the_installed_ones_without_a_metadata_scan_per_run(tmp_path, capsys, monkeypatch):
+    path = _write_config(tmp_path, _ibp_config())
+    assert main(["run", path, "--out", str(tmp_path)]) == 0
+    calls = _counting(monkeypatch, importlib.metadata, "version")
+    assert main(["run", path, "--out", str(tmp_path)]) == 0
+    assert calls == []
+    versions = json.loads((tmp_path / "ibp.json").read_text())["versions"]
+    monkeypatch.undo()
+    assert versions["scipy"] == importlib.metadata.version("scipy")
+    assert versions["jsonschema"] == importlib.metadata.version("jsonschema")
+    assert versions["numpy"] == np.__version__
+    capsys.readouterr()
 
 
 def test_record_counts_the_minor_page_faults_of_the_experiment_outside_the_csv(tmp_path, capsys, monkeypatch):
@@ -564,7 +580,7 @@ def test_one_pass_rule_adds_the_standard_errors_to_the_tolerance():
 
 def test_compare_factors_the_exact_propagator_once(tmp_path, capsys, monkeypatch):
     feynman._gaussian_form.cache_clear()
-    calls = _counting(monkeypatch, feynman, "dpbtrf")
+    calls = _counting(monkeypatch, scipy.linalg.lapack, "dpbtrf")
     _run_small_compare(tmp_path, capsys)
     assert len(calls) == 1  # one factorization for the 5 probes
 
@@ -836,7 +852,7 @@ def test_every_branch_rejects_each_optional_key_it_does_not_take(tmp_path, capsy
                 obj.update({k: _SAMPLE_VALUES[k] for k in required if k not in obj})
                 try:
                     cli._validate(params, entry.schema)
-                except cli.ValidationError:
+                except ValidationError:
                     assert (experiment, path, value) in _UNREACHABLE_BRANCHES, (experiment, path, value)
                     continue
                 for extra in sorted(optional - takes):

@@ -1,6 +1,7 @@
 """Cauchy-problem solvers: grid PDE, path Monte Carlo, closed forms, and the
 oscillatory quadrature check, plus the anomaly experiment built on top."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -10,7 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -219,7 +222,8 @@ def _radial_quartic():
 
 
 def _counted_splu(monkeypatch, allowed=True):
-    """Route feynman's splu through a list of its factors; allowed=False makes a call fail."""
+    """Route the splu that pde_solve imports through a list of its factors; allowed=False
+    makes a call fail."""
     factors = []
 
     def counting_splu(*args, **kwargs):
@@ -227,7 +231,7 @@ def _counted_splu(monkeypatch, allowed=True):
         factors.append(splu(*args, **kwargs))
         return factors[-1]
 
-    monkeypatch.setattr(feynman, "splu", counting_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     return factors
 
 
@@ -663,8 +667,8 @@ def test_a_one_point_sweep_factors_once_and_its_warm_values_are_the_cold_values(
         cold.append(exact_gaussian_propagator(p, q, lat))
     feynman._gaussian_form.cache_clear()
     calls = []
-    original = feynman.dpbtrf
-    monkeypatch.setattr(feynman, "dpbtrf", lambda *a, **k: calls.append(a) or original(*a, **k))
+    original = scipy.linalg.lapack.dpbtrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", lambda *a, **k: calls.append(a) or original(*a, **k))
     warm = [exact_gaussian_propagator(p, q, lat) for q in points]
     assert len(calls) == 1
     assert np.array(warm).tobytes() == np.array(cold).tobytes()
@@ -828,15 +832,50 @@ def test_oscillatory_rejects_non_quadratic_eta():
         oscillatory_check(p, [0.5], make_lattice(2, 0.5, 1))
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
-def test_import_does_not_load(module):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# ---------------------------------------------------------------------------
+# import graph: scipy.linalg, scipy.sparse and jsonschema load on first use
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_DEFERRED = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "jsonschema")
+
+
+@functools.cache
+def _imported(*args: str) -> frozenset:
+    """Every module a fresh interpreter imports while running args, read from -X importtime."""
+    src = os.path.join(_REPO, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, logmeasure; print({module!r} in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    lines = out.stderr.splitlines()
+    return frozenset(line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:"))
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special", *_DEFERRED])
+def test_import_does_not_load(module):
+    assert module not in _imported("-c", "import logmeasure, logmeasure.cli")
+
+
+def test_list_builtins_and_a_standard_normal_load_no_deferred_module():
+    assert sorted(_imported("-m", "logmeasure", "list-builtins") & set(_DEFERRED)) == []
+    code = ("import numpy as np, logmeasure as lm; "
+            "assert lm.standard_normal(32)._chol_inv.tobytes() == np.eye(32).tobytes()")
+    assert sorted(_imported("-c", code) & set(_DEFERRED)) == []
+
+
+@pytest.mark.parametrize("call, module", [
+    ("lm.pde_solve(p, lm.SpaceGrid(1, 6.0, 41), lat, lm.WLogDerivativeMode.EUCLIDEAN)", "scipy.sparse.linalg"),
+    ("lm.exact_gaussian_propagator(p, [0.0], lat)", "scipy.linalg"),
+])
+def test_each_deferred_import_runs_on_first_use(call, module):
+    code = ("import logmeasure as lm; lat = lm.make_lattice(4, 0.5, 1); "
+            f"p = lm.SchrodingerProblem(1, lm.harmonic_lagrangian(1), lm.gaussian_bump(1), 0.5); {call}")
+    assert module in _imported("-c", code)
+
+
+def test_a_run_loads_jsonschema(tmp_path):
+    config = os.path.join(_REPO, "configs", "flow_density.json")
+    assert "jsonschema" in _imported("-m", "logmeasure", "run", config, "--out", str(tmp_path))
 
 
 # ---------------------------------------------------------------------------

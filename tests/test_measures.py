@@ -162,6 +162,15 @@ def test_sample_map_matches_triangular_solve(with_mean):
     np.testing.assert_array_equal(z, z_before)
 
 
+def test_identity_precision_takes_the_identity_as_its_inverse_factor():
+    # bytewise what the triangular solve gives for L = cholesky(I), which it skips
+    for dim in range(1, 201):
+        eye = np.eye(dim)
+        assert solve_triangular(np.linalg.cholesky(eye), eye, lower=True).tobytes() == eye.tobytes()
+    for mean in (np.zeros(32), np.ones(32)):
+        assert GaussianMeasure(32, mean, np.eye(32))._chol_inv.tobytes() == np.eye(32).tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_standard_normal_sample_is_the_raw_draw(workers):
     n, dim, seed = 2 * _CHUNK_ROWS + 7, 3, 13
