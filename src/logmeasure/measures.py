@@ -21,8 +21,9 @@ Gauss-Hermite tensor-rule nodes with their weights (_gh_batches), and one
 fold of the column summaries a row function gives on each batch
 (_integrate_columns); sample() fills its output from the same Monte Carlo
 batches.  Monte Carlo work is split across `workers` deterministic RNG
-streams derived from SeedSequence(seed).spawn(workers), so results are
-bitwise reproducible for a fixed (seed, workers) pair.
+streams derived from SeedSequence(seed).spawn(workers), and batch i of a
+stream draws from that stream's PCG64 generator jumped i times, so results
+are bitwise reproducible for a fixed (seed, workers) pair.
 
 Both rules run on two threads: a pool of two threads builds each batch's
 points (a Monte Carlo draw mapped onto the measure, or the Gauss-Hermite
@@ -30,9 +31,8 @@ nodes and weights of its index range), evaluates the row function on them
 and reduces the block to its column sums (and, unweighted, its means and
 M2 terms), with numpy's OpenBLAS held to one thread for the call.  A
 batch's temporaries stay a few MB even at dim 64, and only a few batches
-are in flight at once.  The Monte Carlo batches of the worker streams are
-submitted round robin, so the two threads draw from two streams at once;
-the batches of one stream still draw in order.  When the call ends, the
+are in flight at once.  Every batch has its own generator, so any two
+batches draw at once, of one stream or of two.  When the call ends, the
 calling thread folds the batch summaries once, in slot order (stream-major
 for Monte Carlo), so every value and standard error is bitwise independent
 of the threads.  A call of one batch, or one where the OpenBLAS thread setter
@@ -58,6 +58,7 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import glob
+import numbers
 import os
 import threading
 from collections import deque
@@ -66,8 +67,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import islice, zip_longest
-from operator import itemgetter
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -92,7 +92,9 @@ class QuadratureSpec:
 
     For kind = gauss_hermite, ``n_samples`` is the node count per dimension
     (exact for polynomials of degree <= 2 * n_samples - 1); the tensor rule is
-    guarded to dim <= 6.
+    guarded to dim <= 6.  n_samples and workers must be positive integers and
+    seed a non-negative one: anything else raises TypeError or ValueError,
+    naming the field, when the spec is built.
     """
 
     kind: QuadratureKind
@@ -102,10 +104,12 @@ class QuadratureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", QuadratureKind(self.kind))
-        if self.n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
+        for name, least in (("n_samples", 1), ("seed", 0), ("workers", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -241,50 +245,45 @@ _Batch = Callable[[], tuple[np.ndarray, Optional[np.ndarray]]]
 _Summary = tuple[int, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 
 
-def _draw(
-    m: GaussianMeasure, rng: np.random.Generator, rows: int, after: Optional[threading.Event],
-    drawn: threading.Event,
-) -> tuple[np.ndarray, None]:
-    """Draw a batch once the batch before it in its stream has drawn, and map it onto m."""
-    try:
-        if after is not None:
-            after.wait()
-        z = rng.standard_normal((rows, m.dim))
-    finally:
-        drawn.set()  # also when the draw failed: the stream's next batch must not wait forever
+def _draw(m: GaussianMeasure, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, None]:
+    """Draw a batch from its own generator and map it onto m."""
     # the standard draws are a temporary: row_fn runs on the mapped points alone
-    return _transform(m, z), None
+    return _transform(m, rng.standard_normal((rows, m.dim))), None
 
 
-def _mc_batches(m: GaussianMeasure, q: QuadratureSpec) -> list[tuple[int, _Batch]]:
-    """Every Monte Carlo batch with its slot: each worker stream cut into the fewest
-    near-equal batches of at most _BATCH_ROWS rows (each row counts 1/n), slotted in
-    stream-major order and listed round robin over the streams, so that the pool
-    draws from every stream at once.
+def _mc_batches(m: GaussianMeasure, q: QuadratureSpec) -> list[_Batch]:
+    """Every Monte Carlo batch in slot order: each worker stream cut into the fewest
+    near-equal batches of at most _BATCH_ROWS rows (each row counts 1/n), stream-major.
 
-    A batch draws only after the batch before it in its stream has drawn, so it
-    draws what a sequential loop would.  A short tail batch would map its rows by
-    a product that rounds differently, and move sample()'s bytes.
+    Batch i of a stream draws from the stream's generator jumped i times (batch 0
+    from the generator itself).  One PCG64 jump advances the state as if about
+    0.618 * 2**128 outputs had been drawn, so the sub-streams of a stream's
+    batches start far apart in its 2**128 period, and no batch's draw can reach
+    another's: each batch depends on no other.  The jumped generators are built
+    here, on the calling thread, before any batch draws, since reading a
+    generator's state while a thread draws from it is a race.
     """
-    streams, slot = [], 0
+    batches = []
     for rng, share in zip(_worker_rngs(q.seed, q.workers), _worker_shares(q.n_samples, q.workers)):
-        drawn, count, stream = None, -(-share // _BATCH_ROWS), []
+        count = -(-share // _BATCH_ROWS)
         for i in range(count):
-            after, drawn = drawn, threading.Event()
-            stream.append((slot + i, partial(_draw, m, rng, share // count + (i < share % count), after, drawn)))
-        streams.append(stream)
-        slot += count
-    return [batch for batches in zip_longest(*streams) for batch in batches if batch is not None]
+            batch_rng = np.random.Generator(rng.bit_generator.jumped(i)) if i else rng
+            batches.append(partial(_draw, m, batch_rng, share // count + (i < share % count)))
+    return batches
 
 
 def sample(m: GaussianMeasure, n: int, seed: int, workers: int = 1) -> np.ndarray:
-    """Draw n iid samples; deterministic for fixed (seed, workers)."""
+    """Draw n iid samples; deterministic for fixed (seed, workers).
+
+    The rows are _mc_batches' batches in slot order: batch i of a stream is
+    drawn from the stream's generator jumped i times, so a stream of more than
+    _BATCH_ROWS rows is not one sequential draw of its generator.
+    """
     if n <= 0:
         raise ValueError("n must be positive")
     out = np.empty((n, m.dim))
     pos = 0
-    spec = QuadratureSpec(QuadratureKind.MONTE_CARLO, n, seed, workers)
-    for _, draw in sorted(_mc_batches(m, spec), key=itemgetter(0)):
+    for draw in _mc_batches(m, QuadratureSpec(QuadratureKind.MONTE_CARLO, n, seed, workers)):
         x, _ = draw()
         out[pos : pos + len(x)] = x
         pos += len(x)
@@ -456,20 +455,19 @@ def _merge(summaries: list[_Summary], n_cols: int) -> tuple[np.ndarray, int, np.
 
 
 def _run_batches(
-    batches: Iterable[tuple[int, _Batch]], row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int
+    batches: Iterable[_Batch], row_fn: Callable[[np.ndarray], np.ndarray], n_cols: int
 ) -> list[_Summary]:
-    """The summary of each batch's (rows, n_cols) block, in slot order.
+    """The summary of each batch's (rows, n_cols) block, in the batches' (slot) order.
 
-    batches are (slot, batch) pairs in the order they run, slots 0, 1, ... in
-    merge order.  In a pool thread each batch builds its points, evaluates
-    row_fn on them and summarizes the block.  At most one batch more than the
-    pool has threads is submitted ahead of the result the calling thread waits
-    on; once a batch fails, no batch calls row_fn again.  A lone batch, or a
-    pool of one thread, runs on the calling thread.
+    In a pool thread each batch builds its points, evaluates row_fn on them and
+    summarizes the block.  At most one batch more than the pool has threads is
+    submitted ahead of the result the calling thread waits on; once a batch
+    fails, no batch builds its points or calls row_fn again, and the batches
+    still queued are cancelled.  A lone batch, or a pool of one thread, runs on
+    the calling thread.
     """
     _keep_batch_heap()
     batches = list(batches)
-    summaries: list[Optional[_Summary]] = [None] * len(batches)
 
     def evaluate(x: np.ndarray, weights: Optional[np.ndarray]) -> _Summary:
         return _summarize(_eval_rows(row_fn, x, n_cols), weights)
@@ -477,33 +475,29 @@ def _run_batches(
     with _one_blas_thread():
         threads = _mc_threads()
         if len(batches) < 2 or threads == 1:
-            for slot, points in batches:
-                summaries[slot] = evaluate(*points())
-            return summaries
+            return [evaluate(*points()) for points in batches]
         failed = threading.Event()
 
         def run(points: _Batch) -> Optional[_Summary]:
+            if failed.is_set():  # None: the call raises at the failed batch's result
+                return None
             try:
-                x, weights = points()  # even after a failure: the next batch of a stream waits on this draw
-                if not failed.is_set():  # else None: the call raises at the failed batch's result
-                    return evaluate(x, weights)
+                return evaluate(*points())
             except BaseException:
                 failed.set()
                 raise
 
+        summaries = []
         pool = ThreadPoolExecutor(threads, thread_name_prefix="logmeasure-batches")
         try:
             # submitted lazily, each batch in the caller's context, so np.errstate and the like carry over
-            futures = ((slot, pool.submit(contextvars.copy_context().run, run, points)) for slot, points in batches)
+            futures = (pool.submit(contextvars.copy_context().run, run, points) for points in batches)
             pending = deque(islice(futures, threads + 1))
             while pending:
-                slot, future = pending.popleft()
-                summaries[slot] = future.result()
+                summaries.append(pending.popleft().result())
                 pending.extend(islice(futures, 1))
         finally:
-            # pending batches run out rather than being cancelled: a running batch may wait on the
-            # draw of a batch queued before it, which a cancellation would never let happen
-            pool.shutdown(wait=True)
+            pool.shutdown(wait=True, cancel_futures=True)
     return summaries
 
 
@@ -524,7 +518,7 @@ def _integrate_columns(
     error is undefined.
     """
     if q.kind is QuadratureKind.GAUSS_HERMITE:
-        sums, _, _ = _merge(_run_batches(enumerate(_gh_batches(m, q)), row_fn, n_cols), n_cols)
+        sums, _, _ = _merge(_run_batches(_gh_batches(m, q), row_fn, n_cols), n_cols)
         return [Estimate(float(v)) for v in sums]
     if q.n_samples < 2:
         raise ValueError("a Monte Carlo estimate needs at least 2 samples for its standard error")

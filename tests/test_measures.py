@@ -173,11 +173,15 @@ def test_identity_precision_takes_the_identity_as_its_inverse_factor():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_standard_normal_sample_is_the_raw_draw(workers):
-    n, dim, seed = 2 * _CHUNK_ROWS + 7, 3, 13
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(workers)]
-    shares = [n // workers + (w < n % workers) for w in range(workers)]
-    raw = np.concatenate([rng.standard_normal((share, dim)) for rng, share in zip(rngs, shares)])
-    np.testing.assert_array_equal(sample(standard_normal(dim), n, seed, workers), raw)
+    # three batches a stream, drawn from [rng, rng jumped once, rng jumped twice]
+    dim, seed, rows = 3, 13, _BATCH_ROWS - 5
+    raw = []
+    for s in np.random.SeedSequence(seed).spawn(workers):
+        rng = np.random.default_rng(s)
+        jumped = [np.random.Generator(rng.bit_generator.jumped(i)) for i in (1, 2)]
+        raw += [g.standard_normal((rows, dim)) for g in [rng, *jumped]]
+    got = sample(standard_normal(dim), 3 * rows * workers, seed, workers)
+    np.testing.assert_array_equal(got, np.concatenate(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +304,29 @@ def test_monte_carlo_with_one_sample_raises_instead_of_a_zero_standard_error():
         expectation(standard_normal(2), lambda x: x[:, 0], QuadratureSpec("monte_carlo", 1))
     est = expectation(standard_normal(2), lambda x: x[:, 0], QuadratureSpec("monte_carlo", 2))
     assert est.std_error > 0.0
+
+
+@pytest.mark.parametrize(
+    "field, value, error, message",
+    [
+        ("seed", -1, ValueError, "seed must be non-negative, got -1"),
+        ("seed", 1.5, TypeError, "seed must be an integer, got 1.5"),
+        ("seed", True, TypeError, "seed must be an integer, got True"),
+        ("n_samples", 1000.0, TypeError, "n_samples must be an integer, got 1000.0"),
+        ("n_samples", 0, ValueError, "n_samples must be positive, got 0"),
+        ("workers", 1.5, TypeError, "workers must be an integer, got 1.5"),
+        ("workers", 0, ValueError, "workers must be positive, got 0"),
+    ],
+)
+def test_quadrature_spec_rejects_a_bad_field_when_built(field, value, error, message):
+    fields = {"n_samples": 1000, "seed": 0, "workers": 1, field: value}
+    with pytest.raises(error, match=f"^{message}$"):
+        QuadratureSpec("monte_carlo", **fields)
+
+
+def test_quadrature_spec_takes_numpy_integers():
+    q = QuadratureSpec("monte_carlo", np.int64(1000), seed=np.uint32(2**32 - 1), workers=np.int32(2))
+    assert expectation(standard_normal(1), lambda x: x[:, 0], q).std_error > 0.0
 
 
 def test_gauss_hermite_dimension_guard():
@@ -609,10 +636,12 @@ def test_pipeline_matches_the_sequential_reducer_for_any_layout(n, workers, seed
 
 
 class _FirstDrawHook:
-    """A stream generator that runs hook() before its first draw."""
+    """A stream generator that runs hook() before its first draw: batch 0's draw, since
+    the stream's later batches draw from its bit generator's jumps."""
 
     def __init__(self, rng, hook):
         self.rng, self.hook, self.draws = rng, hook, 0
+        self.bit_generator = rng.bit_generator
 
     def standard_normal(self, size):
         self.draws += 1
@@ -628,8 +657,8 @@ def _hook_first_draws(monkeypatch, hook):
     )
 
 
-def test_parts_of_one_stream_draw_in_order_when_the_first_draw_is_slow(monkeypatch):
-    # five streams of two batches each; a second batch that drew before the first would move the values
+def test_a_slow_first_draw_does_not_move_the_values(monkeypatch):
+    # five streams of two batches each; each stream's second batch draws while its first sleeps
     m = wiener_measure(make_lattice(3, 1.0, 1))
     q = QuadratureSpec("monte_carlo", 5 * (_BATCH_ROWS + 3048), seed=3, workers=5)
     rows = lambda x: x * x
@@ -645,12 +674,11 @@ def test_parts_of_one_stream_draw_in_order_when_the_first_draw_is_slow(monkeypat
 
 
 def test_both_streams_draw_at_once(monkeypatch):
-    # stream 0's first draw waits for stream 1's first draw to start; drawn one stream after
-    # the other, with four batches a stream, the pool would hold only stream 0's batches
+    # one batch a stream: stream 0's draw waits for stream 1's draw to start
     if measures._mc_threads() == 1:
         pytest.skip("without the BLAS thread setter every batch runs on the calling thread")
     m = wiener_measure(make_lattice(3, 1.0, 1))
-    q = QuadratureSpec("monte_carlo", 8 * _BATCH_ROWS, seed=9, workers=2)
+    q = QuadratureSpec("monte_carlo", 2 * _BATCH_ROWS, seed=9, workers=2)
     rows = lambda x: np.stack([x[:, 0] * x[:, 1], np.cos(x[:, 2])], axis=1)
     ref = _sequential_reference(m, q, rows, 2)
     stream_1_draws, waited, got = threading.Event(), [], []
@@ -664,15 +692,39 @@ def test_both_streams_draw_at_once(monkeypatch):
     assert waited == [True] and got == [ref]
 
 
+def test_two_batches_of_one_stream_draw_at_once(monkeypatch):
+    # one stream of two batches: batch 0's draw waits until batch 1 has drawn
+    if measures._mc_threads() == 1:
+        pytest.skip("without the BLAS thread setter every batch runs on the calling thread")
+    m = wiener_measure(make_lattice(3, 1.0, 1))
+    q = QuadratureSpec("monte_carlo", 2 * _BATCH_ROWS, seed=9)
+    rows = lambda x: np.stack([x[:, 0] * x[:, 1], np.cos(x[:, 2])], axis=1)
+    ref = _sequential_reference(m, q, rows, 2)
+    batch_1_drawn, waited, got = threading.Event(), [], []
+    _hook_first_draws(monkeypatch, lambda: waited.append(batch_1_drawn.wait(10.0)))
+    transform = measures._transform
+
+    def mapped(m, z):
+        batch_1_drawn.set()  # batch 0 maps only after its hook has returned
+        return transform(m, z)
+
+    monkeypatch.setattr(measures, "_transform", mapped)
+    assert _finishes(lambda: got.append(_estimates(_integrate_columns(m, q, rows, 2)))) is None
+    assert waited == [True] and got == [ref]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sample_is_the_sequential_whole_batch_draw(workers):
+    # each batch drawn whole from its jump of its stream and mapped on its own, in slot order
     m = wiener_measure(make_lattice(4, 1.0, 1))
-    n, seed = 2 * _CHUNK_ROWS + 7, 5
-    ref = []
-    for rng, share in zip(measures._worker_rngs(seed, workers), measures._worker_shares(n, workers)):
-        for done in range(0, share, _CHUNK_ROWS):
-            ref.append(_transform(m, rng.standard_normal((min(_CHUNK_ROWS, share - done), m.dim))))
-    assert sample(m, n, seed, workers).tobytes() == np.concatenate(ref).tobytes()
+    q = QuadratureSpec("monte_carlo", 2 * _CHUNK_ROWS + 7, seed=5, workers=workers)
+    sizes, shares, ref = iter(_batch_sizes(q)), measures._worker_shares(q.n_samples, workers), []
+    for s, share in zip(np.random.SeedSequence(q.seed).spawn(workers), shares):
+        rng = np.random.default_rng(s)
+        count = -(-share // _BATCH_ROWS)
+        gens = [rng] + [np.random.Generator(rng.bit_generator.jumped(i)) for i in range(1, count)]
+        ref += [_transform(m, g.standard_normal((next(sizes), m.dim))) for g in gens]
+    assert sample(m, q.n_samples, q.seed, workers).tobytes() == np.concatenate(ref).tobytes()
 
 
 def test_pipeline_holds_blas_to_one_thread_and_restores_it():
@@ -753,7 +805,7 @@ def test_a_failing_part_stops_the_pipeline_promptly(failure):
     assert len(calls) <= 4  # batches 1 to 4: batch 5 is submitted only after batch 2's result
 
 
-def test_a_failed_draw_cannot_deadlock_the_part_waiting_on_its_stream(monkeypatch):
+def test_a_failed_draw_reaches_the_caller(monkeypatch):
     def fail():
         raise RuntimeError("draw failed")
 
@@ -761,6 +813,40 @@ def test_a_failed_draw_cannot_deadlock_the_part_waiting_on_its_stream(monkeypatc
     mc = QuadratureSpec("monte_carlo", 2 * _CHUNK_ROWS, seed=1, workers=2)
     error = _finishes(lambda: _integrate_columns(standard_normal(2), mc, lambda x: x, 2))
     assert isinstance(error, RuntimeError) and str(error) == "draw failed"
+
+
+def test_no_batch_draws_after_a_batch_fails(monkeypatch):
+    # four batches of one stream; the first row_fn call fails once both threads' batches have
+    # drawn, and the other batch returns well after the failure: neither batch left may draw
+    if measures._mc_threads() == 1:
+        pytest.skip("without the BLAS thread setter every batch runs on the calling thread")
+    drawn, calls, failing, lock = [], [], threading.Event(), threading.Lock()
+    transform = measures._transform
+
+    def counted(m, z):
+        with lock:
+            drawn.append(len(z))
+        return transform(m, z)
+
+    def rows(x):
+        with lock:
+            calls.append(len(x))
+            first = len(calls) == 1
+        if first:
+            deadline = time.monotonic() + 10.0
+            while len(drawn) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            failing.set()
+            raise RuntimeError("batch failed")
+        failing.wait(10.0)
+        time.sleep(0.2)  # time for the failing batch to flag its failure
+        return x[:, :1]
+
+    monkeypatch.setattr(measures, "_transform", counted)
+    mc = QuadratureSpec("monte_carlo", 4 * _BATCH_ROWS, seed=1)
+    error = _finishes(lambda: _integrate_columns(standard_normal(2), mc, rows, 1))
+    assert isinstance(error, RuntimeError) and str(error) == "batch failed"
+    assert drawn == [_BATCH_ROWS] * 2
 
 
 def test_the_callers_floating_point_state_reaches_the_parts():
@@ -915,7 +1001,7 @@ def test_at_most_one_batch_more_than_the_pool_has_threads_is_submitted_ahead():
         return x
 
     summaries = []
-    run = lambda: summaries.extend(measures._run_batches(enumerate([batch(i) for i in range(32)]), rows, 1))
+    run = lambda: summaries.extend(measures._run_batches([batch(i) for i in range(32)], rows, 1))
     assert _finishes(run) is None
     assert started_while_batch_0_is_awaited[0] <= threads + 1
     assert sorted(started) == list(range(32)) and [s[0] for s in summaries] == [4] * 32
