@@ -21,7 +21,8 @@ alike (``mc_threads``), live only in the JSON record.
 jsonschema, scipy.linalg and scipy.sparse are imported on first use, inside
 the functions that call them: ``list-builtins`` loads none of them, and
 ``run`` loads jsonschema to validate the config, plain ``scipy`` for the
-record's version, and a scipy submodule only when its experiment needs one.
+record's version, and a scipy submodule only when its experiment needs one:
+a PDE solve or an exact propagator.
 """
 
 from __future__ import annotations

@@ -81,10 +81,11 @@ class VectorField:
         x = np.asarray(x, dtype=float)
         if self.jacobian is not None:
             jac = np.asarray(self.jacobian(x), dtype=float)
-            if jac.ndim == 3:
-                from scipy.linalg import block_diag
-
-                return block_diag(*jac)
+            if jac.ndim == 3:  # (nodes, d, d) diagonal blocks, laid on the diagonal of a zero matrix
+                nodes, d, _ = jac.shape
+                dense = np.zeros((nodes, d, nodes, d))
+                dense[np.arange(nodes), :, np.arange(nodes)] = jac
+                return dense.reshape(nodes * d, nodes * d)
             return jac
         h = fd_step * (1.0 + np.linalg.norm(x))
         jac = np.empty((self.dim, self.dim))

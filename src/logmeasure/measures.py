@@ -14,6 +14,11 @@ and the integration-by-parts identity E[phi' . h] + E[phi * beta_h] = 0 is the
 primary consistency check (ibp_residual).
 
 Precision is the primary parameterization; covariance is derived on demand.
+A measure keeps L^{-1}, the inverse of its precision's Cholesky factor, which
+maps standard normal rows onto it.  LAPACK's dtrtrs in the OpenBLAS that
+numpy bundles makes it, bytewise what scipy.linalg.solve_triangular gives,
+so building, sampling and integrating a measure import no scipy.linalg;
+scipy makes it only where numpy bundles no such library.
 
 Every integral in the package runs on one engine: batches of at most
 _BATCH_ROWS points, Monte Carlo draws laid out by _mc_batches or
@@ -155,12 +160,7 @@ class GaussianMeasure:
         # x = mean + L^{-T} z, taken row-wise as z @ L^{-1}, maps N(0, I) onto the measure;
         # for the identity precision L^{-1} is I, bytewise what the triangular solve returns
         identity = np.array_equal(prec, np.eye(self.dim))
-        if identity:
-            chol_inv = np.eye(self.dim)
-        else:
-            from scipy.linalg import solve_triangular
-
-            chol_inv = solve_triangular(chol, np.eye(self.dim), lower=True)
+        chol_inv = np.eye(self.dim) if identity else _lower_inverse(chol)
         for arr in (mean, prec, chol, chol_inv):
             arr.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -190,6 +190,32 @@ class GaussianMeasure:
         quad = np.einsum("ij,ij->i", delta @ self.precision, delta)
         out = -0.5 * quad - self.log_norm_const
         return out if out.size > 1 else float(out[0])
+
+
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """L^{-1} of a C-ordered lower-triangular L: bytewise, and Fortran-ordered like,
+    scipy.linalg.solve_triangular(L, I, lower=True).
+
+    It is scipy's own call for a C-ordered factor, LAPACK's dtrtrs on L's
+    buffer read as the Fortran upper matrix L^T (uplo 'U', trans 'T'), made
+    in numpy's bundled OpenBLAS, so no scipy.linalg is imported; where that
+    library or its dtrtrs is missing, scipy.linalg solves.  A non-finite L
+    raises scipy's ValueError.
+    """
+    if not np.isfinite(chol).all():
+        raise ValueError("array must not contain infs or NaNs")
+    dtrtrs = _openblas_dtrtrs()
+    if dtrtrs is None:
+        from scipy.linalg import solve_triangular
+
+        return solve_triangular(chol, np.eye(len(chol)), lower=True)
+    chol = np.ascontiguousarray(chol, dtype=float)
+    x = np.asfortranarray(np.eye(len(chol)))
+    n, info = ctypes.c_int64(len(chol)), ctypes.c_int64()
+    dtrtrs(b"U", b"T", b"N", n, n, chol.ctypes.data, n, x.ctypes.data, n, info)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dtrtrs returned info {info.value}")
+    return x
 
 
 def standard_normal(dim: int) -> GaussianMeasure:
@@ -291,17 +317,45 @@ def sample(m: GaussianMeasure, n: int, seed: int, workers: int = 1) -> np.ndarra
 
 
 @lru_cache(maxsize=1)
-def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
-    """The getter and setter of numpy's bundled OpenBLAS thread count, or None where they are missing."""
+def _openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS (scipy-openblas64: 64-bit integers, symbols suffixed 64_),
+    or None where it is missing."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*"))
     try:
-        lib = ctypes.CDLL(libs[0])
+        return ctypes.CDLL(libs[0])
+    except (IndexError, OSError):
+        return None
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The getter and setter of numpy's bundled OpenBLAS thread count, or None where they are missing."""
+    lib = _openblas()
+    try:
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
+    except AttributeError:  # no such symbols, or no library (None)
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     return get, put
+
+
+@lru_cache(maxsize=1)
+def _openblas_dtrtrs() -> Optional[Callable[..., None]]:
+    """LAPACK's dtrtrs in numpy's bundled OpenBLAS, or None where it is missing.
+
+    Fortran arguments, by reference: uplo, trans, diag, n, nrhs, a, lda, b,
+    ldb and info, every integer 64-bit.
+    """
+    lib = _openblas()
+    try:
+        dtrtrs = lib.scipy_dtrtrs_64_
+    except AttributeError:  # no such symbol, or no library (None)
+        return None
+    dim = ctypes.POINTER(ctypes.c_int64)
+    dtrtrs.argtypes = [ctypes.c_char_p] * 3 + [dim, dim, ctypes.c_void_p, dim, ctypes.c_void_p, dim, dim]
+    dtrtrs.restype = None
+    return dtrtrs
 
 
 # glibc's mallopt settings, in the order they are made: (parameter, value)

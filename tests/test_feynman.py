@@ -873,6 +873,28 @@ def test_each_deferred_import_runs_on_first_use(call, module):
     assert module in _imported("-c", code)
 
 
+def test_wiener_monte_carlo_gauss_hermite_and_anomaly_routes_load_no_scipy_linalg():
+    # the field's Jacobian is given as diagonal blocks alone, so its divergence is their dense trace
+    code = (
+        "import numpy as np, logmeasure as lm; lat = lm.make_lattice(2, 1.0, 2); "
+        "m = lm.wiener_measure(lat, np.array([[2.0, 0.3], [0.3, 0.5]])); lm.sample(m, 100, seed=1); "
+        "phi = lm.TestFunction(lambda x: np.sin(x).sum(axis=1), np.cos); "
+        "fam = lm.pointwise_family(lm.rotation_family(2), lat); "
+        "h = lm.VectorField(4, fam.generator_field.eval, jacobian=fam.generator_field.jacobian); "
+        "lm.ibp_residual(m, phi, h, lm.QuadratureSpec('monte_carlo', 2000)); "
+        "lm.ibp_residual(m, phi, h, lm.QuadratureSpec('gauss_hermite', 4)); "
+        "lm.anomaly_experiment(family=fam, lagrangians=[lm.free_lagrangian(2), lm.harmonic_lagrangian(2)], "
+        "lattice=lat, n_paths=2, seed=1, expect_nonzero_trace=False, n_alpha=3, duality_grid=64)"
+    )
+    assert "scipy.linalg" not in _imported("-c", code)
+
+
+@pytest.mark.parametrize("config", ["ibp_check", "anomaly_scan", "theorem1_check", "oscillatory_check"])
+def test_a_run_without_a_pde_solve_or_an_exact_propagator_loads_no_scipy_linalg(tmp_path, config):
+    path = os.path.join(_REPO, "configs", f"{config}.json")
+    assert "scipy.linalg" not in _imported("-m", "logmeasure", "run", path, "--out", str(tmp_path))
+
+
 def test_a_run_loads_jsonschema(tmp_path):
     config = os.path.join(_REPO, "configs", "flow_density.json")
     assert "jsonschema" in _imported("-m", "logmeasure", "run", config, "--out", str(tmp_path))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from logmeasure import TestFunction, TransformationFamily, VectorField, gradient_check, negated
 from logmeasure.library import polynomial_pairs, rotation_family, scaling_family, translation_family
@@ -123,6 +124,16 @@ def test_polynomial_pairs_have_consistent_derivatives():
                 [np.trace(h.jacobian_at(row)) for row in pts],
                 atol=1e-10,
             )
+
+
+@pytest.mark.parametrize("nodes, d", [(1, 1), (6, 1), (3, 4)])
+def test_block_jacobian_is_bytewise_block_diag(nodes, d):
+    blocks = np.random.default_rng(nodes * d).standard_normal((nodes, d, d))
+    blocks[0, 0, 0] = -0.0
+    h = VectorField(dim=nodes * d, eval=lambda x: np.atleast_2d(x), jacobian=lambda x: blocks)
+    dense, ref = h.jacobian_at(np.zeros(nodes * d)), block_diag(*blocks)
+    assert dense.tobytes() == ref.tobytes()
+    assert (dense.dtype, dense.shape, dense.flags.c_contiguous) == (ref.dtype, ref.shape, ref.flags.c_contiguous)
 
 
 def _fd_jacobian(h, x, step=1e-6):

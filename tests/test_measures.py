@@ -162,6 +162,74 @@ def test_sample_map_matches_triangular_solve(with_mean):
     np.testing.assert_array_equal(z, z_before)
 
 
+def _wiener_precision(n_steps, dim_q):
+    kinetic = None if dim_q == 1 else np.array([[2.0, 0.3], [0.3, 0.5]])  # non-diagonal B
+    return wiener_measure(make_lattice(n_steps, 1.0, dim_q), kinetic).precision
+
+
+def _random_spd(dim):
+    a = np.random.default_rng(dim).standard_normal((dim, dim))
+    return a @ a.T + dim * np.eye(dim)
+
+
+_PRECISIONS = [
+    *[pytest.param(_wiener_precision, (n, q), id=f"wiener-{n}x{q}") for q in (1, 2) for n in (1, 2, 7, 64, 1024)],
+    *[pytest.param(_random_spd, (d,), id=f"spd-{d}") for d in (1, 2, 3, 17, 64, 300)],
+]
+
+
+def _assert_scipys_inverse_factor(m):
+    ref = solve_triangular(m.chol_lower, np.eye(m.dim), lower=True)
+    assert m._chol_inv.tobytes() == ref.tobytes()
+    assert m._chol_inv.flags.f_contiguous == ref.flags.f_contiguous
+
+
+@pytest.mark.parametrize("build, args", _PRECISIONS)
+def test_inverse_factor_is_bytewise_scipys_triangular_solve(build, args):
+    prec = build(*args)
+    _assert_scipys_inverse_factor(GaussianMeasure(len(prec), np.zeros(len(prec)), prec))
+
+
+@pytest.fixture
+def no_bundled_openblas(monkeypatch):
+    """numpy's bundled OpenBLAS reads as missing; the helpers' caches are cleared around the test."""
+    cached = (measures._openblas_dtrtrs, measures._openblas_threads)
+    for helper in cached:
+        helper.cache_clear()
+    monkeypatch.setattr(measures, "_openblas", lambda: None)
+    yield
+    for helper in cached:
+        helper.cache_clear()
+
+
+@pytest.mark.parametrize("build, args", _PRECISIONS[::3])
+def test_without_the_bundled_openblas_scipy_gives_the_same_inverse_factor(no_bundled_openblas, build, args):
+    assert measures._openblas_dtrtrs() is None and measures._openblas_threads() is None
+    prec = build(*args)
+    _assert_scipys_inverse_factor(GaussianMeasure(len(prec), np.zeros(len(prec)), prec))
+
+
+def test_the_bundled_dtrtrs_is_found_with_the_library():
+    assert (measures._openblas() is None) == (measures._openblas_dtrtrs() is None)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's warnings on the infinite entries
+@pytest.mark.parametrize("bundled", [True, False])
+@pytest.mark.parametrize("entries, message", [
+    ({(0, 0): np.inf}, "must not contain infs or NaNs"),
+    ({(0, 0): np.nan}, "not symmetric"),
+    ({(0, 1): np.inf, (1, 0): np.inf}, "not positive definite"),
+], ids=["inf_diagonal", "nan", "inf_off_diagonal"])
+def test_a_non_finite_precision_raises(request, bundled, entries, message):
+    if not bundled:
+        request.getfixturevalue("no_bundled_openblas")
+    prec = _wiener_precision(3, 1).copy()
+    for index, value in entries.items():
+        prec[index] = value
+    with pytest.raises(ValueError, match=message):
+        GaussianMeasure(3, np.zeros(3), prec)
+
+
 def test_identity_precision_takes_the_identity_as_its_inverse_factor():
     # bytewise what the triangular solve gives for L = cholesky(I), which it skips
     for dim in range(1, 201):
