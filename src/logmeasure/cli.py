@@ -18,11 +18,11 @@ column bitwise; wall time, the minor page faults of the experiment
 batches of a call of more than one batch, Monte Carlo and Gauss-Hermite
 alike (``mc_threads``), live only in the JSON record.
 
-jsonschema, scipy.linalg and scipy.sparse are imported on first use, inside
-the functions that call them: ``list-builtins`` loads none of them, and
-``run`` loads jsonschema to validate the config, plain ``scipy`` for the
-record's version, and a scipy submodule only when its experiment needs one:
-a PDE solve or an exact propagator.
+jsonschema and scipy are imported on first use, inside the functions that
+call them: ``list-builtins`` loads neither, and ``run`` loads jsonschema to
+validate the config and scipy only for a coupled 2-D PDE solve (through
+scipy.sparse.linalg), so no shipped config loads it.  The record's versions
+of both are read from their package metadata.
 """
 
 from __future__ import annotations
@@ -886,11 +886,11 @@ def _write_outputs(
 
 
 @functools.cache
-def _jsonschema_version() -> str:
-    """The installed jsonschema's version, read from its package metadata once per process."""
+def _version(dist: str) -> str:
+    """The installed distribution's version, read from its package metadata once per process."""
     import importlib.metadata
 
-    return importlib.metadata.version("jsonschema")
+    return importlib.metadata.version(dist)
 
 
 def _minor_page_faults() -> Optional[int]:
@@ -899,8 +899,6 @@ def _minor_page_faults() -> Optional[int]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    import scipy
-
     try:
         config = _load_config(args.config, args.set or [], args.seed, args.workers)
         experiment = config["experiment"]
@@ -930,8 +928,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "versions": {
             "logmeasure": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "jsonschema": _jsonschema_version(),
+            "scipy": _version("scipy"),
+            "jsonschema": _version("jsonschema"),
             "python": platform.python_version(),
         },
         "wall_time_s": wall_time,

@@ -6,10 +6,12 @@ Four evaluation routes for u(t, q):
 * pde_solve: implicit-midpoint (Crank-Nicolson) finite differences, the
   reference oracle.  Damped mode solves du/dt = (1/2) Delta_C u - eta u,
   oscillatory mode solves du/dt = i ((1/2) Delta_C u + eta u), C = B^{-1}.
-  A damped 2-D operator that is a Kronecker sum (C diagonal, eta certified
-  quadratic with a diagonal matrix) is diagonalized axis by axis: two
-  tridiagonal eigendecompositions and four dense products of the axis size,
-  whatever the step count.  Every other problem takes one symmetric-ordered
+  A 1-D problem, damped or oscillatory, takes one tridiagonal LU per call
+  and one tridiagonal solve per time step.  A damped 2-D operator that is a
+  Kronecker sum (C diagonal, eta certified quadratic with a diagonal matrix)
+  is diagonalized axis by axis: one symmetric eigendecomposition per
+  distinct axis and four dense products of the axis size, whatever the step
+  count.  Every other (coupled) 2-D problem takes one symmetric-ordered
   (minimum degree on A + A^T) sparse LU per call and one triangular solve
   per time step, so a step costs time proportional to the factor's nnz.
 * feynman_mc: Feynman-Kac Monte Carlo of E_W[exp(-A_eta) f0] over discretized
@@ -29,13 +31,19 @@ measure's logarithmic derivative (action variation and Jacobian trace) for
 several Lagrangians, and checks the determinant-trace duality plus the
 pushforward non-invariance of the weighted measure via the density ODE.
 
-scipy.sparse and scipy.linalg are imported on first use, inside the functions
-that call them (the factored PDE route, the diagonalized one, the banded
-Cholesky), so importing this module loads neither.
+The tridiagonal LU and solve (dgttrf/dgttrs, zgttrf/zgttrs in real time)
+and the banded Cholesky and solve (dpbtrf/dpbtrs) are LAPACK's, called in
+the OpenBLAS that numpy bundles (measures._lapack), and the per-axis
+eigendecomposition is numpy's eigh, so only a coupled 2-D PDE solve loads
+scipy, through scipy.sparse.linalg's splu.  Where numpy bundles no such
+routine, the 1-D solve takes the sparse LU and the banded Cholesky takes
+scipy.linalg.lapack's, imported on first use like scipy.sparse; importing
+this module loads neither.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
@@ -65,6 +73,7 @@ from .measures import (
     QuadratureSpec,
     _field_log_derivative_rows,
     _integrate_columns,
+    _lapack,
     sample,
     wiener_measure,
 )
@@ -325,8 +334,6 @@ def _diagonalized_steps(p: SchrodingerProblem, grid: SpaceGrid, lattice: TimeLat
     z_ij = (dt/2) (lam_0i + lam_1j), the same rational function of the same operator as
     the factored route.  eta itself is read on the mesh and must match the certificate.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     qe = p.lagrangian.quadratic_eta
     axis, h, n_int = grid.axis[1:-1], grid.spacing, grid.n_points - 2
     etas = [0.5 * qe.matrix[a, a] * axis**2 + qe.linear[a] * axis for a in range(2)]
@@ -336,15 +343,50 @@ def _diagonalized_steps(p: SchrodingerProblem, grid: SpaceGrid, lattice: TimeLat
     if not np.all(gap <= 1e-12 * max(1.0, float(np.max(np.abs(eta))))):
         raise ValueError("eta does not match its quadratic certificate on the PDE grid")
     c_diag = np.diag(np.linalg.inv(p.kinetic_matrix))
-    (lam0, v0), (lam1, v1) = (
-        eigh_tridiagonal(-c_diag[a] / h**2 - etas[a], np.full(n_int - 1, 0.5 * c_diag[a] / h**2))
-        for a in range(2)
-    )
+    k0, k1 = (np.diag(-c_diag[a] / h**2 - etas[a]) + np.diag(np.full(n_int - 1, 0.5 * c_diag[a] / h**2), -1)
+              for a in range(2))  # the lower triangles, which eigh reads
+    lam0, v0 = np.linalg.eigh(k0)
+    lam1, v1 = (lam0, v0) if np.array_equal(k0, k1) else np.linalg.eigh(k1)
     z = 0.5 * lattice.dt * (lam0[:, None] + lam1[None, :])
     if np.any(z == 1.0):
         raise ValueError(_SINGULAR_STEP)
     gain = ((1.0 + z) / (1.0 - z)) ** lattice.n_steps
     return (v0 @ ((v0.T @ u.reshape(n_int, n_int) @ v1) * gain) @ v1.T).reshape(-1)
+
+
+def _tridiagonal_steps(p: SchrodingerProblem, grid: SpaceGrid, lattice: TimeLattice, mode: WLogDerivativeMode,
+                       points: Array, u: Array, gttrf: Callable[..., None], gttrs: Callable[..., None]) -> Array:
+    """n Crank-Nicolson steps of a 1-D u' = A u: LAPACK's tridiagonal LU (gttrf, partial pivoting)
+    of I - (dt/2) A once, then one gttrs per step, in place, on one buffer.
+
+    The diagonals are the entries of _spatial_operator's I - (dt/2) A, computed in the same
+    order; u is real (dgttrf/dgttrs) in Euclidean time and complex (zgttrf/zgttrs) in real time.
+    A step is u <- M^-1 (2 u) - u, M = I - (dt/2) A, the factored route's 2 M^-1 u - u.
+    """
+    n, h, scale = grid.n_points - 2, grid.spacing, 0.5 * lattice.dt
+    u = u.reshape(n)
+    c00 = np.linalg.inv(p.kinetic_matrix)[0, 0]
+    lap_main, lap_off = 0.5 * (c00 * (-2.0 / h**2)), 0.5 * (c00 * (1.0 / h**2))
+    eta = p.eta_values(points).reshape(n)
+    if mode is WLogDerivativeMode.EUCLIDEAN:
+        main, off = lap_main - eta, lap_off
+    else:
+        main, off = 1j * (lap_main + eta), 1j * lap_off
+    diag = np.asarray(1.0 - scale * main, dtype=u.dtype)
+    sub, sup = (np.full(n - 1, -(scale * off), dtype=u.dtype) for _ in range(2))
+    sup2, pivots = np.empty(max(n - 2, 1), dtype=u.dtype), np.empty(n, dtype=np.int64)
+    factors = [x.ctypes.data for x in (sub, diag, sup, sup2, pivots)]
+    size, info = ctypes.c_int64(n), ctypes.c_int64()
+    gttrf(size, *factors, info)
+    if info.value:
+        raise ValueError(_SINGULAR_STEP)
+    step = np.empty_like(u)
+    args = (b"N", size, ctypes.c_int64(1), *factors, step.ctypes.data, size, info)
+    for _ in range(lattice.n_steps):
+        np.multiply(u, 2.0, out=step)
+        gttrs(*args)
+        np.subtract(step, u, out=u)
+    return u
 
 
 def _require_finite(values: Array, what: str) -> None:
@@ -359,26 +401,31 @@ def pde_solve(
     """Implicit-midpoint finite-difference reference solution on the grid.
 
     Crank-Nicolson for u' = A u, u_n = r((dt/2) A)^n u_0 with r(z) = (1 + z) / (1 - z),
-    by one of two routes that give the same values up to rounding:
+    by one of three routes that give the same values up to rounding:
 
+    * tridiagonal, for every 1-D problem, damped or real time: one LU with partial
+      pivoting of the tridiagonal I - (dt/2) A per call, LAPACK's dgttrf (zgttrf in
+      real time) in numpy's bundled OpenBLAS, then one dgttrs (zgttrs) per step,
+      u <- (I - (dt/2) A)^{-1} (2 u) - u, in place on one buffer: O(n_points) per step.
     * diagonalized, for a damped 2-D A that is a Kronecker sum K_0 (x) I + I (x) K_1
       (C = B^{-1} diagonal, eta certified quadratic with a diagonal matrix): one
-      tridiagonal eigendecomposition per axis and four dense products of the axis size,
-      a cost that does not grow with n_steps.  eta is still read on the mesh, and a
-      ValueError is raised when it differs from the certificate by more than
-      1e-12 max(1, max |eta|).
-    * factored, for every other problem (all 1-D solves, real time, a mixed C, an
-      uncertified eta or a non-diagonal eta matrix): one sparse LU of I - (dt/2) A per
-      call, with a minimum-degree ordering on A + A^T (the stencil is structurally
-      symmetric), then one triangular solve per step (a forward and a back substitution)
-      through (I - (dt/2) A)^{-1} (I + (dt/2) A) = 2 (I - (dt/2) A)^{-1} - I.  A step
-      costs time proportional to the nnz of the L and U factors.
+      symmetric eigendecomposition per axis (numpy's eigh; one for both axes when
+      K_0 = K_1) and four dense products of the axis size, a cost that does not grow
+      with n_steps.  eta is still read on the mesh, and a ValueError is raised when it
+      differs from the certificate by more than 1e-12 max(1, max |eta|).
+    * sparse LU, for a coupled 2-D problem (a mixed C, an uncertified eta or a
+      non-diagonal eta matrix), and for a 1-D one where numpy bundles no dgttrf: one
+      sparse LU of I - (dt/2) A per call, with a minimum-degree ordering on A + A^T
+      (the stencil is structurally symmetric), then one triangular solve per step (a
+      forward and a back substitution) through (I - (dt/2) A)^{-1} (I + (dt/2) A) =
+      2 (I - (dt/2) A)^{-1} - I.  A step costs time proportional to the nnz of the L
+      and U factors.
 
     Zero boundary values at the box edge; the returned error_estimate is the
     fraction of |u| mass sitting on the interior ring next to the boundary at
     the final time, and a warning fires when it exceeds 1e-6 (grid too small).
     A non-finite f0 value on the interior mesh, or a non-finite solution, raises
-    ValueError with the count; a singular I - (dt/2) A raises ValueError on either route.
+    ValueError with the count; a singular I - (dt/2) A raises ValueError on every route.
     Oscillatory mode supports dim_q = 1 only.
     """
     start = time.perf_counter()
@@ -391,8 +438,12 @@ def pde_solve(
     points = _mesh(grid.axis[1:-1], p.dim_q)
     u = np.asarray(p.f0.evaluator(points)).astype(float if mode is WLogDerivativeMode.EUCLIDEAN else complex)
     _require_finite(u, "f0 on the interior mesh")
+    kind = "d" if mode is WLogDerivativeMode.EUCLIDEAN else "z"
+    gttrf, gttrs = _lapack(kind + "gttrf"), _lapack(kind + "gttrs")
     if _is_kronecker_sum(p, mode):
         u = _diagonalized_steps(p, grid, lattice, points, u)
+    elif p.dim_q == 1 and gttrf is not None and gttrs is not None:
+        u = _tridiagonal_steps(p, grid, lattice, mode, points, u, gttrf, gttrs)
     else:
         import scipy.sparse as sp
         from scipy.sparse.linalg import splu
@@ -475,15 +526,14 @@ def feynman_mc(
     return estimates[0] if single else estimates
 
 
-@functools.lru_cache(maxsize=32)  # an entry is 2 (d + 1)^2 read-only floats, not the band or factor
-def _gaussian_form(lattice: TimeLattice, c_val: float, const: float, poly0: float, *arrays: bytes) -> Array:
-    """Forms (E, Q) of exact_gaussian_propagator; arrays: the bytes of B, M, quad, poly2, g, lin, poly1."""
+def _path_precision_band(lattice: TimeLattice, b_mat: Array, m_mat: Array, quad: Array) -> Array:
+    """The path precision P in LAPACK lower band storage, ab[k, j] = P[j + k, j], shape (2 d, n d).
+
+    P is block tridiagonal: cm_gram's (1/dt) Dtilde^T Dtilde kron B plus dt M on the
+    first n - 1 diagonal blocks and quad on the last.  It is written through the view
+    band[k, slot, c] = ab[k, slot * d + c].
+    """
     n, d, dt = lattice.n_steps, lattice.dim_q, lattice.dt
-    b_mat, m_mat, quad, poly2, g_vec, lin, poly1 = (np.frombuffer(x).reshape(d, -1) for x in arrays)
-    # The path precision P is block tridiagonal: cm_gram's (1/dt) Dtilde^T Dtilde kron B
-    # plus dt M on the first n - 1 diagonal blocks and quad on the last.  It is held in
-    # LAPACK lower band storage, ab[k, j] = P[j + k, j], written through the view
-    # band[k, slot, c] = ab[k, slot * d + c].
     diag = np.empty((n, d, d))
     diag[:-1] = (2.0 / dt) * b_mat + dt * m_mat
     diag[-1] = (1.0 / dt) * b_mat + quad
@@ -494,12 +544,49 @@ def _gaussian_form(lattice: TimeLattice, c_val: float, const: float, poly0: floa
             band[r - c, :, c] = diag[:, r, c]
         for c in range(d):
             band[d + r - c, :-1, c] = sub[r, c]
-    # LAPACK's banded Cholesky and solve, called as cholesky_banded and cho_solve_banded call them
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    return band.reshape(2 * d, n * d)
 
+
+# LAPACK's banded Cholesky and solve, called as cholesky_banded and cho_solve_banded call them:
+# in numpy's bundled OpenBLAS, bytewise scipy.linalg.lapack's, which serves only where it is missing.
+def _banded_cholesky(band: Array) -> tuple[Array, int]:
+    """dpbtrf of a lower band: the Fortran-ordered factor and info, as scipy's dpbtrf(band, lower=1)."""
+    dpbtrf = _lapack("dpbtrf")
+    if dpbtrf is None:
+        from scipy.linalg.lapack import dpbtrf
+
+        return dpbtrf(band, lower=1)
+    chol = np.array(band, dtype=float, order="F")
+    (ldab, n), info = chol.shape, ctypes.c_int64()
+    dpbtrf(b"L", ctypes.c_int64(n), ctypes.c_int64(ldab - 1), chol.ctypes.data, ctypes.c_int64(ldab), info)
+    return chol, info.value
+
+
+def _banded_solve(chol: Array, rhs: Array) -> Array:
+    """dpbtrs on a lower band factor: P^-1 rhs, Fortran-ordered, as scipy's dpbtrs(chol, rhs, lower=1)[0]."""
+    dpbtrs = _lapack("dpbtrs")
+    if dpbtrs is None:
+        from scipy.linalg.lapack import dpbtrs
+
+        return dpbtrs(chol, rhs, lower=1)[0]
+    chol, sol = np.asfortranarray(chol, dtype=float), np.array(rhs, dtype=float, order="F")
+    (ldab, n), (ldb, nrhs), info = chol.shape, sol.shape, ctypes.c_int64()
+    dpbtrs(b"L", ctypes.c_int64(n), ctypes.c_int64(ldab - 1), ctypes.c_int64(nrhs), chol.ctypes.data,
+           ctypes.c_int64(ldab), sol.ctypes.data, ctypes.c_int64(ldb), info)
+    if info.value:  # an argument LAPACK rejects, such as fewer rows in rhs than in P
+        raise ValueError(f"dpbtrs returned info {info.value}")
+    return sol
+
+
+@functools.lru_cache(maxsize=32)  # an entry is 2 (d + 1)^2 read-only floats, not the band or factor
+def _gaussian_form(lattice: TimeLattice, c_val: float, const: float, poly0: float, *arrays: bytes) -> Array:
+    """Forms (E, Q) of exact_gaussian_propagator; arrays: the bytes of B, M, quad, poly2, g, lin, poly1."""
+    n, d, dt = lattice.n_steps, lattice.dim_q, lattice.dt
+    b_mat, m_mat, quad, poly2, g_vec, lin, poly1 = (np.frombuffer(x).reshape(d, -1) for x in arrays)
+    band = _path_precision_band(lattice, b_mat, m_mat, quad)
     if not np.isfinite(band).all():
         raise ValueError("the path precision has a non-finite entry")
-    chol, info = dpbtrf(band.reshape(2 * d, n * d), lower=1)
+    chol, info = _banded_cholesky(band)
     if info > 0:
         raise ValueError(
             "the damped Gaussian path integral diverges for this eta and lattice:"
@@ -509,7 +596,7 @@ def _gaussian_form(lattice: TimeLattice, c_val: float, const: float, poly0: floa
                      np.hstack([lin, -quad, np.eye(d)])])  # r0, R (rhs(q) = r0 + R q), last-slot units
     if not np.isfinite(rhs).all():
         raise ValueError("the right-hand side of the path precision's solve has a non-finite entry")
-    sol = dpbtrs(chol, rhs, lower=1)[0]
+    sol = _banded_solve(chol, rhs)
     # with mu0 = P^-1 r0 and K = P^-1 R, rhs(q) . mu(q) = r0 . mu0 + 2 mu0 . R q + q^T R^T K q (P symmetric)
     inner = rhs[:, : d + 1].T @ sol[:, : d + 1]
     # det Dtilde = 1, so log det gram = n log det B - n d log dt (see cm_gram)

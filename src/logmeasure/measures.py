@@ -18,7 +18,9 @@ A measure keeps L^{-1}, the inverse of its precision's Cholesky factor, which
 maps standard normal rows onto it.  LAPACK's dtrtrs in the OpenBLAS that
 numpy bundles makes it, bytewise what scipy.linalg.solve_triangular gives,
 so building, sampling and integrating a measure import no scipy.linalg;
-scipy makes it only where numpy bundles no such library.
+scipy makes it only where numpy bundles no such library.  _lapack loads
+that library's routines, this one and the banded and tridiagonal ones of
+the Cauchy-problem solvers.
 
 Every integral in the package runs on one engine: batches of at most
 _BATCH_ROWS points, Monte Carlo draws laid out by _mc_batches or
@@ -204,7 +206,7 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(chol).all():
         raise ValueError("array must not contain infs or NaNs")
-    dtrtrs = _openblas_dtrtrs()
+    dtrtrs = _lapack("dtrtrs")
     if dtrtrs is None:
         from scipy.linalg import solve_triangular
 
@@ -340,22 +342,35 @@ def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], Non
     return get, put
 
 
-@lru_cache(maxsize=1)
-def _openblas_dtrtrs() -> Optional[Callable[..., None]]:
-    """LAPACK's dtrtrs in numpy's bundled OpenBLAS, or None where it is missing.
+# Fortran signatures of the LAPACK routines called through _lapack, one letter per argument,
+# each passed by reference: c a character (bytes), i a 64-bit integer, a an array's address
+_LAPACK_SIGNATURES = {
+    "dtrtrs": "ccciiaiaii",  # uplo, trans, diag, n, nrhs, a, lda, b, ldb, info
+    "dpbtrf": "ciiaii",  # uplo, n, kd, ab, ldab, info
+    "dpbtrs": "ciiiaiaii",  # uplo, n, kd, nrhs, ab, ldab, b, ldb, info
+    "dgttrf": "iaaaaai",  # n, dl, d, du, du2, ipiv, info
+    "dgttrs": "ciiaaaaaaii",  # trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info
+}
+_LAPACK_SIGNATURES.update({"z" + name[1:]: _LAPACK_SIGNATURES[name] for name in ("dgttrf", "dgttrs")})
+_LAPACK_ARGTYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64), "a": ctypes.c_void_p}
 
-    Fortran arguments, by reference: uplo, trans, diag, n, nrhs, a, lda, b,
-    ldb and info, every integer 64-bit.
+
+@lru_cache(maxsize=None)
+def _lapack(name: str) -> Optional[Callable[..., None]]:
+    """LAPACK's routine `name` (a key of _LAPACK_SIGNATURES) in numpy's bundled OpenBLAS, or None
+    where it is missing.
+
+    It takes the Fortran arguments of its signature, by reference: a character as bytes,
+    an integer as a ctypes.c_int64 and an array as its address (arr.ctypes.data).
     """
     lib = _openblas()
     try:
-        dtrtrs = lib.scipy_dtrtrs_64_
+        routine = getattr(lib, f"scipy_{name}_64_")
     except AttributeError:  # no such symbol, or no library (None)
         return None
-    dim = ctypes.POINTER(ctypes.c_int64)
-    dtrtrs.argtypes = [ctypes.c_char_p] * 3 + [dim, dim, ctypes.c_void_p, dim, ctypes.c_void_p, dim, dim]
-    dtrtrs.restype = None
-    return dtrtrs
+    routine.argtypes = [_LAPACK_ARGTYPES[kind] for kind in _LAPACK_SIGNATURES[name]]
+    routine.restype = None
+    return routine
 
 
 # glibc's mallopt settings, in the order they are made: (parameter, value)

@@ -43,7 +43,7 @@ from logmeasure import (
     solve_density_ode,
     wiener_measure,
 )
-from logmeasure import feynman
+from logmeasure import feynman, measures
 from logmeasure.feynman import (
     _OSCILLATORY_GH_ORDER,
     _boundary_mass_fraction,
@@ -235,6 +235,29 @@ def _counted_splu(monkeypatch, allowed=True):
     return factors
 
 
+def _counted_lapack(monkeypatch, *names):
+    """Route the named LAPACK routines that feynman calls, numpy's bundled ones or scipy's where
+    numpy bundles none, through a list of their names, one entry per call."""
+    calls = []
+    load = feynman._lapack
+
+    def counted(name, routine):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+
+        return call
+
+    def counting_load(name):
+        routine = load(name)
+        return counted(name, routine) if name in names and routine is not None else routine
+
+    monkeypatch.setattr(feynman, "_lapack", counting_load)
+    for name in names:
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted(name, getattr(scipy.linalg.lapack, name)))
+    return calls
+
+
 _ANISOTROPIC_KINETIC = np.diag([1.7, 0.6])
 
 
@@ -259,17 +282,20 @@ _ANISOTROPIC_KINETIC = np.diag([1.7, 0.6])
 def test_pde_steps_match_the_two_matrix_crank_nicolson_loop(
     monkeypatch, lagrangian, grid, n_steps, t_final, mode, factored
 ):
-    """Both routes are the same scheme; a damped 2-D Kronecker sum (diagonal C, certified eta with a
-    diagonal matrix) never factors, and every other problem factors exactly once."""
+    """Every route is the same scheme; a damped 2-D Kronecker sum (diagonal C, certified eta with a
+    diagonal matrix) never factors, and every other problem factors exactly once: a 1-D one by
+    numpy's bundled tridiagonal LU, a coupled 2-D one by the sparse LU."""
     lag = lagrangian()
     p = SchrodingerProblem(lag.dim_q, lag, gaussian_bump(lag.dim_q, sigma=1.0), t_final)
     lattice = make_lattice(n_steps, t_final, lag.dim_q)
     op, points = _spatial_operator(p, grid, mode)
     u0 = np.asarray(p.f0.evaluator(points), dtype=complex if mode is REAL else float)
     ref = crank_nicolson_reference(op, u0, lattice.dt, n_steps)
-    factors = _counted_splu(monkeypatch, allowed=factored)
+    bundled = lag.dim_q == 1 and feynman._lapack("dgttrf") is not None
+    factors = _counted_splu(monkeypatch, allowed=factored and not bundled)
+    tridiagonal = _counted_lapack(monkeypatch, "dgttrf", "zgttrf")
     values = pde_solve(p, grid, lattice, mode).values
-    assert len(factors) == factored
+    assert len(factors) + len(tridiagonal) == factored
     interior = values[(slice(1, -1),) * lag.dim_q].reshape(-1)
     assert np.max(np.abs(interior - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -666,9 +692,7 @@ def test_a_one_point_sweep_factors_once_and_its_warm_values_are_the_cold_values(
         feynman._gaussian_form.cache_clear()
         cold.append(exact_gaussian_propagator(p, q, lat))
     feynman._gaussian_form.cache_clear()
-    calls = []
-    original = scipy.linalg.lapack.dpbtrf
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", lambda *a, **k: calls.append(a) or original(*a, **k))
+    calls = _counted_lapack(monkeypatch, "dpbtrf")
     warm = [exact_gaussian_propagator(p, q, lat) for q in points]
     assert len(calls) == 1
     assert np.array(warm).tobytes() == np.array(cold).tobytes()
@@ -697,6 +721,68 @@ def test_a_diverging_path_integral_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError, match="path integral diverges"):
             exact_gaussian_propagator(p, [0.0], make_lattice(16, 1.0, 1))
+
+
+_BANDED_KINETIC = {1: np.array([[1.5]]), 2: np.array([[2.0, 0.3], [0.3, 0.5]])}  # a non-diagonal B in 2-D
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 64, 1024, 4096])
+@pytest.mark.parametrize("dim_q", [1, 2])
+def test_bundled_banded_cholesky_and_solve_are_bytewise_scipys(dim_q, n_steps):
+    lat = make_lattice(n_steps, 0.5, dim_q)
+    m_mat = np.array([[1.0, 0.2], [0.2, 0.49]])[:dim_q, :dim_q]
+    band = feynman._path_precision_band(lat, _BANDED_KINETIC[dim_q], m_mat, np.eye(dim_q) / 0.64)
+    rhs = np.random.default_rng(n_steps).normal(size=(n_steps * dim_q, 2 * dim_q + 1))
+    chol, info = feynman._banded_cholesky(band)
+    ref, ref_info = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    assert info == ref_info == 0
+    assert chol.tobytes() == ref.tobytes() and chol.flags.f_contiguous == ref.flags.f_contiguous
+    sol, ref_sol = feynman._banded_solve(chol, rhs), scipy.linalg.lapack.dpbtrs(ref, rhs, lower=1)[0]
+    assert sol.tobytes() == ref_sol.tobytes() and sol.flags.f_contiguous == ref_sol.flags.f_contiguous
+
+
+def test_the_bundled_banded_and_tridiagonal_routines_are_found_with_the_library():
+    for name in ("dpbtrf", "dpbtrs", "dgttrf", "dgttrs", "zgttrf", "zgttrs"):
+        assert (measures._openblas() is None) == (feynman._lapack(name) is None), name
+
+
+@pytest.mark.parametrize("dim_q", [1, 2])
+def test_without_the_bundled_lapack_the_exact_propagator_is_bytewise_the_same(monkeypatch, dim_q):
+    lag = replace(harmonic_lagrangian(dim_q), kinetic_matrix=_BANDED_KINETIC[dim_q])
+    p = SchrodingerProblem(dim_q, lag, _polynomial_bump(dim_q), 0.5)
+    lat = make_lattice(64, 0.5, dim_q)
+    points = np.random.default_rng(dim_q).normal(size=(8, dim_q))
+    feynman._gaussian_form.cache_clear()
+    bundled = exact_gaussian_propagator(p, points, lat)
+    feynman._gaussian_form.cache_clear()
+    monkeypatch.setattr(feynman, "_lapack", lambda name: None)
+    calls = _counted_lapack(monkeypatch, "dpbtrf", "dpbtrs")
+    fallback = exact_gaussian_propagator(p, points, lat)
+    feynman._gaussian_form.cache_clear()
+    assert calls == ["dpbtrf", "dpbtrs"]  # scipy's, once each
+    assert fallback.tobytes() == bundled.tobytes()
+
+
+@pytest.mark.parametrize("mode, grid, n_steps", [(EUCLID, SpaceGrid(1, 8.0, 257), 64),
+                                                 (REAL, SpaceGrid(1, 10.0, 1025), 512)], ids=["euclidean", "real_time"])
+def test_without_the_bundled_lapack_a_1d_solve_is_the_sparse_lu_loop(monkeypatch, mode, grid, n_steps):
+    """The fallback is the sparse LU route, 2 M^-1 u - u per step, M = I - (dt/2) A; the bundled
+    tridiagonal LU moves its values by rounding only."""
+    p = SchrodingerProblem(1, harmonic_lagrangian(1), gaussian_bump(1, sigma=1.0), 0.5)
+    lattice = make_lattice(n_steps, 0.5, 1)
+    bundled = pde_solve(p, grid, lattice, mode).values
+    monkeypatch.setattr(feynman, "_lapack", lambda name: None)
+    factors = _counted_splu(monkeypatch)
+    values = pde_solve(p, grid, lattice, mode).values
+    assert len(factors) == 1
+    op, points = _spatial_operator(p, grid, mode)
+    u = np.asarray(p.f0.evaluator(points)).astype(float if mode is EUCLID else complex)
+    backward = splu((sp.identity(op.shape[0], format="csc") - 0.5 * lattice.dt * op).tocsc(),
+                    permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    for _ in range(n_steps):
+        u = 2.0 * backward.solve(u) - u
+    assert values[1:-1].tobytes() == u.tobytes()
+    assert np.max(np.abs(bundled - values)) <= 1e-13 * np.max(np.abs(values))
 
 
 def test_a_non_finite_probe_raises_when_the_coefficients_are_cached():
@@ -864,13 +950,31 @@ def test_list_builtins_and_a_standard_normal_load_no_deferred_module():
 
 
 @pytest.mark.parametrize("call, module", [
-    ("lm.pde_solve(p, lm.SpaceGrid(1, 6.0, 41), lat, lm.WLogDerivativeMode.EUCLIDEAN)", "scipy.sparse.linalg"),
-    ("lm.exact_gaussian_propagator(p, [0.0], lat)", "scipy.linalg"),
-])
+    ("lat = lm.make_lattice(4, 0.2, 2); "
+     "lag = dataclasses.replace(lm.free_lagrangian(2), kinetic_matrix=np.array([[2.0, 0.3], [0.3, 1.0]])); "
+     "p = lm.SchrodingerProblem(2, lag, lm.gaussian_bump(2), 0.2); "
+     "lm.pde_solve(p, lm.SpaceGrid(2, 4.0, 17), lat, lm.WLogDerivativeMode.EUCLIDEAN)", "scipy.sparse.linalg"),
+], ids=["2d_mixed_kinetic_pde_solve"])
 def test_each_deferred_import_runs_on_first_use(call, module):
-    code = ("import logmeasure as lm; lat = lm.make_lattice(4, 0.5, 1); "
-            f"p = lm.SchrodingerProblem(1, lm.harmonic_lagrangian(1), lm.gaussian_bump(1), 0.5); {call}")
-    assert module in _imported("-c", code)
+    assert module in _imported("-c", f"import dataclasses, numpy as np, logmeasure as lm; {call}")
+
+
+def _scipy_modules(modules: frozenset) -> list:
+    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+
+
+def test_one_dimensional_and_separable_solves_and_the_exact_propagator_load_no_scipy():
+    # numpy's bundled LAPACK serves the tridiagonal LU, the banded Cholesky and the per-axis eigh
+    code = (
+        "import logmeasure as lm; E, R = lm.WLogDerivativeMode.EUCLIDEAN, lm.WLogDerivativeMode.REAL_TIME; "
+        "p1 = lm.SchrodingerProblem(1, lm.harmonic_lagrangian(1), lm.gaussian_bump(1), 0.5); "
+        "p2 = lm.SchrodingerProblem(2, lm.harmonic_lagrangian(2), lm.gaussian_bump(2), 0.5); "
+        "lat1, lat2 = lm.make_lattice(8, 0.5, 1), lm.make_lattice(8, 0.5, 2); "
+        "lm.pde_solve(p1, lm.SpaceGrid(1, 6.0, 41), lat1, E); lm.pde_solve(p1, lm.SpaceGrid(1, 6.0, 41), lat1, R); "
+        "lm.pde_solve(p2, lm.SpaceGrid(2, 6.0, 17), lat2, E); "
+        "lm.exact_gaussian_propagator(p1, [0.0], lat1); lm.exact_gaussian_propagator(p2, [0.0, 0.1], lat2)"
+    )
+    assert _scipy_modules(_imported("-c", code)) == []
 
 
 def test_wiener_monte_carlo_gauss_hermite_and_anomaly_routes_load_no_scipy_linalg():
@@ -889,10 +993,10 @@ def test_wiener_monte_carlo_gauss_hermite_and_anomaly_routes_load_no_scipy_linal
     assert "scipy.linalg" not in _imported("-c", code)
 
 
-@pytest.mark.parametrize("config", ["ibp_check", "anomaly_scan", "theorem1_check", "oscillatory_check"])
-def test_a_run_without_a_pde_solve_or_an_exact_propagator_loads_no_scipy_linalg(tmp_path, config):
+@pytest.mark.parametrize("config", sorted(os.path.splitext(name)[0] for name in os.listdir(os.path.join(_REPO, "configs"))))
+def test_no_shipped_config_run_loads_scipy(tmp_path, config):
     path = os.path.join(_REPO, "configs", f"{config}.json")
-    assert "scipy.linalg" not in _imported("-m", "logmeasure", "run", path, "--out", str(tmp_path))
+    assert _scipy_modules(_imported("-m", "logmeasure", "run", path, "--out", str(tmp_path))) == []
 
 
 def test_a_run_loads_jsonschema(tmp_path):

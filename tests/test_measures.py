@@ -193,7 +193,7 @@ def test_inverse_factor_is_bytewise_scipys_triangular_solve(build, args):
 @pytest.fixture
 def no_bundled_openblas(monkeypatch):
     """numpy's bundled OpenBLAS reads as missing; the helpers' caches are cleared around the test."""
-    cached = (measures._openblas_dtrtrs, measures._openblas_threads)
+    cached = (measures._lapack, measures._openblas_threads)
     for helper in cached:
         helper.cache_clear()
     monkeypatch.setattr(measures, "_openblas", lambda: None)
@@ -204,13 +204,13 @@ def no_bundled_openblas(monkeypatch):
 
 @pytest.mark.parametrize("build, args", _PRECISIONS[::3])
 def test_without_the_bundled_openblas_scipy_gives_the_same_inverse_factor(no_bundled_openblas, build, args):
-    assert measures._openblas_dtrtrs() is None and measures._openblas_threads() is None
+    assert measures._lapack("dtrtrs") is None and measures._openblas_threads() is None
     prec = build(*args)
     _assert_scipys_inverse_factor(GaussianMeasure(len(prec), np.zeros(len(prec)), prec))
 
 
 def test_the_bundled_dtrtrs_is_found_with_the_library():
-    assert (measures._openblas() is None) == (measures._openblas_dtrtrs() is None)
+    assert (measures._openblas() is None) == (measures._lapack("dtrtrs") is None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's warnings on the infinite entries
